@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check f2tree-vet vet-audit vet-cache-smoke race check chaos-smoke detect-smoke bench bench-campaign bench-hotpath serve bench-serve
+.PHONY: build test vet fmt-check f2tree-vet vet-audit race check chaos-smoke detect-smoke bench serve
 
 build:
 	$(GO) build ./...
@@ -18,29 +18,18 @@ fmt-check:
 		echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
 # The determinism and contract gate: stock go vet plus the analyzers from
-# internal/analysis — mapiter, simclock, lockcheck, poolcheck, hotpathalloc,
-# epochcheck, handlecheck, shardcheck, and the CFG-backed concurrency four
-# (lockorder, goleak, chanblock, wgcheck) — run in parallel dependency order
-# with cross-package fact propagation (see README "Determinism gate").
+# internal/analysis (`go run ./cmd/f2tree-vet -list` prints them), run in
+# parallel dependency order with cross-package fact propagation (see README
+# "Determinism gate").
 f2tree-vet:
 	$(GO) run ./cmd/f2tree-vet ./...
 
 # Suppression audit: inventory every //f2tree: directive and fail on stale
 # suppressions, unknown verbs and missing justifications. Runs through the
 # same fact-propagating graph driver, so interprocedural findings keep
-# their seams (//f2tree:shardport and friends) live.
+# their suppressions live.
 vet-audit:
 	$(GO) run ./cmd/f2tree-vet -novet -audit ./...
-
-# Result-cache smoke: a warm second run must be all cache hits and replay
-# the findings byte-identically (CI runs the same check).
-vet-cache-smoke:
-	rm -rf .vetcache
-	$(GO) run ./cmd/f2tree-vet -novet -json -cachedir .vetcache ./... > .vetcache-cold.json 2> .vetcache-cold.log
-	$(GO) run ./cmd/f2tree-vet -novet -json -cachedir .vetcache ./... > .vetcache-warm.json 2> .vetcache-warm.log
-	cmp .vetcache-cold.json .vetcache-warm.json
-	grep -q ' 0 miss(es)' .vetcache-warm.log
-	rm -rf .vetcache .vetcache-cold.json .vetcache-warm.json .vetcache-cold.log .vetcache-warm.log
 
 race:
 	$(GO) test -race ./...
@@ -68,25 +57,6 @@ detect-smoke:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Campaign orchestrator speedup: fig4 matrix serial vs parallel, emitting
-# BENCH_campaign.json. Fails if the two aggregates differ (determinism gate)
-# or if the host cannot actually run the arms in parallel (override with
-# `f2tree-campaign -bench-allow-serial` to record a flagged serial run).
-bench-campaign:
-	$(GO) run ./cmd/f2tree-campaign -bench -j 4 -bench-out BENCH_campaign.json
-
-# Hot-path microbenchmarks (event scheduling, packet forwarding, FIB lookup,
-# fig4 end-to-end), emitting BENCH_hotpath.json and enforcing the committed
-# allocs/op budgets. See DESIGN.md §9.
-bench-hotpath:
-	$(GO) run ./cmd/f2tree-bench -check -out BENCH_hotpath.json
-
 # Run the what-if query service on localhost (see DESIGN.md §13).
 serve:
 	$(GO) run ./cmd/f2tree-serve -addr 127.0.0.1:8080 -j 4
-
-# What-if service benchmark over real HTTP: cold vs repeated (cached)
-# queries plus a concurrent burst, emitting BENCH_serve.json. Fails if the
-# repeated query is not a measured memoization hit.
-bench-serve:
-	$(GO) run ./cmd/f2tree-serve -bench -j 4 -bench-out BENCH_serve.json

@@ -13,14 +13,12 @@
 //	f2tree-campaign -preset fig4 -j 4 -out fig4.jsonl
 //	f2tree-campaign -kind recovery -schemes fattree,f2tree -conditions C1,C4 \
 //	    -reps 5 -j 8 -out sweep.jsonl -agg sweep-agg.jsonl
-//	f2tree-campaign -bench -j 4    # emits BENCH_campaign.json
 //
 // Re-invoking with the same -out resumes: runs whose spec hash already has
 // an ok record are skipped.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -70,10 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		summary = fs.Bool("summary", true, "print the aggregate summary table")
 		quiet   = fs.Bool("q", false, "suppress the progress line")
 
-		bench       = fs.Bool("bench", false, "benchmark mode: fig4 matrix serial vs -j, emit a BENCH json")
-		benchOut    = fs.String("bench-out", "BENCH_campaign.json", "benchmark output file")
-		allowSerial = fs.Bool("bench-allow-serial", false, "let -bench run even when GOMAXPROCS prevents real parallelism")
-
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -97,10 +91,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts := campaign.Options{Parallelism: *j, Timeout: *timeout, Retries: *retries}
 	if !*quiet {
 		opts.Progress = stderr
-	}
-
-	if *bench {
-		return runBench(stdout, stderr, *seed, *j, *benchOut, *allowSerial, opts)
 	}
 
 	specs, err := expandFlags(*preset, *kind, *schemes, *ports, *conditions, *controls,
@@ -218,89 +208,6 @@ func expandFlags(preset, kind, schemes, ports, conditions, controls, channels, m
 		return nil, fmt.Errorf("-channels: %w", err)
 	}
 	return m.Expand(), nil
-}
-
-// benchReport is the BENCH_campaign.json schema: wall-clock speedup of the
-// parallel pool over serial execution on the fig4 matrix. Speedup is only a
-// statement about the worker pool when ParallelismMeaningful is true — on a
-// single-core box both arms run serially and the ratio is just noise, which
-// Warning spells out.
-type benchReport struct {
-	Bench                 string  `json:"bench"`
-	Runs                  int     `json:"runs"`
-	J                     int     `json:"j"`
-	GOMAXPROCS            int     `json:"gomaxprocs"`
-	SerialSeconds         float64 `json:"serial_seconds"`
-	ParallelSeconds       float64 `json:"parallel_seconds"`
-	Speedup               float64 `json:"speedup"`
-	RunsPerSecSerial      float64 `json:"runs_per_sec_serial"`
-	RunsPerSecParallel    float64 `json:"runs_per_sec_parallel"`
-	AggregatesIdentical   bool    `json:"aggregates_identical"`
-	ParallelismMeaningful bool    `json:"parallelism_meaningful"`
-	Warning               string  `json:"warning,omitempty"`
-}
-
-func runBench(stdout, stderr io.Writer, seed int64, j int, outPath string, allowSerial bool, opts campaign.Options) error {
-	meaningful := runtime.GOMAXPROCS(0) > 1 && j > 1
-	if !meaningful {
-		msg := fmt.Sprintf("GOMAXPROCS=%d, j=%d: the serial and parallel arms cannot differ, so the measured speedup says nothing about the worker pool",
-			runtime.GOMAXPROCS(0), j)
-		if !allowSerial {
-			return fmt.Errorf("-bench refused: %s (re-run on a multi-core machine, or pass -bench-allow-serial to record an explicitly-flagged serial measurement)", msg)
-		}
-		fmt.Fprintln(stderr, "f2tree-campaign: warning:", msg)
-	}
-	specs := campaign.Fig4Matrix(seed).Expand()
-	render := func(par int) (string, float64, error) {
-		o := opts
-		o.Parallelism = par
-		begin := time.Now() //f2tree:wallclock measures real elapsed time for the parallel-speedup report
-		res, err := campaign.Run(specs, campaign.ExperimentRunner(), o)
-		if err != nil {
-			return "", 0, err
-		}
-		if res.Failed > 0 {
-			return "", 0, fmt.Errorf("%d run(s) failed at j=%d", res.Failed, par)
-		}
-		var b strings.Builder
-		if err := campaign.WriteAggregateJSONL(&b, campaign.AggregateResults(res.Results)); err != nil {
-			return "", 0, err
-		}
-		return b.String(), time.Since(begin).Seconds(), nil //f2tree:wallclock paired with the Now above
-	}
-	serialAgg, serialS, err := render(1)
-	if err != nil {
-		return err
-	}
-	parAgg, parS, err := render(j)
-	if err != nil {
-		return err
-	}
-	rep := benchReport{
-		Bench: "campaign-fig4", Runs: len(specs), J: j, GOMAXPROCS: runtime.GOMAXPROCS(0),
-		SerialSeconds: serialS, ParallelSeconds: parS, Speedup: serialS / parS,
-		RunsPerSecSerial:      float64(len(specs)) / serialS,
-		RunsPerSecParallel:    float64(len(specs)) / parS,
-		AggregatesIdentical:   serialAgg == parAgg,
-		ParallelismMeaningful: meaningful,
-	}
-	if !meaningful {
-		rep.Warning = fmt.Sprintf("measured with GOMAXPROCS=%d, j=%d: both arms executed serially; speedup is scheduling noise, not pool throughput",
-			runtime.GOMAXPROCS(0), j)
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "bench: %d runs — serial %.1fs, j=%d %.1fs, speedup %.2fx (aggregates identical: %v) → %s\n",
-		rep.Runs, rep.SerialSeconds, rep.J, rep.ParallelSeconds, rep.Speedup, rep.AggregatesIdentical, outPath)
-	if !rep.AggregatesIdentical {
-		return fmt.Errorf("serial and parallel aggregates differ — determinism regression")
-	}
-	return nil
 }
 
 func splitCSV(s string) []string {

@@ -29,20 +29,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestBenchRefusesWithoutRealParallelism pins the honesty contract: -bench
-// on a box (or with a -j) where the two arms cannot actually differ must be
-// an error unless the caller opts into a flagged serial measurement.
-func TestBenchRefusesWithoutRealParallelism(t *testing.T) {
-	var out, errw strings.Builder
-	err := run([]string{"-bench", "-j", "1", "-q"}, &out, &errw)
-	if err == nil {
-		t.Fatal("-bench -j 1 accepted without -bench-allow-serial")
-	}
-	if !strings.Contains(err.Error(), "-bench-allow-serial") {
-		t.Fatalf("refusal does not mention the override: %v", err)
-	}
-}
-
 func TestExpandFlagsMatrix(t *testing.T) {
 	specs, err := expandFlags("", "recovery", "fattree,f2tree", "8", "C1,C4", "ospf", "1",
 		"", "", 2, 42, 0, 0, false)

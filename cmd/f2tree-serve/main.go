@@ -14,7 +14,6 @@
 //
 //	f2tree-serve -addr :8080 -j 4
 //	f2tree-serve -addr :8080 -store serve-cache.jsonl   # warm-startable cache
-//	f2tree-serve -bench                                 # emits BENCH_serve.json
 //
 //	curl -s localhost:8080/query -d '{"scheme":"f2tree","ports":6,
 //	    "link":{"a":"tor-p0-0","b":"agg-p0-0"},"failAtMs":300}'
@@ -22,8 +21,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -32,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/serve"
@@ -53,9 +49,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		j       = fs.Int("j", runtime.GOMAXPROCS(0), "query workers")
 		timeout = fs.Duration("timeout", 2*time.Minute, "wall-clock budget per query simulation (0 = none)")
 		store   = fs.String("store", "", "JSONL memoization store (enables warm start; empty = memory-only)")
-
-		bench    = fs.Bool("bench", false, "benchmark mode: start the server, drive the query set, emit a BENCH json and exit")
-		benchOut = fs.String("bench-out", "BENCH_serve.json", "benchmark output file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,10 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if n := srv.CacheLen(); n > 0 {
 		fmt.Fprintf(stdout, "f2tree-serve: warm start with %d cached answers\n", n)
-	}
-
-	if *bench {
-		return runBench(srv, stdout, *j, *benchOut)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -118,158 +107,4 @@ func buildFingerprint() string {
 		}
 	}
 	return serve.Fingerprint()
-}
-
-// benchQuery is one measured query of the bench report.
-type benchQuery struct {
-	Label     string  `json:"label"`
-	MS        float64 `json:"ms"`
-	Cached    bool    `json:"cached"`
-	Coalesced bool    `json:"coalesced,omitempty"`
-}
-
-// benchReport is the BENCH_serve.json schema: per-query service latency
-// over real HTTP, the repeat's measured cache hit and its speedup over the
-// cold run, a concurrent-burst throughput figure, and the /metrics
-// snapshot scraped at the end.
-type benchReport struct {
-	Bench      string       `json:"bench"`
-	J          int          `json:"j"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Queries    []benchQuery `json:"queries"`
-	// RepeatCached is the acceptance gate: the repeated query must be a
-	// measured memoization hit.
-	RepeatCached  bool    `json:"repeatCached"`
-	RepeatSpeedup float64 `json:"repeatSpeedup"`
-	// Burst drives the same query at distinct seeds concurrently.
-	BurstQueries   int           `json:"burstQueries"`
-	BurstSeconds   float64       `json:"burstSeconds"`
-	BurstPerSecond float64       `json:"burstPerSecond"`
-	Metrics        serve.Metrics `json:"metrics"`
-}
-
-// benchQueries is the driven query set: two whatif questions and one
-// recovery question, then a repeat of the first.
-func benchQueries() []struct {
-	label string
-	q     serve.Query
-} {
-	link := &serve.Link{A: "tor-p0-0", B: "agg-p0-0"}
-	return []struct {
-		label string
-		q     serve.Query
-	}{
-		{"whatif-f2tree", serve.Query{Kind: serve.KindWhatIf, Scheme: "f2tree", Ports: 6, Link: link, Seed: 1}},
-		{"whatif-fattree", serve.Query{Kind: serve.KindWhatIf, Scheme: "fattree", Ports: 4, Link: link, Seed: 1}},
-		{"recovery-f2tree-c1", serve.Query{Kind: serve.KindRecovery, Scheme: "f2tree", Ports: 6, Condition: "C1", Seed: 42}},
-		{"whatif-f2tree-repeat", serve.Query{Kind: serve.KindWhatIf, Scheme: "f2tree", Ports: 6, Link: link, Seed: 1}},
-	}
-}
-
-func runBench(srv *serve.Server, stdout io.Writer, j int, outPath string) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-	base := "http://" + ln.Addr().String()
-
-	post := func(q serve.Query) (serve.Response, float64, error) {
-		b, err := json.Marshal(q)
-		if err != nil {
-			return serve.Response{}, 0, err
-		}
-		//f2tree:wallclock bench measures real HTTP service latency
-		begin := time.Now()
-		resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(b))
-		if err != nil {
-			return serve.Response{}, 0, err
-		}
-		defer resp.Body.Close()
-		var out serve.Response
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return serve.Response{}, 0, err
-		}
-		//f2tree:wallclock bench latency, paired with the Now above
-		ms := float64(time.Since(begin)) / float64(time.Millisecond)
-		if out.Error != "" {
-			return out, ms, fmt.Errorf("query failed: %s", out.Error)
-		}
-		return out, ms, nil
-	}
-
-	rep := benchReport{Bench: "serve-whatif", J: j, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	for _, bq := range benchQueries() {
-		out, ms, err := post(bq.q)
-		if err != nil {
-			return fmt.Errorf("%s: %w", bq.label, err)
-		}
-		rep.Queries = append(rep.Queries, benchQuery{
-			Label: bq.label, MS: ms, Cached: out.Cached, Coalesced: out.Coalesced,
-		})
-		fmt.Fprintf(stdout, "bench: %-22s %8.1f ms  cached=%v\n", bq.label, ms, out.Cached)
-	}
-	first, repeat := rep.Queries[0], rep.Queries[len(rep.Queries)-1]
-	rep.RepeatCached = repeat.Cached
-	if repeat.MS > 0 {
-		rep.RepeatSpeedup = first.MS / repeat.MS
-	}
-
-	// Concurrent burst: the same what-if question at distinct seeds, all
-	// in flight together, exercising pool occupancy end to end.
-	const burst = 8
-	var wg sync.WaitGroup
-	errs := make([]error, burst)
-	//f2tree:wallclock bench burst throughput measurement
-	begin := time.Now()
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := serve.Query{
-				Kind: serve.KindWhatIf, Scheme: "f2tree", Ports: 6,
-				Link: &serve.Link{A: "tor-p0-0", B: "agg-p0-0"}, Seed: int64(100 + i),
-			}
-			_, _, errs[i] = post(q)
-		}(i)
-	}
-	wg.Wait()
-	//f2tree:wallclock bench burst throughput, paired with the Now above
-	rep.BurstSeconds = time.Since(begin).Seconds()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("burst query %d: %w", i, err)
-		}
-	}
-	rep.BurstQueries = burst
-	if rep.BurstSeconds > 0 {
-		rep.BurstPerSecond = float64(burst) / rep.BurstSeconds
-	}
-	fmt.Fprintf(stdout, "bench: burst of %d queries in %.2fs (%.1f/s)\n",
-		burst, rep.BurstSeconds, rep.BurstPerSecond)
-
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer mresp.Body.Close()
-	if err := json.NewDecoder(mresp.Body).Decode(&rep.Metrics); err != nil {
-		return err
-	}
-
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "bench: hit rate %.2f, latency p50 %.1f ms p99 %.1f ms → %s\n",
-		rep.Metrics.CacheHitRate, rep.Metrics.LatencyMs.P50, rep.Metrics.LatencyMs.P99, outPath)
-	if !rep.RepeatCached {
-		return fmt.Errorf("repeated query was not served from cache — memoization regression")
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -16,80 +13,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 	} {
 		if err := run(args, &out, &errw); err == nil {
 			t.Errorf("run(%v) accepted", args)
-		}
-	}
-}
-
-// TestBenchEmitsReport drives the full bench path — real HTTP on a
-// loopback port, real simulations — and checks the acceptance gate: the
-// repeated query is a measured cache hit in BENCH_serve.json.
-func TestBenchEmitsReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	var stdout, stderr strings.Builder
-	if err := run([]string{"-bench", "-j", "2", "-bench-out", out}, &stdout, &stderr); err != nil {
-		t.Fatalf("bench failed: %v\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.RepeatCached {
-		t.Fatalf("repeat not cached: %+v", rep)
-	}
-	if rep.RepeatSpeedup < 1 {
-		t.Fatalf("repeat speedup %.2f < 1", rep.RepeatSpeedup)
-	}
-	if rep.Metrics.Hits < 1 || rep.Metrics.Failures != 0 {
-		t.Fatalf("metrics = %+v", rep.Metrics)
-	}
-	if len(rep.Queries) != 4 || rep.BurstQueries != 8 {
-		t.Fatalf("report shape: %+v", rep)
-	}
-	if rep.Metrics.LatencyMs.Count != 12 || rep.Metrics.LatencyMs.P99 <= 0 {
-		t.Fatalf("latency summary: %+v", rep.Metrics.LatencyMs)
-	}
-}
-
-// TestBenchStoreWarmStart re-runs the bench against a persisted store: the
-// second invocation must answer every repeatable query from the warm cache.
-func TestBenchStoreWarmStart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	dir := t.TempDir()
-	store := filepath.Join(dir, "cache.jsonl")
-	out1 := filepath.Join(dir, "b1.json")
-	out2 := filepath.Join(dir, "b2.json")
-	var stdout, stderr strings.Builder
-	if err := run([]string{"-bench", "-j", "2", "-store", store, "-bench-out", out1}, &stdout, &stderr); err != nil {
-		t.Fatalf("first bench: %v\n%s", err, stderr.String())
-	}
-	stdout.Reset()
-	if err := run([]string{"-bench", "-j", "2", "-store", store, "-bench-out", out2}, &stdout, &stderr); err != nil {
-		t.Fatalf("second bench: %v\n%s", err, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "warm start") {
-		t.Fatalf("no warm-start banner:\n%s", stdout.String())
-	}
-	var rep benchReport
-	b, err := os.ReadFile(out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatal(err)
-	}
-	// Every non-burst query repeats a first-run query; all must hit.
-	for _, q := range rep.Queries {
-		if !q.Cached {
-			t.Fatalf("query %s not served from warm cache: %+v", q.Label, rep.Queries)
 		}
 	}
 }

@@ -77,13 +77,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description.
 	Doc string
-	// Version salts the driver's result-cache key: bump it whenever the
-	// analyzer's logic changes (new rules, changed fact kinds, different
-	// messages), so cached findings produced by the old logic are never
-	// replayed as if the new logic had run. Adding or removing analyzers
-	// invalidates the cache through the analyzer-set hash already; Version
-	// covers in-place edits the set hash cannot see.
-	Version int
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 }
@@ -113,11 +106,6 @@ type Pass struct {
 	// ExportFact records a fact about a package-level symbol so downstream
 	// packages can consume it. Nil outside the graph driver.
 	ExportFact func(obj types.Object, kind string)
-	// ExportSymFact records a fact keyed by an explicit symbol string rather
-	// than a types.Object — for facts about entities that are not Go objects,
-	// like lock classes ("pkg.(Type).field" edges in the acquisition-order
-	// graph). Nil outside the graph driver.
-	ExportSymFact func(sym, kind string)
 }
 
 // fileFor returns the pass file whose source range contains pos, or nil.

@@ -16,9 +16,6 @@ const (
 	VerbAlloc       = "alloc"       // hotpathalloc
 	VerbNoEpoch     = "noepoch"     // epochcheck
 	VerbHandle      = "handle"      // handlecheck
-	VerbShardPort   = "shardport"   // shardcheck
-	VerbBlocking    = "blocking"    // goleak, chanblock, wgcheck
-	VerbLockOrder   = "lockorder"   // lockorder
 )
 
 // Marker verbs: they declare a contract instead of suppressing a finding
@@ -30,7 +27,6 @@ const (
 	VerbEpoch        = "epoch"
 	VerbEpochGuarded = "epochguarded"
 	VerbEpochBump    = "epochbump"
-	VerbShardLocal   = "shardlocal"
 )
 
 // suppressionAnalyzer maps each suppression verb to the analyzer it
@@ -43,13 +39,6 @@ var suppressionAnalyzer = map[string]string{
 	VerbAlloc:       "hotpathalloc",
 	VerbNoEpoch:     "epochcheck",
 	VerbHandle:      "handlecheck",
-	VerbShardPort:   "shardcheck",
-	// blocking is shared: goleak, chanblock and wgcheck all diagnose
-	// block-forever failure modes, and one documented reason covers the
-	// seam for all three. Staleness is keyed by verb, not analyzer, so a
-	// directive kept alive by any of the three is not stale.
-	VerbBlocking:  "goleak/chanblock/wgcheck",
-	VerbLockOrder: "lockorder",
 }
 
 // markerVerbs is the set of non-suppressing directive verbs.
@@ -59,7 +48,6 @@ var markerVerbs = map[string]bool{
 	VerbEpoch:        true,
 	VerbEpochGuarded: true,
 	VerbEpochBump:    true,
-	VerbShardLocal:   true,
 }
 
 // DirectiveKind classifies a //f2tree: directive.
@@ -115,7 +103,7 @@ func (r *AuditResult) Clean() bool {
 // coverage too — and a suppression directive with no matching finding on
 // its line or the line below is reported stale. Unknown verbs (typos) and
 // suppressions without a reason are defects too. opt.KeepSuppressed is
-// forced on; opt.InScope, Workers and Cache are honored.
+// forced on; opt.InScope and Workers are honored.
 func Audit(pkgs []*Package, opt RunOptions) (*AuditResult, error) {
 	opt.KeepSuppressed = true
 	results, err := RunGraph(pkgs, Analyzers(), opt)

@@ -71,7 +71,8 @@ func verbs(ds []analysis.Directive) []string {
 }
 
 // TestAuditDefects checks the audit fixture: one live suppression, one
-// unjustified one, one stale one, one unknown verb and one marker.
+// unjustified one, one stale one, one typo'd verb, the four retired verbs
+// and one marker.
 func TestAuditDefects(t *testing.T) {
 	pkg := loadFixturePkg(t, "audit")
 	res, err := analysis.Audit([]*analysis.Package{pkg}, analysis.RunOptions{})
@@ -81,14 +82,15 @@ func TestAuditDefects(t *testing.T) {
 	if res.Clean() {
 		t.Fatalf("audit fixture should not be clean; directives: %v", verbs(res.Directives))
 	}
-	if got := len(res.Directives); got != 5 {
-		t.Errorf("inventoried %d directives, want 5: %v", got, verbs(res.Directives))
+	if got := len(res.Directives); got != 9 {
+		t.Errorf("inventoried %d directives, want 9: %v", got, verbs(res.Directives))
 	}
 	if got := verbs(res.Stale); len(got) != 1 || got[0] != "wallclock" {
 		t.Errorf("stale = %v, want exactly [wallclock]", got)
 	}
-	if got := verbs(res.Unknown); len(got) != 1 || got[0] != "wallclok" {
-		t.Errorf("unknown = %v, want exactly [wallclok]", got)
+	wantUnknown := "wallclok shardlocal shardport blocking lockorder"
+	if got := strings.Join(verbs(res.Unknown), " "); got != wantUnknown {
+		t.Errorf("unknown = [%s], want exactly [%s]", got, wantUnknown)
 	}
 	if got := verbs(res.Unjustified); len(got) != 1 || got[0] != "unordered" {
 		t.Errorf("unjustified = %v, want exactly [unordered]", got)

@@ -19,45 +19,25 @@ import (
 //     body is checked in its own package; callers trust it.
 //   - FactWallClock (simclock): the function transitively reads the wall
 //     clock through an unsuppressed call chain.
-//   - FactSharedState (lockcheck): the function writes package-level state
-//     ("touches-shared-state" — inventory for the sharding refactor).
 //   - FactPooled (poolcheck): the type is //f2tree:pooled, so
 //     pointer-to-it parameters are retention-tracked in every package.
-//   - FactShardLocal (shardcheck): the type is //f2tree:shardlocal and
-//     must stay confined to one shard in the future sharded core.
 //
 // FactRetainsPrefix is a parameterized kind: "retains:2" states that the
 // function stores its third parameter (a pooled pointer) somewhere that
 // outlives the call, so passing a tracked value there is a retention.
-//
-// The lockorder analyzer adds two parameterized kinds of its own:
-//
-//   - FactAcquiresPrefix ("acquires:<class>") on a function symbol states
-//     the function may acquire the lock class (directly or transitively),
-//     so a caller holding another lock across the call creates an order
-//     edge.
-//   - FactLockEdgePrefix ("lockorder:<to>") on a lock-class symbol states
-//     some function in the exporting package acquires <to> while holding
-//     the keyed class — one edge of the global acquisition-order graph,
-//     merged across packages by the graph driver so cross-package AB-BA
-//     cycles surface even though no single package sees both edges.
 const (
-	FactAllocates      = "allocates"
-	FactHotPath        = "hotpath"
-	FactWallClock      = "wallclock"
-	FactSharedState    = "sharedstate"
-	FactPooled         = "pooled"
-	FactShardLocal     = "shardlocal"
-	FactRetainsPrefix  = "retains:"
-	FactAcquiresPrefix = "acquires:"
-	FactLockEdgePrefix = "lockorder:"
+	FactAllocates     = "allocates"
+	FactHotPath       = "hotpath"
+	FactWallClock     = "wallclock"
+	FactPooled        = "pooled"
+	FactRetainsPrefix = "retains:"
 )
 
 // RetainsFact returns the parameterized retains fact kind for parameter i.
 func RetainsFact(i int) string { return fmt.Sprintf("%s%d", FactRetainsPrefix, i) }
 
 // Fact is one exported statement about a package-level symbol, in the
-// serializable form the driver's result cache stores.
+// serializable form the driver emits as JSON.
 type Fact struct {
 	// Sym names the symbol: "pkgpath.Func", "pkgpath.(Recv).Method" or
 	// "pkgpath.Type" (see SymbolName).
@@ -88,7 +68,7 @@ func (fs FactSet) AddAll(facts []Fact) {
 }
 
 // Sorted flattens the set into a deterministic fact list (by symbol, then
-// kind) — the serialization order for cache entries and JSON output.
+// kind) — the serialization order for JSON output.
 func (fs FactSet) Sorted() []Fact {
 	var out []Fact
 	//f2tree:unordered flattened list is sorted below
@@ -153,30 +133,4 @@ func (p *Pass) exportFact(obj types.Object, kind string) {
 	if p.ExportFact != nil && obj != nil {
 		p.ExportFact(obj, kind)
 	}
-}
-
-// exportSymFact records a fact about an explicit symbol string if the pass
-// runs under the graph driver; a no-op otherwise.
-func (p *Pass) exportSymFact(sym, kind string) {
-	if p.ExportSymFact != nil && sym != "" {
-		p.ExportSymFact(sym, kind)
-	}
-}
-
-// importedPrefixFacts returns the parameter parts of every imported fact
-// on sym whose kind starts with prefix ("acquires:", "lockorder:"), sorted
-// for deterministic iteration. Safe on a nil fact set.
-func (p *Pass) importedPrefixFacts(sym, prefix string) []string {
-	if p.ImportedFacts == nil || sym == "" {
-		return nil
-	}
-	var out []string
-	//f2tree:unordered parameter list is sorted below
-	for kind := range p.ImportedFacts[sym] {
-		if strings.HasPrefix(kind, prefix) {
-			out = append(out, strings.TrimPrefix(kind, prefix))
-		}
-	}
-	sort.Strings(out)
-	return out
 }

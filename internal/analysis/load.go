@@ -31,10 +31,6 @@ type Package struct {
 	// on it: it contributes facts to the interprocedural pass but is never
 	// reported on, regardless of scope flags.
 	DepOnly bool
-	// ContentHash is the 16-hex-character content hash of the package's
-	// source files (same convention as the campaign store), one input of
-	// the driver's result-cache key.
-	ContentHash string
 }
 
 // listPackage is the subset of `go list -json` output the loader needs.
@@ -106,15 +102,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			continue
 		}
 		var files []*ast.File
-		hash := newContentHash()
 		for _, name := range p.GoFiles {
-			path := filepath.Join(p.Dir, name)
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: %v", err)
-			}
-			hash.add(name, src)
-			f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: %v", err)
 			}
@@ -125,15 +114,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("analysis: type-checking %s: %v", p.ImportPath, err)
 		}
 		pkgs = append(pkgs, &Package{
-			ImportPath:  p.ImportPath,
-			Dir:         p.Dir,
-			Fset:        fset,
-			Files:       files,
-			Types:       pkg,
-			TypesInfo:   info,
-			Imports:     p.Imports,
-			DepOnly:     p.DepOnly,
-			ContentHash: hash.sum(),
+			ImportPath: p.ImportPath,
+			Dir:        p.Dir,
+			Fset:       fset,
+			Files:      files,
+			Types:      pkg,
+			TypesInfo:  info,
+			Imports:    p.Imports,
+			DepOnly:    p.DepOnly,
 		})
 	}
 	return pkgs, nil

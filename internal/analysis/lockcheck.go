@@ -59,63 +59,47 @@ func runLockCheck(pass *Pass) error {
 		return nil
 	}
 
-	// Pass 2: find writes to those vars anywhere in the package. Writes
-	// are attributed to their enclosing function declaration, which then
-	// exports the touches-shared-state fact — the whole-program inventory
-	// the sharding refactor consults for functions that cannot run
-	// per-shard as they stand.
+	// Pass 2: find writes to those vars anywhere in the package.
 	written := make(map[types.Object]bool)
+	markIfPkgVar := func(e ast.Expr) {
+		root := rootIdent(e)
+		if root == nil {
+			return
+		}
+		obj := objectOf(pass, root)
+		if _, ok := vars[obj]; ok {
+			written[obj] = true
+		}
+	}
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			wrote := false
-			markIfPkgVar := func(e ast.Expr) {
-				root := rootIdent(e)
-				if root == nil {
-					return
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					markIfPkgVar(lhs)
 				}
-				obj := pass.TypesInfo.Uses[root]
-				if obj == nil {
-					obj = pass.TypesInfo.Defs[root]
-				}
-				if _, ok := vars[obj]; ok {
-					written[obj] = true
-					wrote = true
-				}
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range x.Lhs {
-						markIfPkgVar(lhs)
-					}
-				case *ast.IncDecStmt:
+			case *ast.IncDecStmt:
+				markIfPkgVar(x.X)
+			case *ast.UnaryExpr:
+				if x.Op == token.AND {
 					markIfPkgVar(x.X)
-				case *ast.UnaryExpr:
-					if x.Op == token.AND {
-						markIfPkgVar(x.X)
-					}
-				case *ast.SelectorExpr:
-					// A pointer-receiver method call implicitly takes the
-					// address of its operand.
-					if sel, ok := pass.TypesInfo.Selections[x]; ok && sel.Kind() == types.MethodVal {
-						if fn, ok := sel.Obj().(*types.Func); ok {
-							sig, _ := fn.Type().(*types.Signature)
-							if sig != nil && sig.Recv() != nil {
-								if _, ptr := sig.Recv().Type().(*types.Pointer); ptr {
-									markIfPkgVar(x.X)
-								}
+				}
+			case *ast.SelectorExpr:
+				// A pointer-receiver method call implicitly takes the
+				// address of its operand.
+				if sel, ok := pass.TypesInfo.Selections[x]; ok && sel.Kind() == types.MethodVal {
+					if fn, ok := sel.Obj().(*types.Func); ok {
+						sig, _ := fn.Type().(*types.Signature)
+						if sig != nil && sig.Recv() != nil {
+							if _, ptr := sig.Recv().Type().(*types.Pointer); ptr {
+								markIfPkgVar(x.X)
 							}
 						}
 					}
 				}
-				return true
-			})
-			if fd, ok := decl.(*ast.FuncDecl); ok && wrote {
-				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-					pass.exportFact(fn, FactSharedState)
-				}
 			}
-		}
+			return true
+		})
 	}
 
 	// Pass 3: report written vars that are not annotated.
@@ -131,8 +115,8 @@ func runLockCheck(pass *Pass) error {
 	return nil
 }
 
-// Analyzers returns every analyzer — determinism, contract/lifecycle,
-// shard ownership and the CFG-backed concurrency gate — in a stable order.
+// Analyzers returns every analyzer — determinism and contract/lifecycle —
+// in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ChanBlock, EpochCheck, GoLeak, HandleCheck, HotPathAlloc, LockCheck, LockOrder, MapIter, PoolCheck, ShardCheck, SimClock, WGCheck}
+	return []*Analyzer{EpochCheck, HandleCheck, HotPathAlloc, LockCheck, MapIter, PoolCheck, SimClock}
 }

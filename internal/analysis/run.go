@@ -6,23 +6,11 @@ import (
 	"go/types"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 )
 
-// cacheSchema versions the driver's result-cache entries. Bump it whenever
-// the Finding/Fact shapes or the key derivation change, so stale entries
-// from an older binary can never be replayed. Per-analyzer logic changes
-// are covered more surgically by AnalyzersHash (each Analyzer.Version is
-// part of the key), so a single-analyzer bump does not have to invalidate
-// results the other analyzers could still share — but since every analyzer
-// runs in one pass per package here, either mechanism invalidates the
-// whole entry; the split exists so the salt lives next to the logic it
-// versions.
-const cacheSchema = "f2tree-vet/3"
-
 // Finding is one position-resolved diagnostic — the serializable form the
-// driver prints, emits as JSON and stores in the result cache.
+// driver prints and emits as JSON.
 type Finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -45,9 +33,8 @@ type PkgResult struct {
 	ImportPath string    `json:"package"`
 	Findings   []Finding `json:"findings"`
 	Facts      []Fact    `json:"facts"`
-	// CacheHit and DepOnly are run-local bookkeeping, not cache content.
-	CacheHit bool `json:"-"`
-	DepOnly  bool `json:"-"`
+	// DepOnly is run-local bookkeeping, not part of the JSON output.
+	DepOnly bool `json:"-"`
 }
 
 // RunOptions configures a graph run.
@@ -60,15 +47,11 @@ type RunOptions struct {
 	InScope func(importPath string) bool
 	// Workers bounds analysis parallelism; <= 0 means GOMAXPROCS.
 	Workers int
-	// Cache, when non-nil, memoizes per-package results keyed by a content
-	// hash covering the package source, the analyzer set, the mode flags
-	// and the facts of every transitive dependency.
-	Cache Cache
 }
 
 // RunGraph applies the analyzers to the packages in dependency order:
 // a package is analyzed only after all its in-graph dependencies, so the
-// facts they export (allocates, wallclock, shardlocal, retains:N, ...) are
+// facts they export (allocates, wallclock, pooled, retains:N, ...) are
 // complete when its pass starts. Packages with no ordering constraint
 // between them run in parallel. Results come back sorted by import path,
 // one per package, so output is deterministic at any worker count — the
@@ -199,27 +182,7 @@ func RunGraph(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) ([]*PkgRes
 
 				inScope := !pkg.DepOnly && (opt.InScope == nil || opt.InScope(path))
 
-				var key string
-				if opt.Cache != nil {
-					key = resultCacheKey(pkg, analyzers, opt, inScope, depFacts)
-					mu.Lock()
-					cached, ok := opt.Cache.Get(key)
-					mu.Unlock()
-					if ok {
-						cached.ImportPath = path
-						cached.CacheHit = true
-						cached.DepOnly = pkg.DepOnly
-						complete(path, cached, nil)
-						continue
-					}
-				}
-
 				res, err := analyzePackage(pkg, analyzers, opt, inScope, depFacts)
-				if err == nil && opt.Cache != nil {
-					mu.Lock()
-					opt.Cache.Put(key, res)
-					mu.Unlock()
-				}
 				if res == nil {
 					res = &PkgResult{ImportPath: path}
 				}
@@ -262,11 +225,6 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, opt RunOptions, inScope
 					exported.Add(sym, kind)
 				}
 			},
-			ExportSymFact: func(sym, kind string) {
-				if sym != "" {
-					exported.Add(sym, kind)
-				}
-			},
 			Report: func(d Diagnostic) {
 				if inScope {
 					diags = append(diags, d)
@@ -297,35 +255,4 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, opt RunOptions, inScope
 		Findings:   findings,
 		Facts:      exported.Sorted(),
 	}, nil
-}
-
-// AnalyzersHash renders the analyzer set as a stable "name@version" list —
-// the cache-key component that ties cached results to both which analyzers
-// ran and which revision of their logic ran. Bumping one Analyzer.Version
-// changes this string and with it every result-cache key, so findings
-// computed by the old logic are never served as if the new logic had run.
-func AnalyzersHash(analyzers []*Analyzer) string {
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = fmt.Sprintf("%s@%d", a.Name, a.Version)
-	}
-	return strings.Join(names, ",")
-}
-
-// resultCacheKey derives the cache key for one package's run: everything
-// the result depends on is hashed — source bytes (via the package content
-// hash), the analyzer set with per-analyzer versions (AnalyzersHash), the
-// mode flags, and the facts of every transitive dependency, so an upstream
-// annotation change invalidates every downstream entry.
-func resultCacheKey(pkg *Package, analyzers []*Analyzer, opt RunOptions, inScope bool, depFacts FactSet) string {
-	h := newContentHash()
-	h.addString("schema", cacheSchema)
-	h.addString("package", pkg.ImportPath)
-	h.addString("content", pkg.ContentHash)
-	h.addString("analyzers", AnalyzersHash(analyzers))
-	h.addString("mode", fmt.Sprintf("keep=%t scope=%t", opt.KeepSuppressed, inScope))
-	for _, f := range depFacts.Sorted() {
-		h.addString("fact", f.Sym+"\x00"+f.Kind)
-	}
-	return h.sum()
 }

@@ -1,15 +1,11 @@
 // Package app is the downstream half of the interprocedural fixture.
 // Every violation below crosses the package boundary: a per-package
 // analysis of app alone sees nothing wrong, because the evidence —
-// shardlocal/pooled markers, allocation, the wall-clock read, the
-// retention — lives in package state and arrives here only as facts.
+// pooled marker, allocation, the wall-clock read, the retention — lives in
+// package state and arrives here only as facts.
 package app
 
 import "interproc/state"
-
-// cache is the seeded cross-package violation: a package-level cache
-// holding shard-local FIB state declared in another package.
-var cache map[string]*state.Table
 
 // Hot is a declared hot path that calls a cross-package helper which
 // allocates on its steady path.

@@ -6,16 +6,6 @@ package state
 
 import "time"
 
-// Table stands in for a per-switch FIB table.
-//
-//f2tree:shardlocal
-type Table struct {
-	routes map[uint32]int
-}
-
-// New returns a fresh table.
-func New() *Table { return &Table{routes: make(map[uint32]int)} }
-
 // Wrap allocates only through its helper, so a caller's package sees no
 // allocation syntactically — only the exported allocates fact.
 func Wrap(n int) []int { return allocHelper(n) }

@@ -1,6 +1,7 @@
 // Package fixture exercises the directive auditor: one live suppression,
 // one live-but-unjustified suppression, one stale suppression, one
-// unknown verb, and one marker.
+// unknown verb, the four retired verbs (unknown since their analyzers
+// were removed), and one marker.
 package fixture
 
 import "time"
@@ -35,6 +36,19 @@ func unknown() time.Duration {
 	//f2tree:wallclok grace period
 	return time.Second
 }
+
+// retired: the verbs of the removed sharding and concurrency analyzers
+// are unknown now, so a resurrected marker fails the audit.
+//
+//f2tree:shardlocal
+type retired struct {
+	//f2tree:shardport crosses shards through a port
+	n int
+}
+
+//f2tree:blocking waits for a peer
+//f2tree:lockorder mu before other
+func (r *retired) get() int { return r.n }
 
 // marker directives are inventoried but can never be stale.
 //

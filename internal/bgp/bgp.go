@@ -135,8 +135,6 @@ type best struct {
 
 // Instance is a per-switch BGP speaker. It lives on the shard that owns
 // its switch.
-//
-//f2tree:shardlocal
 type Instance struct {
 	d    *Domain
 	node topo.NodeID

@@ -31,8 +31,6 @@ type session struct {
 // link is physically healthy but congested); Multiplier good rounds bring
 // it back. Each flap doubles the interval up to MaxInterval; a stable
 // stretch at an elevated interval halves it back toward base.
-//
-//f2tree:shardlocal
 type bfdDetector struct {
 	dp       DataPlane
 	base     time.Duration

@@ -202,8 +202,6 @@ func New(spec Spec, dp DataPlane) (Detector, error) {
 // endpoint of a changed link samples the link's state exactly delay later
 // and adopts it as its belief. Flaps within the window collapse to the
 // final state because sampling happens at fire time.
-//
-//f2tree:shardlocal
 type fixedDetector struct {
 	dp    DataPlane
 	delay time.Duration

@@ -9,7 +9,7 @@ import (
 
 // buildBig fills a table with the route mix an 8-port F²Tree switch holds:
 // one OSPF /24 per ToR subnet plus the two static backup routes.
-func buildBig(b *testing.B, subnets int) *Table {
+func buildBig(b testing.TB, subnets int) *Table {
 	b.Helper()
 	tbl := New()
 	for i := 0; i < subnets; i++ {
@@ -96,4 +96,33 @@ func BenchmarkFlowKeyHash(b *testing.B) {
 		sink ^= flow.Hash()
 	}
 	_ = sink
+}
+
+// TestLookupNoAlloc holds the three lookup paths the benchmarks above time
+// to their 0 allocs/op budget, on the same tables.
+func TestLookupNoAlloc(t *testing.T) {
+	cached := buildBig(t, 242)
+	cached.EnableFlowCache(0)
+	cases := []struct {
+		name   string
+		tbl    *Table
+		dst    netaddr.Addr
+		usable func(NextHop) bool
+	}{
+		{"hit", buildBig(t, 242), netaddr.AddrFrom4(10, 11, 121, 9), nil},
+		{"fallback", buildBig(t, 18), netaddr.AddrFrom4(10, 11, 9, 9), func(nh NextHop) bool { return nh.Port >= 10 }},
+		{"cached hit", cached, netaddr.AddrFrom4(10, 11, 121, 9), nil},
+	}
+	for _, c := range cases {
+		flow := FlowKey{Src: 1, Dst: c.dst, Proto: 17, SrcPort: 9, DstPort: 9}
+		lookup := func() {
+			if _, ok := c.tbl.Lookup(c.dst, flow, c.usable); !ok {
+				t.Fatalf("%s: miss", c.name)
+			}
+		}
+		lookup() // fill the flow cache where there is one
+		if allocs := testing.AllocsPerRun(200, lookup); allocs > 0 {
+			t.Errorf("%s: lookup allocates %.2f per call, want 0", c.name, allocs)
+		}
+	}
 }

@@ -146,8 +146,6 @@ type cacheEntry struct {
 // Each table belongs to one switch on one simulation shard; sharing one
 // across shards (or caching it globally) breaks the sharded core's
 // ownership model.
-//
-//f2tree:shardlocal
 type Table struct {
 	// byLen[b] maps masked network addresses of length b to entries.
 	//f2tree:epochguarded

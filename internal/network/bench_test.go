@@ -59,8 +59,8 @@ func forwardChain(tb testing.TB) (*sim.Simulator, *Network, topo.NodeID, netaddr
 	return s, nw, a, tp.Node(b).Addr
 }
 
-// BenchmarkForwardPacket is the forwarding-path benchmark the allocs/op
-// budget in cmd/f2tree-bench gates: one op is one packet traversing three
+// BenchmarkForwardPacket times the path TestForwardPacketNoAlloc holds to
+// its allocs/op budget: one op is one packet traversing three
 // switch hops end to end (3 FIB lookups, 4 transmissions, 7 scheduled
 // events).
 func BenchmarkForwardPacket(b *testing.B) {

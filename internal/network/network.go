@@ -135,8 +135,6 @@ type nodeState struct {
 // Network is the runtime data plane over a topology. Its state — FIB
 // tables, link/node state, the in-flight event pool — belongs to exactly
 // one simulation shard.
-//
-//f2tree:shardlocal
 type Network struct {
 	sim   *sim.Simulator
 	topo  *topo.Topology
@@ -165,7 +163,7 @@ type Network struct {
 // processing delay. Using a static dispatch function plus a pooled record
 // replaces the two closures the old per-hop path allocated.
 //
-/*f2tree:pooled*/ /*f2tree:shardlocal*/
+//f2tree:pooled
 type netEvent struct {
 	n    *Network
 	pkt  *Packet

@@ -20,7 +20,7 @@ const (
 // Payload is fine — the pool never touches payload contents). Packets
 // constructed directly with &Packet{} are never recycled.
 //
-/*f2tree:pooled*/ /*f2tree:shardlocal*/
+//f2tree:pooled
 type Packet struct {
 	// Flow is the five-tuple; Flow.Dst drives forwarding.
 	Flow fib.FlowKey

@@ -121,8 +121,6 @@ type Domain struct {
 
 // Instance is the per-router protocol state. It lives on the shard that
 // owns its router.
-//
-//f2tree:shardlocal
 type Instance struct {
 	d    *Domain
 	node topo.NodeID

@@ -296,15 +296,17 @@ func Run(sc *Scenario) (*Report, error) {
 		runs = append(runs, &flowRun{src: src, dst: dst, source: source, sink: sink})
 	}
 
-	// Schedule the timeline.
-	var firstFailAt sim.Time
+	// Schedule the timeline. firstFailAt is the earliest failing event, -1
+	// while there is none; faultErr is the first error a fault callback
+	// hits once the simulation runs.
+	firstFailAt := sim.Time(-1)
+	var faultErr error
 	for _, ev := range sc.Events {
 		ev := ev
 		at := sim.Time(time.Duration(ev.AtMs) * time.Millisecond)
-		if firstFailAt == 0 || at < firstFailAt {
+		if ev.Action != "restore-link" && (firstFailAt < 0 || at < firstFailAt) {
 			firstFailAt = at
 		}
-		var schedErr error
 		switch ev.Action {
 		case "fail-condition":
 			if ev.Flow < 0 || ev.Flow >= len(runs) {
@@ -316,14 +318,15 @@ func Run(sc *Scenario) (*Report, error) {
 			}
 			fr := runs[ev.Flow]
 			lab.Sim.At(at, func(sim.Time) {
+				var links []topo.LinkID
 				path, err := lab.Net.PathTrace(fr.src, fr.source.FlowKey())
-				if err != nil {
-					schedErr = err
-					return
+				if err == nil {
+					links, err = failure.ConditionLinks(tp, cond, path)
 				}
-				links, err := failure.ConditionLinks(tp, cond, path)
 				if err != nil {
-					schedErr = err
+					if faultErr == nil {
+						faultErr = fmt.Errorf("scenario: fail-condition %s at %d ms: %w", ev.Condition, ev.AtMs, err)
+					}
 					return
 				}
 				for _, id := range links {
@@ -362,13 +365,13 @@ func Run(sc *Scenario) (*Report, error) {
 		default:
 			return nil, fmt.Errorf("scenario: unknown action %q", ev.Action)
 		}
-		if schedErr != nil {
-			return nil, schedErr
-		}
 	}
 
 	if err := lab.Sim.Run(horizon); err != nil {
 		return nil, err
+	}
+	if faultErr != nil {
+		return nil, faultErr
 	}
 
 	rep := &Report{Topology: tp.Name, Drops: lab.Net.Stats().TotalDrops()}
@@ -378,7 +381,7 @@ func Run(sc *Scenario) (*Report, error) {
 			arrivals = append(arrivals, a.Arrived)
 		}
 		loss := time.Duration(0)
-		if firstFailAt > 0 {
+		if firstFailAt >= 0 {
 			loss = metrics.ConnectivityLoss(arrivals, firstFailAt, horizon)
 		}
 		rep.Flows = append(rep.Flows, FlowReport{

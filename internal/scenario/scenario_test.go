@@ -164,6 +164,12 @@ func TestRunRejectsBadReferences(t *testing.T) {
 		  "events":[{"atMs":1,"action":"fail-link","a":"tor-p0-0","b":"tor-p1-0"}]}`,
 		`{"scheme":"f2tree","ports":8,"flows":[{"src":"leftmost","dst":"rightmost"}],
 		  "events":[{"atMs":1,"action":"explode"}]}`,
+		// Conditions that need the F²Tree ring parse and schedule fine; they
+		// only fail when the fault callback resolves them mid-run.
+		`{"scheme":"fattree","ports":4,"flows":[{"src":"leftmost","dst":"rightmost"}],
+		  "events":[{"atMs":380,"action":"fail-condition","condition":"C6","flow":0}]}`,
+		`{"scheme":"fattree","ports":4,"flows":[{"src":"leftmost","dst":"rightmost"}],
+		  "events":[{"atMs":380,"action":"fail-condition","condition":"C7","flow":0}]}`,
 	}
 	for _, doc := range bads {
 		sc, err := Parse(strings.NewReader(doc))
@@ -172,6 +178,39 @@ func TestRunRejectsBadReferences(t *testing.T) {
 		}
 		if _, err := Run(sc); err == nil {
 			t.Errorf("Run accepted %q", doc)
+		}
+	}
+}
+
+// TestRunLossMeasuredFromFirstFailure: both aggregation switches of the
+// destination pod die and never come back, so the outage runs from the
+// first failing event to the horizon — a restore-link before it, or a
+// failure at 0 ms followed by a later event, must not move that start.
+func TestRunLossMeasuredFromFirstFailure(t *testing.T) {
+	cases := []struct {
+		name, events string
+		wantMs       float64
+	}{
+		{"restore-link before the failure", `
+			{"atMs": 100, "action": "restore-link", "a": "agg-p3-0", "b": "tor-p3-1"},
+			{"atMs": 300, "action": "fail-switch", "node": "agg-p3-0"},
+			{"atMs": 300, "action": "fail-switch", "node": "agg-p3-1"}`, 1200},
+		{"failure at 0 ms", `
+			{"atMs": 0, "action": "fail-switch", "node": "agg-p3-0"},
+			{"atMs": 0, "action": "fail-switch", "node": "agg-p3-1"},
+			{"atMs": 500, "action": "fail-link", "a": "agg-p0-0", "b": "tor-p0-1"}`, 1500},
+	}
+	for _, c := range cases {
+		sc := parseOK(t, `{
+			"scheme": "fattree", "ports": 4, "seed": 1, "horizonMs": 1500,
+			"flows": [{"src": "host-p0-t0-0", "dst": "host-p3-t1-1"}],
+			"events": [`+c.events+`]}`)
+		rep, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := rep.Flows[0].LossMs; got < c.wantMs-10 || got > c.wantMs {
+			t.Errorf("%s: loss = %v ms, want ≈ %v", c.name, got, c.wantMs)
 		}
 	}
 }

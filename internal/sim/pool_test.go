@@ -146,3 +146,14 @@ func TestAfterArgNoAlloc(t *testing.T) {
 		t.Fatalf("AfterArg steady state allocates %.1f per run, want 0", allocs)
 	}
 }
+
+// TestScheduleCancelNoAlloc: timer churn (schedule, then Cancel before it
+// fires — the TCP retransmit-restart pattern) reuses the pooled item.
+func TestScheduleCancelNoAlloc(t *testing.T) {
+	s := New(1)
+	churn := func() { s.Cancel(s.After(time.Second, func(Time) {})) }
+	churn() // warm the item pool
+	if allocs := testing.AllocsPerRun(100, churn); allocs > 0 {
+		t.Fatalf("schedule-then-Cancel allocates %.1f per run, want 0", allocs)
+	}
+}

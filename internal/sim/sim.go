@@ -59,7 +59,7 @@ type ArgEvent func(now Time, arg any)
 // increments every time an item is released, invalidating outstanding
 // Handles before the item can be reused.
 //
-/*f2tree:pooled*/ /*f2tree:shardlocal*/
+//f2tree:pooled
 type item struct {
 	at    Time
 	seq   uint64 // tie-break: FIFO among equal times
@@ -97,8 +97,6 @@ var ErrStopped = errors.New("sim: stopped")
 // Simulator owns the virtual clock and event queue. It is the unit the
 // future sharded core partitions: one Simulator (or shard thereof) per
 // pod/core-group, so the whole object is shard-confined by contract.
-//
-//f2tree:shardlocal
 type Simulator struct {
 	now     Time
 	heap    []*item // indexed 4-ary min-heap ordered by itemLess

@@ -179,8 +179,6 @@ type AddrPlan struct {
 // Topology is a mutable network graph — rewiring mutates links in place,
 // so a running simulation's topology is owned by that simulation's shard
 // like the rest of its state.
-//
-//f2tree:shardlocal
 type Topology struct {
 	Name  string
 	Nodes []Node
