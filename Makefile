@@ -1,8 +1,10 @@
-# Developer entry points. `make check` is exactly what CI runs.
+# Developer entry points. `make check smoke` is exactly what CI runs
+# (.github/workflows/ci.yml calls these targets one step each).
 
 GO ?= go
 
-.PHONY: build test vet fmt-check f2tree-vet vet-audit race check chaos-smoke detect-smoke bench serve
+.PHONY: build test vet fmt-check f2tree-vet vet-audit race check \
+	campaign-smoke chaos-smoke detect-smoke serve-smoke smoke bench serve
 
 build:
 	$(GO) build ./...
@@ -36,6 +38,11 @@ race:
 
 check: build fmt-check f2tree-vet vet-audit race
 
+# Smoke campaign: the k=4 testbed matrix on two workers into a resumable
+# store (campaign-smoke.jsonl + campaign-smoke.agg.jsonl).
+campaign-smoke:
+	$(GO) run ./cmd/f2tree-campaign -preset smoke -j 2 -out campaign-smoke.jsonl
+
 # Fixed-seed chaos fuzz across all three control planes, checked by the
 # invariant oracles (internal/chaos). Any violation is shrunk to a minimal
 # replayable scenario under chaos-artifacts/ and fails the target.
@@ -53,6 +60,24 @@ detect-smoke:
 	$(GO) run ./cmd/f2tree-detect -ports 6 \
 		-conditions C1,C4,flap-storm,ctrl-crash,false-detect,rand \
 		-double -out detect-smoke.json
+
+# What-if service smoke: boot f2tree-serve, post the same query twice — the
+# first answer is simulated, the second must come back from the memoization
+# cache — then scrape /metrics. Needs curl.
+serve-smoke:
+	$(GO) build -o .serve-smoke-bin ./cmd/f2tree-serve
+	@./.serve-smoke-bin -addr 127.0.0.1:8970 & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null; rm -f .serve-smoke-bin' EXIT; \
+	for i in $$(seq 1 50); do \
+		curl -sf http://127.0.0.1:8970/healthz >/dev/null 2>&1 && break; sleep 0.2; \
+	done; \
+	query='{"scheme":"f2tree","ports":6,"link":{"a":"tor-p0-0","b":"agg-p0-0"}}'; \
+	curl -sf http://127.0.0.1:8970/query -d "$$query" | grep -q '"blackholeMs"' && \
+	curl -sf http://127.0.0.1:8970/query -d "$$query" | grep -q '"cached": *true' && \
+	curl -sf http://127.0.0.1:8970/metrics | grep -q '"poolWorkers"' && \
+	echo "serve-smoke: ok"
+
+smoke: campaign-smoke chaos-smoke detect-smoke serve-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem

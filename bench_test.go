@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/failure"
@@ -91,7 +92,7 @@ func BenchmarkFig4Conditions(b *testing.B) {
 	var res *exp.Fig4Results
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = exp.RunFig4(42)
+		res, err = campaign.RunFig4(42, campaign.Options{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func BenchmarkFig6PartitionAggregate(b *testing.B) {
 	var res *exp.Fig6Results
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = exp.RunFig6(42, exp.PAOptions{})
+		res, err = campaign.RunFig6(42, 0, false, campaign.Options{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -306,7 +307,7 @@ func BenchmarkExtensionCentralized(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := exp.RunRecovery(exp.RecoveryOptions{
 			Scheme: exp.SchemeFatTree, Ports: 8, Condition: failure.C1,
-			Seed: 42, Centralized: true,
+			Seed: 42, Control: exp.ControlCentralized,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -314,7 +315,7 @@ func BenchmarkExtensionCentralized(b *testing.B) {
 		fat = res.ConnectivityLoss
 		res, err = exp.RunRecovery(exp.RecoveryOptions{
 			Scheme: exp.SchemeF2Tree, Ports: 8, Condition: failure.C1,
-			Seed: 42, Centralized: true,
+			Seed: 42, Control: exp.ControlCentralized,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -333,7 +334,7 @@ func BenchmarkExtensionBGP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := exp.RunRecovery(exp.RecoveryOptions{
 			Scheme: exp.SchemeFatTree, Ports: 8, Condition: failure.C1,
-			Seed: 42, BGP: true, Horizon: 4 * sim.Second,
+			Seed: 42, Control: exp.ControlBGP, Horizon: 4 * sim.Second,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -341,7 +342,7 @@ func BenchmarkExtensionBGP(b *testing.B) {
 		fat = res.ConnectivityLoss
 		res, err = exp.RunRecovery(exp.RecoveryOptions{
 			Scheme: exp.SchemeF2Tree, Ports: 8, Condition: failure.C1,
-			Seed: 42, BGP: true,
+			Seed: 42, Control: exp.ControlBGP,
 		})
 		if err != nil {
 			b.Fatal(err)

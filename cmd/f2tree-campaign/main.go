@@ -194,7 +194,7 @@ func expandFlags(preset, kind, schemes, ports, conditions, controls, channels, m
 		m.Conditions = failure.AllConditions()
 	} else {
 		for _, label := range splitCSV(conditions) {
-			c, err := campaign.ParseCondition(label)
+			c, err := failure.ParseCondition(label)
 			if err != nil {
 				return nil, err
 			}

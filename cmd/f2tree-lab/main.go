@@ -7,10 +7,10 @@
 //
 // Experiments: table1, fig2, table3, table4, fig4, fig5, fig6, fig7, all.
 //
-// The multi-run experiments (fig4, fig5, fig6) accept -parallel [-j N] to
-// execute their runs on the campaign worker pool (internal/campaign) with
-// byte-identical output — per-run seeds derive from the run specs, never
-// from scheduling.
+// The multi-run experiments (fig4, fig5, fig6) execute their runs on the
+// campaign worker pool (internal/campaign) with -j workers; the output is
+// byte-identical at any -j — per-run seeds derive from the run specs, never
+// from scheduling — and -j 1 runs them one after the other.
 package main
 
 import (
@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/exp"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -39,19 +38,13 @@ func run(args []string) error {
 		ports    = fs.Int("n", 8, "switch port count for table1")
 		duration = fs.Duration("duration", 600*time.Second, "fig6 workload window")
 		noBG     = fs.Bool("no-background", false, "fig6: skip background traffic")
-		parallel = fs.Bool("parallel", false, "run multi-run experiments (fig4, fig5, fig6) on the campaign worker pool")
-		workers  = fs.Int("j", runtime.GOMAXPROCS(0), "worker count for -parallel")
+		workers  = fs.Int("j", runtime.GOMAXPROCS(0), "worker count for the multi-run experiments (fig4, fig5, fig6)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The campaign pool derives per-run seeds from the run specs, so
-	// -parallel output is byte-identical to the serial path.
 	runFig4 := func() (*exp.Fig4Results, error) {
-		if *parallel {
-			return campaign.RunFig4(*seed, campaign.Options{Parallelism: *workers})
-		}
-		return exp.RunFig4(*seed)
+		return campaign.RunFig4(*seed, campaign.Options{Parallelism: *workers})
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
@@ -105,19 +98,8 @@ func run(args []string) error {
 			return nil
 		},
 		"fig6": func() error {
-			if *parallel {
-				res, err := campaign.RunFig6(*seed, int(*duration/time.Millisecond), *noBG,
-					campaign.Options{Parallelism: *workers})
-				if err != nil {
-					return err
-				}
-				fmt.Print(res.String())
-				return nil
-			}
-			res, err := exp.RunFig6(*seed, exp.PAOptions{
-				Duration:          sim.Time(*duration),
-				DisableBackground: *noBG,
-			})
+			res, err := campaign.RunFig6(*seed, int(*duration/time.Millisecond), *noBG,
+				campaign.Options{Parallelism: *workers})
 			if err != nil {
 				return err
 			}

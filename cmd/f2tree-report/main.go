@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	f2tree-report [-quick] [-tables-only] [-parallel [-j N]] [-seed N] [-out file.md]
+//	f2tree-report [-quick] [-tables-only] [-j N] [-seed N] [-out file.md]
 //
-// -parallel runs the multi-run experiments (Fig 4/5, Fig 6) on the campaign
-// worker pool (internal/campaign); output is byte-identical to the serial
-// path because per-run seeds derive from the run specs.
+// The multi-run experiments (Fig 4/5, Fig 6) run on the campaign worker pool
+// (internal/campaign) with -j workers; output is byte-identical at any -j
+// because per-run seeds derive from the run specs.
 package main
 
 import (
@@ -31,12 +31,11 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("f2tree-report", flag.ContinueOnError)
 	var (
-		quick    = fs.Bool("quick", false, "shrink the Fig 6 window to seconds of wall clock")
-		tables   = fs.Bool("tables-only", false, "only the closed-form tables and the k=4 testbed")
-		seed     = fs.Int64("seed", 42, "simulation seed")
-		out      = fs.String("out", "", "output file (default stdout)")
-		parallel = fs.Bool("parallel", false, "run multi-run experiments on the campaign worker pool")
-		workers  = fs.Int("j", runtime.GOMAXPROCS(0), "worker count for -parallel")
+		quick   = fs.Bool("quick", false, "shrink the Fig 6 window to seconds of wall clock")
+		tables  = fs.Bool("tables-only", false, "only the closed-form tables and the k=4 testbed")
+		seed    = fs.Int64("seed", 42, "simulation seed")
+		out     = fs.String("out", "", "output file (default stdout)")
+		workers = fs.Int("j", runtime.GOMAXPROCS(0), "worker count for the multi-run experiments (Fig 4/5, Fig 6)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -51,9 +50,5 @@ func run(args []string) error {
 		w = bufio.NewWriter(f)
 	}
 	defer w.Flush()
-	opts := report.Options{Seed: *seed, Quick: *quick, TablesOnly: *tables}
-	if *parallel {
-		opts.Parallel = *workers
-	}
-	return report.Generate(w, opts)
+	return report.Generate(w, report.Options{Seed: *seed, Quick: *quick, TablesOnly: *tables, Parallel: *workers})
 }

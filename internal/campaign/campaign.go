@@ -10,8 +10,9 @@
 //     its own coordinates (exp.RecoverySeed/PASeed), never from scheduling.
 //   - Run (pool.go): a GOMAXPROCS-sized worker pool with panic isolation,
 //     a real-time per-run timeout and bounded retry.
-//   - Store (store.go): an append-only JSONL result store keyed by spec
-//     hash; an interrupted or re-invoked campaign skips completed runs.
+//   - OpenStore (pool.go): a RecordStore of Results — an append-only JSONL
+//     result store keyed by spec hash; an interrupted or re-invoked
+//     campaign skips completed runs.
 //   - Aggregate (aggregate.go): deterministic mean/p50/p99 aggregation
 //     across seeds, independent of completion order.
 //
@@ -118,7 +119,7 @@ func (s Spec) Seed() int64 {
 		return exp.DetectSeed(s.BaseSeed, exp.Scheme(s.Scheme), s.Ports,
 			s.Mechanism, s.Detector, s.Condition, s.Rep)
 	default:
-		cond, _ := ParseCondition(s.Condition)
+		cond, _ := failure.ParseCondition(s.Condition)
 		return exp.RecoverySeed(s.BaseSeed, exp.Scheme(s.Scheme), s.Ports, cond, s.control(), s.Rep)
 	}
 }
@@ -134,13 +135,17 @@ func (s Spec) control() string {
 func (s Spec) Validate() error {
 	switch s.Kind {
 	case KindRecovery:
-		if _, err := ParseCondition(s.Condition); err != nil {
-			return err
+		cond, err := failure.ParseCondition(s.Condition)
+		if err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
-		switch s.control() {
-		case exp.ControlOSPF, exp.ControlBGP, exp.ControlCentralized:
-		default:
-			return fmt.Errorf("campaign: unknown control plane %q", s.Control)
+		// The label is part of the store key and the seed: one run, one
+		// spelling.
+		if s.Condition != cond.String() {
+			return fmt.Errorf("campaign: condition %q must be spelled %s", s.Condition, cond)
+		}
+		if _, err := exp.ParseControl(s.Control); err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
 	case KindPA:
 		if s.Channels <= 0 {
@@ -150,10 +155,8 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("campaign: pa runs support only ospf")
 		}
 	case KindChaos:
-		switch s.control() {
-		case exp.ControlOSPF, exp.ControlBGP, exp.ControlCentralized:
-		default:
-			return fmt.Errorf("campaign: unknown control plane %q", s.Control)
+		if _, err := exp.ParseControl(s.Control); err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
 	case KindDetect:
 		if !containsString(chaos.DetectorMechanisms(), s.Mechanism) {
@@ -177,17 +180,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("campaign: negative rep %d", s.Rep)
 	}
 	return nil
-}
-
-// ParseCondition maps a Table IV label ("C1".."C7", case-insensitive digit
-// form accepted) back to the failure condition.
-func ParseCondition(label string) (failure.Condition, error) {
-	for _, c := range failure.AllConditions() {
-		if c.String() == label {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("campaign: unknown failure condition %q", label)
 }
 
 // Matrix is a declarative run matrix: the cross product of its axes

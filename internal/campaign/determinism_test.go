@@ -59,14 +59,14 @@ func TestCampaignByteIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestParallelFig4MatchesSerial pins the -parallel rewiring: the
-// campaign-backed Fig 4 produces the same numbers as exp.RunFig4's serial
-// loop (identical derived seeds, identical runs).
+// TestParallelFig4MatchesSerial pins that the worker count is not an
+// input: Fig 4 on one worker (the cells one after the other, in matrix
+// order) and on four renders the same bytes.
 func TestParallelFig4MatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24 recovery runs")
 	}
-	serial, err := exp.RunFig4(42)
+	serial, err := RunFig4(42, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestParallelFig4MatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if serial.String() != parallel.String() {
-		t.Fatalf("parallel Fig 4 diverges from serial:\n--- serial ---\n%s--- parallel ---\n%s",
+		t.Fatalf("Fig 4 at -j 4 diverges from -j 1:\n--- j1 ---\n%s--- j4 ---\n%s",
 			serial.String(), parallel.String())
 	}
 	if serial.Fig5String() != parallel.Fig5String() {
-		t.Fatal("parallel Fig 5 series diverge from serial")
+		t.Fatal("Fig 5 series at -j 4 diverge from -j 1")
 	}
 }
 

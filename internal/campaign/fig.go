@@ -9,8 +9,7 @@ import (
 
 // Fig4Matrix is the Fig 4 emulation sweep (§IV-A) as a campaign matrix:
 // fat tree over its applicable conditions, F²Tree over all seven, 8-port,
-// OSPF. Expand yields the same runs exp.RunFig4 performs serially, with
-// identical derived seeds.
+// OSPF.
 func Fig4Matrix(seed int64) Matrix {
 	return Matrix{
 		Kind:             KindRecovery,
@@ -22,9 +21,8 @@ func Fig4Matrix(seed int64) Matrix {
 	}
 }
 
-// RunFig4 executes the Fig 4 sweep on the worker pool and assembles the
-// same result structure as the serial exp.RunFig4 — byte-identical output,
-// any parallelism.
+// RunFig4 executes the Fig 4 sweep on the worker pool — byte-identical
+// output at any parallelism; one worker runs the cells in matrix order.
 func RunFig4(seed int64, o Options) (*exp.Fig4Results, error) {
 	if o.Store != nil {
 		return nil, fmt.Errorf("campaign: RunFig4 needs in-memory payloads; run without a store")
@@ -45,7 +43,7 @@ func RunFig4(seed int64, o Options) (*exp.Fig4Results, error) {
 		if !ok {
 			return nil, fmt.Errorf("campaign: missing payload for %s", r.Spec.Key())
 		}
-		cond, err := ParseCondition(r.Spec.Condition)
+		cond, err := failure.ParseCondition(r.Spec.Condition)
 		if err != nil {
 			return nil, err
 		}
@@ -83,9 +81,9 @@ func Fig6Matrix(seed int64, durationMS int, noBackground bool) Matrix {
 	}
 }
 
-// RunFig6 executes the Fig 6 comparison on the worker pool, assembling the
-// serial exp.RunFig6 result structure (runs ordered scheme-major then
-// channel, as the serial loop emits them).
+// RunFig6 executes the Fig 6 comparison on the worker pool; the result's
+// runs are ordered scheme-major then channel, the matrix's expansion order.
+// durationMS 0 is the paper's 600 s window.
 func RunFig6(seed int64, durationMS int, noBackground bool, o Options) (*exp.Fig6Results, error) {
 	if o.Store != nil {
 		return nil, fmt.Errorf("campaign: RunFig6 needs in-memory payloads; run without a store")
@@ -107,7 +105,7 @@ func RunFig6(seed int64, durationMS int, noBackground bool, o Options) (*exp.Fig
 		byHash[r.Hash] = pa
 	}
 	res := &exp.Fig6Results{}
-	for _, s := range specs { // expansion order = the serial loop's order
+	for _, s := range specs {
 		res.Runs = append(res.Runs, byHash[s.Hash()])
 	}
 	return res, nil

@@ -41,6 +41,15 @@ const (
 	StatusFailed = "failed"
 )
 
+// OpenStore opens (or creates) the campaign's resumable result cache at
+// path: a RecordStore of run Results keyed by spec hash, retaining only ok
+// records (a failed record never satisfies a resume — the spec re-runs).
+func OpenStore(path string) (*RecordStore[Result], error) {
+	return OpenRecordStore(path,
+		func(r Result) string { return r.Hash },
+		func(r Result) bool { return r.Status == StatusOK })
+}
+
 // Options shapes a campaign execution.
 type Options struct {
 	// Parallelism is the worker count (0 = GOMAXPROCS).
@@ -55,7 +64,7 @@ type Options struct {
 	Retries int
 	// Store, when set, is consulted before running (completed specs are
 	// skipped) and receives every fresh result as it completes.
-	Store *Store
+	Store *RecordStore[Result]
 	// Progress, when set, receives a one-line progress report as runs
 	// complete (carriage-return rewritten, newline-terminated at the end).
 	Progress io.Writer

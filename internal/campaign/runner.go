@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/exp"
+	"repro/internal/failure"
 	"repro/internal/sim"
 )
 
@@ -34,19 +35,13 @@ func ExperimentRunner() RunFunc {
 // recoveryOptions translates a recovery spec into exp options, with the
 // seed derived from the spec.
 func recoveryOptions(s Spec) (exp.RecoveryOptions, error) {
-	cond, err := ParseCondition(s.Condition)
+	cond, err := failure.ParseCondition(s.Condition)
 	if err != nil {
 		return exp.RecoveryOptions{}, err
 	}
 	o := exp.RecoveryOptions{
 		Scheme: exp.Scheme(s.Scheme), Ports: s.Ports, Condition: cond,
-		Seed: s.Seed(),
-	}
-	switch s.control() {
-	case exp.ControlBGP:
-		o.BGP = true
-	case exp.ControlCentralized:
-		o.Centralized = true
+		Control: s.Control, Seed: s.Seed(),
 	}
 	if s.HorizonMS > 0 {
 		o.Horizon = sim.Time(s.HorizonMS) * sim.Millisecond

@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/bgp"
+	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/exp"
+	"repro/internal/fib"
 )
 
 func TestScenarioRoundTrip(t *testing.T) {
 	sc := &Scenario{
 		Scheme: "f2tree", Ports: 8, Control: exp.ControlOSPF, Seed: 7,
 		BudgetMs: 250, EqualPrefixBackup: true,
-		Flows: []Flow{{Src: "leftmost", Dst: "rightmost", IntervalUs: 500}},
+		Flows: []exp.Flow{{Src: "leftmost", Dst: "rightmost", IntervalUs: 500}},
 		Faults: []Fault{
 			{Kind: FaultLinkDown, AtMs: 400, A: "agg-p0-0", B: "tor-p0-1"},
 			{Kind: FaultGray, AtMs: 300, EndMs: 800, A: "agg-p0-0", B: "tor-p0-0", Prob: 0.5},
@@ -43,9 +45,9 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 		"missing scheme":         func(sc *Scenario) { sc.Scheme = "" },
 		"unknown control":        func(sc *Scenario) { sc.Control = "rip" },
 		"negative horizon":       func(sc *Scenario) { sc.HorizonMs = -1 },
-		"flow missing dst":       func(sc *Scenario) { sc.Flows = []Flow{{Src: "leftmost"}} },
-		"duplicate flow":         func(sc *Scenario) { sc.Flows = []Flow{{Src: "a", Dst: "b"}, {Src: "a", Dst: "b"}} },
-		"negative flow interval": func(sc *Scenario) { sc.Flows = []Flow{{Src: "a", Dst: "b", IntervalUs: -1}} },
+		"flow missing dst":       func(sc *Scenario) { sc.Flows = []exp.Flow{{Src: "leftmost"}} },
+		"duplicate flow":         func(sc *Scenario) { sc.Flows = []exp.Flow{{Src: "a", Dst: "b"}, {Src: "a", Dst: "b"}} },
+		"negative flow interval": func(sc *Scenario) { sc.Flows = []exp.Flow{{Src: "a", Dst: "b", IntervalUs: -1}} },
 		"unknown fault kind":     func(sc *Scenario) { sc.Faults = []Fault{{Kind: "emp", AtMs: 100}} },
 		"negative fault time":    func(sc *Scenario) { sc.Faults = []Fault{{Kind: FaultLinkDown, AtMs: -5, A: "x", B: "y"}} },
 		"window closes before open": func(sc *Scenario) {
@@ -87,6 +89,9 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 		},
 		"gr without bgp": func(sc *Scenario) {
 			sc.GR = &bgp.GRSpec{}
+		},
+		"equal-prefix backup with fast reroute disabled": func(sc *Scenario) {
+			sc.EqualPrefixBackup, sc.DisableFastReroute = true, true
 		},
 		"bad detector": func(sc *Scenario) {
 			sc.Detector = &detect.Spec{Mode: "quantum"}
@@ -252,5 +257,36 @@ func TestFuzzSmoke(t *testing.T) {
 				t.Fatalf("%s/%d violated:\n%v\nscenario:\n%s", control, rep, v.Violations, buf.String())
 			}
 		}
+	}
+}
+
+// TestRestartKeepsRackPeerRouteUnderEqualPrefix: the equal-prefix ablation
+// swaps the ring routes, not the dual-ToR attachment. A rack ToR that crashes
+// and restarts reloads its static configuration from lab.Plan, which must
+// still hold the rack peer route.
+func TestRestartKeepsRackPeerRouteUnderEqualPrefix(t *testing.T) {
+	tp, err := exp.BuildTopology(exp.SchemeF2TreeDual, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rack := tp.Racks[0]
+	tor := rack.ToRs[0]
+	sc := &Scenario{
+		Scheme: string(exp.SchemeF2TreeDual), Ports: 6, EqualPrefixBackup: true,
+		Faults: []Fault{{Kind: FaultCrash, AtMs: 300, EndMs: 600, Node: tp.Node(tor).Name}},
+	}
+	found := false
+	_, err = RunScenarioOpts(sc, RunOpts{OnFinish: func(lab *core.Lab) {
+		for _, r := range lab.Net.Table(tor).Routes() {
+			if r.Source == fib.Static && r.Prefix == rack.Subnet {
+				found = true
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !found {
+		t.Fatalf("%s lost its static route for rack subnet %v after restart", tp.Node(tor).Name, rack.Subnet)
 	}
 }

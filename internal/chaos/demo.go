@@ -50,18 +50,14 @@ func knownBadCandidate(ports int, seed int64) (*Scenario, error) {
 		Seed:              seed,
 		BudgetMs:          200,
 		EqualPrefixBackup: true,
-		Flows:             []Flow{{Src: "leftmost", Dst: "rightmost"}},
+		Flows:             []exp.Flow{{Src: "leftmost", Dst: "rightmost"}},
 	}
 	r, err := setup(sc, RunOpts{})
 	if err != nil {
 		return nil, err
 	}
 	fr := r.flows[0]
-	path, err := r.lab.Net.PathTrace(fr.src, fr.source.FlowKey())
-	if err != nil {
-		return nil, fmt.Errorf("chaos: tracing demo flow: %w", err)
-	}
-	links, err := failure.ConditionLinks(r.tp, failure.C4, path)
+	links, err := failure.LinksOnPath(r.lab.Net, failure.C4, fr.Src, fr.Source.FlowKey())
 	if err != nil {
 		return nil, fmt.Errorf("chaos: deriving C4 links: %w", err)
 	}
@@ -71,6 +67,10 @@ func knownBadCandidate(ports int, seed int64) (*Scenario, error) {
 			Kind: FaultLinkDown, AtMs: 500,
 			A: r.tp.Node(l.A).Name, B: r.tp.Node(l.B).Name,
 		})
+	}
+	path, err := r.lab.Net.PathTrace(fr.Src, fr.Source.FlowKey())
+	if err != nil {
+		return nil, fmt.Errorf("chaos: tracing demo flow: %w", err)
 	}
 	// Decoy faults the shrinker should prove irrelevant: gray loss against
 	// the reverse direction of the flow's first fabric hop (a one-way flow

@@ -155,13 +155,10 @@ func conditionFaults(sc *Scenario, cell DetectorCell) ([]Fault, error) {
 	case "rand":
 		return randFaults(sc)
 	}
-	var cond failure.Condition
-	for _, c := range failure.AllConditions() {
-		if c.String() == cell.Condition {
-			cond = c
-		}
-	}
-	if cond == 0 {
+	// The label is a seed coordinate, so only the canonical spelling names
+	// the cell.
+	cond, err := failure.ParseCondition(cell.Condition)
+	if err != nil || cond.String() != cell.Condition {
 		return nil, fmt.Errorf("chaos: unknown condition %q", cell.Condition)
 	}
 	links, tp, err := pathConditionLinks(sc, cond)
@@ -191,11 +188,7 @@ func pathConditionLinks(sc *Scenario, cond failure.Condition) ([]topo.LinkID, *t
 		return nil, nil, err
 	}
 	fr := r.flows[0]
-	path, err := r.lab.Net.PathTrace(fr.src, fr.source.FlowKey())
-	if err != nil {
-		return nil, nil, err
-	}
-	links, err := failure.ConditionLinks(r.tp, cond, path)
+	links, err := failure.LinksOnPath(r.lab.Net, cond, fr.Src, fr.Source.FlowKey())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -213,7 +206,7 @@ func pathAnchors(sc *Scenario) (pod int, sx string, err error) {
 		return 0, "", err
 	}
 	fr := r.flows[0]
-	path, err := r.lab.Net.PathTrace(fr.src, fr.source.FlowKey())
+	path, err := r.lab.Net.PathTrace(fr.Src, fr.Source.FlowKey())
 	if err != nil {
 		return 0, "", err
 	}

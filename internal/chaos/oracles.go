@@ -235,7 +235,7 @@ func (r *run) verdict() *Verdict {
 	// sources' ledgers must match it.
 	var srcSent uint64
 	for _, fr := range r.flows {
-		srcSent += fr.source.Sent()
+		srcSent += fr.Source.Sent()
 	}
 	if stats.Sent != stats.Delivered+v.Drops {
 		v.Violations = append(v.Violations, Violation{
@@ -263,20 +263,20 @@ func (r *run) verdict() *Verdict {
 
 	for i, fr := range r.flows {
 		// Fold arrivals into the trace digest (deterministic order).
-		for _, a := range fr.sink.Arrivals {
+		for _, a := range fr.Sink.Arrivals {
 			r.hash.event('a', a.Arrived, int64(i), int64(a.Seq))
 		}
 		fs := FlowStats{
-			Src: fr.spec.Src, Dst: fr.spec.Dst,
-			Sent:       fr.source.Sent(),
-			Delivered:  uint64(len(fr.sink.Arrivals)),
+			Src: fr.Flow.Src, Dst: fr.Flow.Dst,
+			Sent:       fr.Source.Sent(),
+			Delivered:  uint64(len(fr.Sink.Arrivals)),
 			Dropped:    fr.dropped,
 			TTLExpired: uint64(len(fr.ttlTimes)),
 		}
 		v.Flows = append(v.Flows, fs)
 
 		disturbed := slices.Clone(global)
-		disc := disconnectedIntervals(r.tp, sorted, fr.src, fr.dst, r.horizon)
+		disc := disconnectedIntervals(r.tp, sorted, fr.Src, fr.Dst, r.horizon)
 		for _, d := range disc {
 			disturbed = append(disturbed, interval{d.a, d.b + r.budget})
 		}
@@ -314,7 +314,7 @@ func (r *run) verdict() *Verdict {
 		}
 
 		// Blackhole oracle: uncovered delivery gaps.
-		ivUs := fr.spec.IntervalUs
+		ivUs := fr.Flow.IntervalUs
 		if ivUs == 0 {
 			ivUs = 1000
 		}
@@ -346,7 +346,7 @@ func (r *run) verdict() *Verdict {
 			}
 			checkGap(gap)
 		}
-		for _, a := range fr.sink.Arrivals {
+		for _, a := range fr.Sink.Arrivals {
 			noteGap(interval{prev, a.Arrived})
 			prev = a.Arrived
 		}
@@ -365,9 +365,9 @@ func (r *run) verdict() *Verdict {
 		// FIB consistency at quiesce: if the final link state connects the
 		// endpoints, the FIB walk must reach the destination loop-free and
 		// without excessive stretch.
-		shortest := final.hops(r.tp, fr.src, fr.dst)
+		shortest := final.hops(r.tp, fr.Src, fr.Dst)
 		if shortest >= 0 {
-			path, err := r.lab.Net.PathTrace(fr.src, fr.source.FlowKey())
+			path, err := r.lab.Net.PathTrace(fr.Src, fr.Source.FlowKey())
 			switch {
 			case err != nil:
 				v.Violations = append(v.Violations, Violation{

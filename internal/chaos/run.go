@@ -9,7 +9,6 @@ import (
 	"hash"
 	"time"
 
-	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/fib"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/ospf"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/transport"
 )
 
 // Violation is one oracle finding.
@@ -119,10 +117,7 @@ type rtFault struct {
 func (f *rtFault) active(now sim.Time) bool { return now >= f.at && now < f.end }
 
 type flowRun struct {
-	spec     Flow
-	src, dst topo.NodeID
-	source   *transport.UDPSource
-	sink     *transport.UDPSink
+	*exp.Probe
 	dropped  uint64
 	ttlTimes []sim.Time
 }
@@ -183,7 +178,7 @@ func RunScenarioOpts(sc *Scenario, opts RunOpts) (*Verdict, error) {
 		return nil, err
 	}
 	for _, fr := range r.flows {
-		fr.source.Stop()
+		fr.Source.Stop()
 	}
 	// A free-running detector (BFD) would keep the simulator busy forever.
 	r.lab.Net.StopDetector()
@@ -200,37 +195,15 @@ func RunScenarioOpts(sc *Scenario, opts RunOpts) (*Verdict, error) {
 // setup builds the lab, resolves flows and faults, installs the fault
 // filters and wires the observers.
 func setup(sc *Scenario, opts RunOpts) (*run, error) {
-	tp, err := exp.BuildTopology(exp.Scheme(sc.Scheme), sc.Ports)
-	if err != nil {
-		return nil, err
-	}
-	cp := core.ControlOSPF
-	switch sc.controlName() {
-	case exp.ControlBGP:
-		cp = core.ControlBGP
-	case exp.ControlCentralized:
-		cp = core.ControlCentralized
-	}
-	seed := sc.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	var netCfg network.Config
-	if sc.Detector != nil {
-		netCfg.Detector = *sc.Detector
-	}
-	var bgpCfg bgp.Config
-	if sc.GR != nil {
-		bgpCfg = sc.GR.Apply(bgpCfg)
-	}
-	lab, err := core.NewLab(core.LabConfig{
-		Topology: tp, Seed: seed, ControlPlane: cp, OSPF: opts.OSPF,
-		Net: netCfg, BGP: bgpCfg,
+	lab, err := exp.NewLab(exp.LabSpec{
+		Scheme: exp.Scheme(sc.Scheme), Ports: sc.Ports, Control: sc.Control,
+		Seed: sc.Seed, Detector: sc.Detector, GR: sc.GR, OSPF: opts.OSPF,
 		DisableFastReroute: sc.DisableFastReroute || sc.EqualPrefixBackup,
 	})
 	if err != nil {
 		return nil, err
 	}
+	tp := lab.Topo
 	if opts.SelfCheckSPF && lab.Domain != nil {
 		lab.Domain.EnableSelfCheck()
 	}
@@ -242,7 +215,9 @@ func setup(sc *Scenario, opts RunOpts) (*run, error) {
 		if err := core.Apply(lab.Net, plan); err != nil {
 			return nil, err
 		}
-		lab.Plan = plan
+		// The lab built without ring routes still planned its rack peer
+		// routes; a restarted switch reloads both from lab.Plan.
+		lab.Plan.Routes = append(plan.Routes, lab.Plan.Routes...)
 	}
 	r := &run{sc: sc, lab: lab, tp: tp, byKey: make(map[fib.FlowKey]int)}
 
@@ -272,21 +247,6 @@ func setup(sc *Scenario, opts RunOpts) (*run, error) {
 	r.hash.init(sc)
 	r.installFilters()
 	return r, nil
-}
-
-func (r *run) resolveHost(name string) (topo.NodeID, error) {
-	switch name {
-	case "leftmost":
-		return r.lab.LeftmostHost(), nil
-	case "rightmost":
-		return r.lab.RightmostHost(), nil
-	default:
-		nd := r.tp.FindNode(name)
-		if nd == nil || nd.Kind != topo.Host {
-			return topo.None, fmt.Errorf("chaos: %q is not a host", name)
-		}
-		return nd.ID, nil
-	}
 }
 
 func (r *run) resolveSwitch(name string) (topo.NodeID, error) {
@@ -421,62 +381,24 @@ func (f *rtFault) transitions() []transition {
 	return out
 }
 
-// wireFlows builds the probe flows (defaulting to the leftmost/rightmost
-// pair) and the per-flow observers.
+// wireFlows attaches the probe flows (defaulting to the leftmost/rightmost
+// pair; 256 B every 1 ms unless a flow says otherwise) and indexes them by
+// flow key for the drop observer.
 func (r *run) wireFlows() error {
 	flows := r.sc.Flows
 	if len(flows) == 0 {
-		flows = []Flow{
+		flows = []exp.Flow{
 			{Src: "leftmost", Dst: "rightmost"},
 			{Src: "rightmost", Dst: "leftmost"},
 		}
 	}
-	stacks := make(map[topo.NodeID]*transport.Stack)
-	stackFor := func(h topo.NodeID) (*transport.Stack, error) {
-		if st, ok := stacks[h]; ok {
-			return st, nil
-		}
-		st, err := transport.NewStack(r.lab.Net, h)
-		if err != nil {
-			return nil, err
-		}
-		stacks[h] = st
-		return st, nil
+	probes, err := exp.AttachProbes(r.lab, flows, 256, time.Millisecond)
+	if err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
-	for i, f := range flows {
-		src, err := r.resolveHost(f.Src)
-		if err != nil {
-			return err
-		}
-		dst, err := r.resolveHost(f.Dst)
-		if err != nil {
-			return err
-		}
-		srcStack, err := stackFor(src)
-		if err != nil {
-			return err
-		}
-		dstStack, err := stackFor(dst)
-		if err != nil {
-			return err
-		}
-		port := uint16(9 + i)
-		sink, err := dstStack.NewUDPSink(port)
-		if err != nil {
-			return err
-		}
-		size := f.SizeBytes
-		if size == 0 {
-			size = 256
-		}
-		interval := time.Duration(f.IntervalUs) * time.Microsecond
-		if interval == 0 {
-			interval = time.Millisecond
-		}
-		source := srcStack.StartUDPSource(dstStack.Addr(), port, size, interval)
-		fr := &flowRun{spec: f, src: src, dst: dst, source: source, sink: sink}
-		r.flows = append(r.flows, fr)
-		r.byKey[source.FlowKey()] = i
+	for i, p := range probes {
+		r.flows = append(r.flows, &flowRun{Probe: p})
+		r.byKey[p.Source.FlowKey()] = i
 	}
 	return nil
 }
@@ -681,7 +603,7 @@ func (r *run) schedule() {
 	// Quiesce: stop the probe sources at the horizon; the caller drains.
 	s.At(r.horizon, func(sim.Time) {
 		for _, fr := range r.flows {
-			fr.source.Stop()
+			fr.Source.Stop()
 		}
 	})
 }

@@ -100,17 +100,6 @@ type Fault struct {
 	DelayMs int64 `json:"delayMs,omitempty"`
 }
 
-// Flow is one probe flow; src/dst accept "leftmost", "rightmost" or node
-// names, like package scenario.
-type Flow struct {
-	Src string `json:"src"`
-	Dst string `json:"dst"`
-	// IntervalUs between datagrams (default 500) and SizeBytes per
-	// datagram (default 256).
-	IntervalUs int64 `json:"intervalUs,omitempty"`
-	SizeBytes  int   `json:"sizeBytes,omitempty"`
-}
-
 // Scenario is a replayable chaos experiment: topology, control plane,
 // probe flows, fault schedule and oracle budget. The shrinker emits these
 // as files; the corpus replays them in CI.
@@ -138,9 +127,10 @@ type Scenario struct {
 	// GR enables BGP graceful restart with the spec's timers. Requires
 	// the bgp control plane.
 	GR *bgp.GRSpec `json:"gr,omitempty"`
-	// Flows defaults to leftmost→rightmost and rightmost→leftmost.
-	Flows  []Flow  `json:"flows,omitempty"`
-	Faults []Fault `json:"faults"`
+	// Flows are the probe flows (default: leftmost→rightmost and
+	// rightmost→leftmost); a flow's zero fields mean 256 B every 1 ms.
+	Flows  []exp.Flow `json:"flows,omitempty"`
+	Faults []Fault    `json:"faults"`
 }
 
 // controlName normalizes the control plane ("" means ospf).
@@ -189,13 +179,14 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("chaos: scheme and ports are required")
 	}
 	control := sc.controlName()
-	switch control {
-	case exp.ControlOSPF, exp.ControlBGP, exp.ControlCentralized:
-	default:
-		return fmt.Errorf("chaos: unknown control plane %q", sc.Control)
+	if _, err := exp.ParseControl(control); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
 	if sc.HorizonMs < 0 || sc.BudgetMs < 0 {
 		return fmt.Errorf("chaos: negative horizon or budget")
+	}
+	if sc.EqualPrefixBackup && sc.DisableFastReroute {
+		return fmt.Errorf("chaos: equalPrefixBackup installs backup routes, disableFastReroute ablates them; pick one")
 	}
 	if sc.Detector != nil {
 		if err := sc.Detector.Validate(); err != nil {

@@ -2,15 +2,18 @@ package core_test
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"hash"
+	"io"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/network"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/topo"
 	"repro/internal/transport"
 )
 
@@ -32,10 +35,7 @@ func fingerprint(t *testing.T, cp core.ControlPlane, seed int64) string {
 	if err != nil {
 		t.Fatalf("NewLab: %v", err)
 	}
-	tr := trace.Attach(lab.Net, 0)
-	if lab.Domain != nil {
-		tr.AttachOSPF(lab.Domain)
-	}
+	dumpTrace := recordTrace(lab)
 
 	srcStack, err := transport.NewStack(lab.Net, lab.LeftmostHost())
 	if err != nil {
@@ -71,12 +71,50 @@ func fingerprint(t *testing.T, cp core.ControlPlane, seed int64) string {
 	source.Stop()
 
 	h := sha256.New()
-	if err := tr.Dump(h); err != nil {
-		t.Fatalf("Dump: %v", err)
-	}
+	dumpTrace(h)
 	hashFlow(h, source, sink)
 	fmt.Fprintf(h, "events=%d now=%d\n", lab.Sim.EventsRun(), lab.Sim.Now())
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// recordTrace subscribes to the hooks the network and OSPF expose — port
+// state, drops, SPF runs — and returns a function that writes the records,
+// one JSON line each in event order, into the fingerprint.
+func recordTrace(lab *core.Lab) (dump func(io.Writer)) {
+	type record struct {
+		AtMicros int64  `json:"atUs"`
+		Kind     string `json:"kind"`
+		Node     string `json:"node"`
+		Detail   string `json:"detail"`
+	}
+	var records []record
+	add := func(now sim.Time, kind string, node topo.NodeID, detail string) {
+		records = append(records, record{
+			AtMicros: now.Duration().Microseconds(), Kind: kind,
+			Node: lab.Topo.Node(node).Name, Detail: detail,
+		})
+	}
+	lab.Net.OnPortState(func(now sim.Time, node topo.NodeID, port int, up bool) {
+		state := "down"
+		if up {
+			state = "up"
+		}
+		add(now, "port-state", node, fmt.Sprintf("port %d %s", port, state))
+	})
+	lab.Net.OnDrop(func(now sim.Time, at topo.NodeID, pkt *network.Packet, cause network.DropCause) {
+		add(now, "drop", at, fmt.Sprintf("%v dst=%v size=%d hops=%d", cause, pkt.Flow.Dst, pkt.Size, pkt.Hops))
+	})
+	if lab.Domain != nil {
+		lab.Domain.OnSPF(func(now sim.Time, node topo.NodeID) {
+			add(now, "spf", node, "spf run")
+		})
+	}
+	return func(w io.Writer) {
+		enc := json.NewEncoder(w)
+		for _, r := range records {
+			_ = enc.Encode(r) // the writer is a hash.Hash, which never fails
+		}
+	}
 }
 
 // hashFlow folds the per-flow packet record — count sent and, for every

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netaddr"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -26,9 +25,6 @@ type BisectionOptions struct {
 func (o BisectionOptions) withDefaults() BisectionOptions {
 	if o.Duration == 0 {
 		o.Duration = 200 * sim.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
 	}
 	return o
 }
@@ -69,15 +65,11 @@ func jainIndex(xs []float64) float64 {
 // measures delivered goodput per receiver.
 func RunBisection(opts BisectionOptions) (*BisectionResult, error) {
 	o := opts.withDefaults()
-	tp, err := BuildTopology(o.Scheme, o.Ports)
+	lab, err := NewLab(LabSpec{Scheme: o.Scheme, Ports: o.Ports, Seed: o.Seed})
 	if err != nil {
 		return nil, err
 	}
-	lab, err := core.NewLab(core.LabConfig{Topology: tp, Seed: o.Seed})
-	if err != nil {
-		return nil, err
-	}
-	hosts := tp.NodesOfKind(topo.Host)
+	hosts := lab.Topo.NodesOfKind(topo.Host)
 	n := len(hosts)
 	stacks := make([]*transport.Stack, n)
 	received := make([]int, n)

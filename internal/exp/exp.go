@@ -1,15 +1,22 @@
-// Package exp defines one runnable experiment per table and figure of the
-// paper, producing the same rows and series the paper reports. The cmd
-// tools, examples and benchmarks all drive these definitions.
+// Package exp is where a run is assembled and where the paper's experiments
+// are defined. Assembly: NewLab turns a LabSpec into a converged lab,
+// AttachProbes starts UDP probe flows on it, and failures are injected
+// relative to a flow's current path (failure.LinksOnPath) — every driver
+// (campaign, chaos, scenario, serve, the commands) builds its runs from
+// these. Experiments: the single-run ones (RunRecovery,
+// RunPartitionAggregate, RunBisection) and the small fixed sets
+// (RunFig2Table3, RunFig7, RunProtocols, the sweeps) run here; the multi-run
+// figures (Fig 4/5, Fig 6) are matrices executed by package campaign, which
+// fills the result types this package renders.
 //
 // Index (see DESIGN.md):
 //
 //	table1 — scalability formulas (Table I)
 //	fig2/table3 — k=4 testbed recovery, UDP + TCP (Fig 2, Table III)
 //	table4 — failure-condition catalog (Table IV)
-//	fig4 — k=8 per-condition recovery metrics (Fig 4)
-//	fig5 — end-to-end delay series during recovery (Fig 5)
-//	fig6 — partition-aggregate under random failures (Fig 6)
+//	fig4 — k=8 per-condition recovery metrics (Fig 4; campaign.RunFig4)
+//	fig5 — end-to-end delay series during recovery (Fig 5; same runs)
+//	fig6 — partition-aggregate under random failures (Fig 6; campaign.RunFig6)
 //	fig7 — Leaf-Spine / VL2 variants (Fig 7, §V)
 package exp
 
@@ -17,8 +24,11 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/core"
+	"repro/internal/detect"
 	"repro/internal/failure"
+	"repro/internal/fib"
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/ospf"
@@ -99,15 +109,15 @@ type RecoveryOptions struct {
 	// 100 µs).
 	SegmentBytes int
 	SendInterval time.Duration
-	Seed         int64
+	// Seed drives both runs (0 takes NewLab's default).
+	Seed int64
 	// DisableFastReroute ablates the backup routes.
 	DisableFastReroute bool
-	// Centralized swaps OSPF for the §V controller-based control plane.
-	Centralized bool
-	// BGP swaps OSPF for the §V path-vector control plane.
-	BGP  bool
-	Net  network.Config
-	OSPF ospf.Config
+	// Control names the control plane: ControlOSPF (also ""), or the §V
+	// alternatives ControlBGP and ControlCentralized.
+	Control string
+	Net     network.Config
+	OSPF    ospf.Config
 }
 
 func (o RecoveryOptions) withDefaults() RecoveryOptions {
@@ -125,9 +135,6 @@ func (o RecoveryOptions) withDefaults() RecoveryOptions {
 	}
 	if o.SendInterval == 0 {
 		o.SendInterval = 100 * time.Microsecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
 	}
 	return o
 }
@@ -170,31 +177,86 @@ func RunRecovery(opts RecoveryOptions) (*RecoveryResult, error) {
 	return res, nil
 }
 
-// newLab builds a converged lab for the options.
-func newLab(o RecoveryOptions) (*core.Lab, error) {
-	tp, err := BuildTopology(o.Scheme, o.Ports)
+// LabSpec is everything a driver says to get a converged lab: the fields
+// every run description (RecoveryOptions, chaos.Scenario, scenario.Scenario,
+// …) carries in its own spelling.
+type LabSpec struct {
+	Scheme Scheme
+	Ports  int
+	// Control names the control plane (see ParseControl; "" is ospf).
+	Control string
+	// Seed drives all of the lab's randomness; 0 means 42, the one place
+	// that default lives.
+	Seed int64
+	// DisableFastReroute ablates the backup routes.
+	DisableFastReroute bool
+	// Detector, if set, replaces Net.Detector; GR, if set, enables BGP
+	// graceful restart with the spec's timers.
+	Detector *detect.Spec
+	GR       *bgp.GRSpec
+	Net      network.Config
+	OSPF     ospf.Config
+}
+
+// ParseControl maps a control-plane name (ControlOSPF, ControlBGP,
+// ControlCentralized; "" is ospf) to the core enum.
+func ParseControl(name string) (core.ControlPlane, error) {
+	switch name {
+	case "", ControlOSPF:
+		return core.ControlOSPF, nil
+	case ControlBGP:
+		return core.ControlBGP, nil
+	case ControlCentralized:
+		return core.ControlCentralized, nil
+	default:
+		return 0, fmt.Errorf("unknown control plane %q (want %s, %s or %s)",
+			name, ControlOSPF, ControlBGP, ControlCentralized)
+	}
+}
+
+// NewLab builds the spec's topology and a converged lab on it. Every driver
+// assembles its lab here.
+func NewLab(s LabSpec) (*core.Lab, error) {
+	tp, err := BuildTopology(s.Scheme, s.Ports)
 	if err != nil {
 		return nil, err
 	}
-	cp := core.ControlOSPF
-	if o.Centralized {
-		cp = core.ControlCentralized
+	cp, err := ParseControl(s.Control)
+	if err != nil {
+		return nil, err
 	}
-	if o.BGP {
-		cp = core.ControlBGP
+	cfg := core.LabConfig{
+		Topology: tp, Net: s.Net, OSPF: s.OSPF, ControlPlane: cp,
+		Seed: s.Seed, DisableFastReroute: s.DisableFastReroute,
 	}
-	return core.NewLab(core.LabConfig{
-		Topology: tp, Net: o.Net, OSPF: o.OSPF, ControlPlane: cp,
-		Seed: o.Seed, DisableFastReroute: o.DisableFastReroute,
-	})
+	if cfg.Seed == 0 {
+		cfg.Seed = 42
+	}
+	if s.Detector != nil {
+		cfg.Net.Detector = *s.Detector
+	}
+	if s.GR != nil {
+		cfg.BGP = s.GR.Apply(cfg.BGP)
+	}
+	return core.NewLab(cfg)
 }
 
-// injectOnPath fails the condition's links relative to the flow's current
-// path at o.FailAt.
-func injectOnPath(lab *core.Lab, o RecoveryOptions, src topo.NodeID, flowOf func() ([]topo.LinkID, error)) {
+// labSpec is the lab both runs of the experiment are built on.
+func (o RecoveryOptions) labSpec() LabSpec {
+	return LabSpec{
+		Scheme: o.Scheme, Ports: o.Ports, Control: o.Control, Seed: o.Seed,
+		DisableFastReroute: o.DisableFastReroute, Net: o.Net, OSPF: o.OSPF,
+	}
+}
+
+// injectOnPath fails, at o.FailAt, the condition's links relative to the
+// path the flow takes then; *failed is set if they cannot be determined, for
+// the caller to read after the run.
+func injectOnPath(lab *core.Lab, o RecoveryOptions, src topo.NodeID, flow fib.FlowKey, failed *error) {
 	lab.Sim.At(o.FailAt, func(sim.Time) {
-		links, err := flowOf()
+		links, err := failure.LinksOnPath(lab.Net, o.Condition, src, flow)
 		if err != nil {
+			*failed = err
 			return
 		}
 		for _, id := range links {
@@ -204,37 +266,17 @@ func injectOnPath(lab *core.Lab, o RecoveryOptions, src topo.NodeID, flowOf func
 }
 
 func runRecoveryUDP(o RecoveryOptions, res *RecoveryResult) error {
-	lab, err := newLab(o)
+	lab, err := NewLab(o.labSpec())
 	if err != nil {
 		return err
 	}
-	src, dst := lab.LeftmostHost(), lab.RightmostHost()
-	srcStack, err := transport.NewStack(lab.Net, src)
+	probes, err := AttachProbes(lab, []Flow{{Src: "leftmost", Dst: "rightmost"}}, o.SegmentBytes, o.SendInterval)
 	if err != nil {
 		return err
 	}
-	dstStack, err := transport.NewStack(lab.Net, dst)
-	if err != nil {
-		return err
-	}
-	sink, err := dstStack.NewUDPSink(9)
-	if err != nil {
-		return err
-	}
-	source := srcStack.StartUDPSource(dstStack.Addr(), 9, o.SegmentBytes, o.SendInterval)
+	source, sink := probes[0].Source, probes[0].Sink
 	var condErr error
-	injectOnPath(lab, o, src, func() ([]topo.LinkID, error) {
-		path, err := lab.Net.PathTrace(src, source.FlowKey())
-		if err != nil {
-			condErr = err
-			return nil, err
-		}
-		links, err := failure.ConditionLinks(lab.Topo, o.Condition, path)
-		if err != nil {
-			condErr = err
-		}
-		return links, err
-	})
+	injectOnPath(lab, o, probes[0].Src, source.FlowKey(), &condErr)
 	if err := lab.Sim.Run(o.Horizon); err != nil {
 		return err
 	}
@@ -259,7 +301,7 @@ func runRecoveryUDP(o RecoveryOptions, res *RecoveryResult) error {
 }
 
 func runRecoveryTCP(o RecoveryOptions, res *RecoveryResult) error {
-	lab, err := newLab(o)
+	lab, err := NewLab(o.labSpec())
 	if err != nil {
 		return err
 	}
@@ -294,18 +336,7 @@ func runRecoveryTCP(o RecoveryOptions, res *RecoveryResult) error {
 		})
 	})
 	var condErr error
-	injectOnPath(lab, o, src, func() ([]topo.LinkID, error) {
-		path, err := lab.Net.PathTrace(src, conn.FlowKey())
-		if err != nil {
-			condErr = err
-			return nil, err
-		}
-		links, err := failure.ConditionLinks(lab.Topo, o.Condition, path)
-		if err != nil {
-			condErr = err
-		}
-		return links, err
-	})
+	injectOnPath(lab, o, src, conn.FlowKey(), &condErr)
 	if err := lab.Sim.Run(o.Horizon); err != nil {
 		return err
 	}

@@ -124,39 +124,11 @@ func (r *TestbedResults) Fig2String() string {
 	return b.String()
 }
 
-// Fig4Results holds the per-condition emulation sweep.
+// Fig4Results holds the per-condition 8-port emulation sweep (§IV-A); the
+// campaign package runs it (campaign.RunFig4).
 type Fig4Results struct {
 	// ByCondition[scheme][condition] — fat tree has C1–C5, F²Tree C1–C7.
 	ByCondition map[Scheme]map[failure.Condition]*RecoveryResult
-}
-
-// RunFig4 runs the 8-port emulation sweep (§IV-A).
-func RunFig4(seed int64) (*Fig4Results, error) {
-	out := &Fig4Results{ByCondition: map[Scheme]map[failure.Condition]*RecoveryResult{
-		SchemeFatTree: {},
-		SchemeF2Tree:  {},
-	}}
-	for _, cond := range failure.AllConditions() {
-		if cond.FatTreeApplicable() {
-			res, err := RunRecovery(RecoveryOptions{
-				Scheme: SchemeFatTree, Ports: 8, Condition: cond,
-				Seed: RecoverySeed(seed, SchemeFatTree, 8, cond, ControlOSPF, 0),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fattree %v: %w", cond, err)
-			}
-			out.ByCondition[SchemeFatTree][cond] = res
-		}
-		res, err := RunRecovery(RecoveryOptions{
-			Scheme: SchemeF2Tree, Ports: 8, Condition: cond,
-			Seed: RecoverySeed(seed, SchemeF2Tree, 8, cond, ControlOSPF, 0),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("f2tree %v: %w", cond, err)
-		}
-		out.ByCondition[SchemeF2Tree][cond] = res
-	}
-	return out, nil
 }
 
 // String renders the three Fig 4 panels as a table.
@@ -250,30 +222,9 @@ func delayNear(res *RecoveryResult, t sim.Time) (time.Duration, bool) {
 	return best, found
 }
 
-// Fig6Results holds the four partition-aggregate runs.
+// Fig6Results holds the four partition-aggregate runs (campaign.RunFig6).
 type Fig6Results struct {
 	Runs []*PAResult // fattree×{1,5}, f2tree×{1,5}
-}
-
-// RunFig6 executes the partition-aggregate comparison at 1 and 5
-// concurrent failures.
-func RunFig6(seed int64, opts PAOptions) (*Fig6Results, error) {
-	out := &Fig6Results{}
-	for _, scheme := range []Scheme{SchemeFatTree, SchemeF2Tree} {
-		for _, ch := range []int{1, 5} {
-			o := opts
-			o.Scheme = scheme
-			o.Ports = 8
-			o.Channels = ch
-			o.Seed = PASeed(seed, scheme, 8, ch, 0)
-			res, err := RunPartitionAggregate(o)
-			if err != nil {
-				return nil, fmt.Errorf("%s CF=%d: %w", scheme, ch, err)
-			}
-			out.Runs = append(out.Runs, res)
-		}
-	}
-	return out, nil
 }
 
 // String renders Fig 6(a) rows plus the Fig 6(b) CDF tail markers.

@@ -1,0 +1,116 @@
+package exp
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+func TestParseControl(t *testing.T) {
+	cases := []struct {
+		name string
+		want core.ControlPlane
+		ok   bool
+	}{
+		{"", core.ControlOSPF, true},
+		{"ospf", core.ControlOSPF, true},
+		{"bgp", core.ControlBGP, true},
+		{"centralized", core.ControlCentralized, true},
+		{"BGP", 0, false},
+		{"rip", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseControl(c.name)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseControl(%q) = %v, %v; want %v, ok=%v", c.name, got, err, c.want, c.ok)
+		}
+	}
+}
+
+func TestNewLabSeedDefault(t *testing.T) {
+	// Seed 0 is seed 42: the default every driver used to repeat.
+	a, err := NewLab(LabSpec{Scheme: SchemeFatTree, Ports: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewLab(LabSpec{Scheme: SchemeFatTree, Ports: 4, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, y := a.Sim.Rand().Int63(), b.Sim.Rand().Int63(); x != y {
+		t.Fatalf("seed 0 draws %d, seed 42 draws %d", x, y)
+	}
+	if _, err := NewLab(LabSpec{Scheme: SchemeFatTree, Ports: 4, Control: "rip"}); err == nil {
+		t.Fatal("unknown control plane accepted")
+	}
+}
+
+func TestResolveHost(t *testing.T) {
+	lab, err := NewLab(LabSpec{Scheme: SchemeFatTree, Ports: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := lab.Topo.Node(lab.LeftmostHost()).Name
+	cases := []struct {
+		name string
+		want string // resolved node name; "" = error
+	}{
+		{"leftmost", named},
+		{"rightmost", lab.Topo.Node(lab.RightmostHost()).Name},
+		{named, named},
+		{"tor-p0-0", ""}, // a switch is not a host
+		{"host-p9-t9-9", ""},
+		{"", ""},
+	}
+	for _, c := range cases {
+		id, err := ResolveHost(lab, c.name)
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("ResolveHost(%q) accepted", c.name)
+		case c.want != "" && err != nil:
+			t.Errorf("ResolveHost(%q): %v", c.name, err)
+		case c.want != "" && lab.Topo.Node(id).Name != c.want:
+			t.Errorf("ResolveHost(%q) = %s, want %s", c.name, lab.Topo.Node(id).Name, c.want)
+		}
+	}
+}
+
+// TestOnlyExpBuildsLabs keeps run assembly in one place: core.NewLab cannot
+// be unexported while bench/ and the quickstart example use it, so this walk
+// is what stops a sixth driver from assembling its own lab.
+func TestOnlyExpBuildsLabs(t *testing.T) {
+	root := filepath.Join("..", "..")
+	for _, dir := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			rel, _ := filepath.Rel(root, path)
+			rel = filepath.ToSlash(rel)
+			if d.IsDir() {
+				if d.Name() == "testdata" || rel == "internal/exp" || rel == "internal/core" {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+				return nil
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			if strings.Contains(string(src), "core.NewLab(") {
+				t.Errorf("%s calls core.NewLab; build labs through exp.NewLab", rel)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/failure"
 	"repro/internal/metrics"
 	"repro/internal/network"
@@ -48,9 +47,6 @@ func (o PAOptions) withDefaults() (PAOptions, error) {
 	if o.Deadline == 0 {
 		o.Deadline = 250 * time.Millisecond
 	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
 	if o.Channels == 0 {
 		o.Channels = 1
 	}
@@ -92,14 +88,11 @@ func RunPartitionAggregate(opts PAOptions) (*PAResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tp, err := BuildTopology(o.Scheme, o.Ports)
+	lab, err := NewLab(LabSpec{Scheme: o.Scheme, Ports: o.Ports, Seed: o.Seed, Net: o.Net, OSPF: o.OSPF})
 	if err != nil {
 		return nil, err
 	}
-	lab, err := core.NewLab(core.LabConfig{Topology: tp, Net: o.Net, OSPF: o.OSPF, Seed: o.Seed})
-	if err != nil {
-		return nil, err
-	}
+	tp := lab.Topo
 	stacks := make([]*transport.Stack, 0, tp.HostCount())
 	for _, h := range tp.NodesOfKind(topo.Host) {
 		st, err := transport.NewStack(lab.Net, h)

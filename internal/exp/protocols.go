@@ -19,25 +19,17 @@ type ProtocolResults struct {
 // controller, for plain fat tree and F²Tree (8-port).
 func RunProtocols(seed int64) (*ProtocolResults, error) {
 	out := &ProtocolResults{Loss: map[string]map[Scheme]*RecoveryResult{}}
-	protos := []struct {
-		name string
-		set  func(*RecoveryOptions)
-	}{
-		{"ospf", func(*RecoveryOptions) {}},
-		{"bgp", func(o *RecoveryOptions) { o.BGP = true }},
-		{"centralized", func(o *RecoveryOptions) { o.Centralized = true }},
-	}
-	for _, p := range protos {
-		out.Loss[p.name] = map[Scheme]*RecoveryResult{}
+	for _, control := range []string{ControlOSPF, ControlBGP, ControlCentralized} {
+		out.Loss[control] = map[Scheme]*RecoveryResult{}
 		for _, scheme := range []Scheme{SchemeFatTree, SchemeF2Tree} {
-			o := RecoveryOptions{Scheme: scheme, Ports: 8, Condition: failure.C1,
-				Seed: RecoverySeed(seed, scheme, 8, failure.C1, p.name, 0)}
-			p.set(&o)
-			res, err := RunRecovery(o)
+			res, err := RunRecovery(RecoveryOptions{
+				Scheme: scheme, Ports: 8, Condition: failure.C1, Control: control,
+				Seed: RecoverySeed(seed, scheme, 8, failure.C1, control, 0),
+			})
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", p.name, scheme, err)
+				return nil, fmt.Errorf("%s/%s: %w", control, scheme, err)
 			}
-			out.Loss[p.name][scheme] = res
+			out.Loss[control][scheme] = res
 		}
 	}
 	return out, nil

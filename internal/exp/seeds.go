@@ -7,30 +7,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Control-plane names shared by the seed-derivation convention, the
-// campaign spec schema and the CLIs. ControlName maps RecoveryOptions
-// flags back onto them.
+// Control-plane names shared by every run description, the seed-derivation
+// convention and the CLIs (see ParseControl).
 const (
 	ControlOSPF        = "ospf"
 	ControlBGP         = "bgp"
 	ControlCentralized = "centralized"
 )
 
-// ControlName returns the control-plane label the options select.
-func (o RecoveryOptions) ControlName() string {
-	switch {
-	case o.Centralized:
-		return ControlCentralized
-	case o.BGP:
-		return ControlBGP
-	default:
-		return ControlOSPF
-	}
-}
-
 // RecoverySeed derives the RNG seed of one recovery run inside a multi-run
 // experiment or campaign from the campaign base seed and the run's
-// coordinates. Every multi-run driver (RunFig4, RunFig7, campaigns) seeds
+// coordinates. Every multi-run driver (RunFig7, the sweeps, campaigns) seeds
 // sub-runs through this single convention, so a run's result is a pure
 // function of its spec — independent of sweep order, worker scheduling and
 // whichever sibling runs surround it.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/detsort"
+	"repro/internal/fib"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -78,6 +79,17 @@ func (c Condition) PaperCondition() int {
 // AllConditions lists C1..C7 in order.
 func AllConditions() []Condition {
 	return []Condition{C1, C2, C3, C4, C5, C6, C7}
+}
+
+// ParseCondition maps a Table IV label back to its condition. "C1".."C7"
+// is the canonical spelling (Condition.String); "c1".."c7" is accepted too.
+func ParseCondition(label string) (Condition, error) {
+	if len(label) == 2 && (label[0] == 'C' || label[0] == 'c') {
+		if c := Condition(label[1] - '0'); c >= C1 && c <= C7 {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("failure: unknown condition %q (want C1..C7)", label)
 }
 
 // FatTreeApplicable reports whether the condition exists in a plain fat
@@ -229,6 +241,17 @@ func ConditionLinks(t *topo.Topology, cond Condition, path network.Path) ([]topo
 	default:
 		return nil, fmt.Errorf("failure: unknown condition %v", cond)
 	}
+}
+
+// LinksOnPath is ConditionLinks relative to the path the flow takes from
+// src through nw's forwarding tables right now — how every driver picks the
+// links to fail, since ECMP decides which switches carry the flow.
+func LinksOnPath(nw *network.Network, cond Condition, src topo.NodeID, flow fib.FlowKey) ([]topo.LinkID, error) {
+	path, err := nw.PathTrace(src, flow)
+	if err != nil {
+		return nil, err
+	}
+	return ConditionLinks(nw.Topology(), cond, path)
 }
 
 // Inject schedules all links in the set to fail at the given time.

@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fib"
@@ -136,6 +137,52 @@ func TestConditionMetadata(t *testing.T) {
 	}
 	if Condition(99).PaperCondition() != 0 {
 		t.Error("invalid condition should map to 0")
+	}
+}
+
+func TestParseCondition(t *testing.T) {
+	for _, c := range AllConditions() {
+		got, err := ParseCondition(c.String())
+		if err != nil || got != c {
+			t.Fatalf("ParseCondition(%s) = %v, %v", c, got, err)
+		}
+	}
+	if got, err := ParseCondition("c3"); err != nil || got != C3 {
+		t.Fatalf("ParseCondition(c3) = %v, %v", got, err)
+	}
+	for _, bad := range []string{"C0", "C8", "", "C10", "C", "D1", "C/", "banana"} {
+		if got, err := ParseCondition(bad); err == nil {
+			t.Errorf("ParseCondition(%q) = %v, want error", bad, got)
+		}
+	}
+}
+
+func TestLinksOnPathFollowsTheFlow(t *testing.T) {
+	// LinksOnPath is ConditionLinks on whatever PathTrace returns now.
+	tp, err := topo.F2Tree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, nw := build(t, tp)
+	hosts := tp.NodesOfKind(topo.Host)
+	src, dst := hosts[0], hosts[len(hosts)-1]
+	flow := fib.FlowKey{Src: tp.Node(src).Addr, Dst: tp.Node(dst).Addr, Proto: network.ProtoUDP, SrcPort: 40000, DstPort: 9}
+	path, err := nw.PathTrace(src, flow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ConditionLinks(tp, C4, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := LinksOnPath(nw, C4, src, flow)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("LinksOnPath = %v, %v; want %v", got, err, want)
+	}
+	// A flow to nowhere has no path, so no links.
+	flow.Dst = 0
+	if _, err := LinksOnPath(nw, C1, src, flow); err == nil {
+		t.Fatal("unroutable flow accepted")
 	}
 }
 

@@ -12,15 +12,12 @@ import (
 	"time"
 
 	"repro/internal/bgp"
-	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/exp"
 	"repro/internal/failure"
 	"repro/internal/metrics"
-	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/transport"
 )
 
 // Scenario is the user-facing experiment description.
@@ -40,19 +37,10 @@ type Scenario struct {
 	// GR enables BGP graceful restart (requires controlPlane "bgp").
 	GR *bgp.GRSpec `json:"gr,omitempty"`
 
-	Flows  []Flow  `json:"flows"`
-	Events []Event `json:"events"`
-}
-
-// Flow is one probe flow. Src/Dst name hosts ("leftmost", "rightmost", or
-// a node name like "host-p0-t0-0").
-type Flow struct {
-	Src string `json:"src"`
-	Dst string `json:"dst"`
-	// SizeBytes per datagram (default 1448) and IntervalUs between
-	// datagrams (default 100).
-	SizeBytes  int   `json:"sizeBytes,omitempty"`
-	IntervalUs int64 `json:"intervalUs,omitempty"`
+	// Flows are the probe flows; a flow's zero fields mean 1448 B every
+	// 100 µs.
+	Flows  []exp.Flow `json:"flows"`
+	Events []Event    `json:"events"`
 }
 
 // Event is one timeline action.
@@ -108,10 +96,8 @@ func (sc *Scenario) Validate() error {
 	if sc.Scheme == "" || sc.Ports == 0 {
 		return fmt.Errorf("scenario: scheme and ports are required")
 	}
-	switch strings.ToLower(sc.ControlPlane) {
-	case "", "ospf", "bgp", "centralized":
-	default:
-		return fmt.Errorf("scenario: unknown control plane %q", sc.ControlPlane)
+	if _, err := exp.ParseControl(sc.control()); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	if sc.HorizonMs < 0 {
 		return fmt.Errorf("scenario: negative horizon %d ms", sc.HorizonMs)
@@ -122,7 +108,7 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	if sc.GR != nil {
-		if !strings.EqualFold(sc.ControlPlane, "bgp") {
+		if sc.control() != exp.ControlBGP {
 			return fmt.Errorf("scenario: gr requires controlPlane \"bgp\"")
 		}
 		if err := sc.GR.Validate(); err != nil {
@@ -159,7 +145,7 @@ func (sc *Scenario) Validate() error {
 		}
 		switch ev.Action {
 		case "fail-condition":
-			if _, err := parseCondition(ev.Condition); err != nil {
+			if _, err := failure.ParseCondition(ev.Condition); err != nil {
 				return fmt.Errorf("scenario: event %d: %w", i, err)
 			}
 			if ev.Flow < 0 || ev.Flow >= len(sc.Flows) {
@@ -180,60 +166,24 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
+// control is the document's control-plane name as exp spells it: this
+// format has always accepted any letter case.
+func (sc *Scenario) control() string { return strings.ToLower(sc.ControlPlane) }
+
 // Run executes the scenario.
 func Run(sc *Scenario) (*Report, error) {
-	tp, err := exp.BuildTopology(exp.Scheme(sc.Scheme), sc.Ports)
-	if err != nil {
-		return nil, err
-	}
-	cp := core.ControlOSPF
-	switch strings.ToLower(sc.ControlPlane) {
-	case "", "ospf":
-	case "bgp":
-		cp = core.ControlBGP
-	case "centralized":
-		cp = core.ControlCentralized
-	default:
-		return nil, fmt.Errorf("scenario: unknown control plane %q", sc.ControlPlane)
-	}
-	seed := sc.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	var netCfg network.Config
-	if sc.Detector != nil {
-		netCfg.Detector = *sc.Detector
-	}
-	var bgpCfg bgp.Config
-	if sc.GR != nil {
-		bgpCfg = sc.GR.Apply(bgpCfg)
-	}
-	lab, err := core.NewLab(core.LabConfig{
-		Topology: tp, Seed: seed, ControlPlane: cp,
-		DisableFastReroute: sc.DisableFastReroute,
-		Net:                netCfg, BGP: bgpCfg,
+	lab, err := exp.NewLab(exp.LabSpec{
+		Scheme: exp.Scheme(sc.Scheme), Ports: sc.Ports, Control: sc.control(),
+		Seed: sc.Seed, DisableFastReroute: sc.DisableFastReroute,
+		Detector: sc.Detector, GR: sc.GR,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
+	tp := lab.Topo
 	horizon := sim.Time(2 * time.Second)
 	if sc.HorizonMs > 0 {
 		horizon = sim.Time(time.Duration(sc.HorizonMs) * time.Millisecond)
-	}
-
-	resolveHost := func(name string) (topo.NodeID, error) {
-		switch name {
-		case "leftmost":
-			return lab.LeftmostHost(), nil
-		case "rightmost":
-			return lab.RightmostHost(), nil
-		default:
-			nd := tp.FindNode(name)
-			if nd == nil || nd.Kind != topo.Host {
-				return topo.None, fmt.Errorf("scenario: %q is not a host", name)
-			}
-			return nd.ID, nil
-		}
 	}
 	resolveNode := func(name string) (topo.NodeID, error) {
 		nd := tp.FindNode(name)
@@ -242,58 +192,9 @@ func Run(sc *Scenario) (*Report, error) {
 		}
 		return nd.ID, nil
 	}
-
-	// Wire the flows.
-	type flowRun struct {
-		src, dst topo.NodeID
-		source   *transport.UDPSource
-		sink     *transport.UDPSink
-	}
-	stacks := map[topo.NodeID]*transport.Stack{}
-	stackFor := func(h topo.NodeID) (*transport.Stack, error) {
-		if st, ok := stacks[h]; ok {
-			return st, nil
-		}
-		st, err := transport.NewStack(lab.Net, h)
-		if err != nil {
-			return nil, err
-		}
-		stacks[h] = st
-		return st, nil
-	}
-	runs := make([]*flowRun, 0, len(sc.Flows))
-	for i, f := range sc.Flows {
-		src, err := resolveHost(f.Src)
-		if err != nil {
-			return nil, err
-		}
-		dst, err := resolveHost(f.Dst)
-		if err != nil {
-			return nil, err
-		}
-		srcStack, err := stackFor(src)
-		if err != nil {
-			return nil, err
-		}
-		dstStack, err := stackFor(dst)
-		if err != nil {
-			return nil, err
-		}
-		port := uint16(9 + i)
-		sink, err := dstStack.NewUDPSink(port)
-		if err != nil {
-			return nil, err
-		}
-		size := f.SizeBytes
-		if size == 0 {
-			size = 1448
-		}
-		interval := time.Duration(f.IntervalUs) * time.Microsecond
-		if interval == 0 {
-			interval = 100 * time.Microsecond
-		}
-		source := srcStack.StartUDPSource(dstStack.Addr(), port, size, interval)
-		runs = append(runs, &flowRun{src: src, dst: dst, source: source, sink: sink})
+	runs, err := exp.AttachProbes(lab, sc.Flows, 1448, 100*time.Microsecond)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 
 	// Schedule the timeline. firstFailAt is the earliest failing event, -1
@@ -312,17 +213,13 @@ func Run(sc *Scenario) (*Report, error) {
 			if ev.Flow < 0 || ev.Flow >= len(runs) {
 				return nil, fmt.Errorf("scenario: event references flow %d", ev.Flow)
 			}
-			cond, err := parseCondition(ev.Condition)
+			cond, err := failure.ParseCondition(ev.Condition)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: %w", err)
 			}
 			fr := runs[ev.Flow]
 			lab.Sim.At(at, func(sim.Time) {
-				var links []topo.LinkID
-				path, err := lab.Net.PathTrace(fr.src, fr.source.FlowKey())
-				if err == nil {
-					links, err = failure.ConditionLinks(tp, cond, path)
-				}
+				links, err := failure.LinksOnPath(lab.Net, cond, fr.Src, fr.Source.FlowKey())
 				if err != nil {
 					if faultErr == nil {
 						faultErr = fmt.Errorf("scenario: fail-condition %s at %d ms: %w", ev.Condition, ev.AtMs, err)
@@ -376,8 +273,8 @@ func Run(sc *Scenario) (*Report, error) {
 
 	rep := &Report{Topology: tp.Name, Drops: lab.Net.Stats().TotalDrops()}
 	for _, fr := range runs {
-		arrivals := make([]sim.Time, 0, len(fr.sink.Arrivals))
-		for _, a := range fr.sink.Arrivals {
+		arrivals := make([]sim.Time, 0, len(fr.Sink.Arrivals))
+		for _, a := range fr.Sink.Arrivals {
 			arrivals = append(arrivals, a.Arrived)
 		}
 		loss := time.Duration(0)
@@ -385,22 +282,12 @@ func Run(sc *Scenario) (*Report, error) {
 			loss = metrics.ConnectivityLoss(arrivals, firstFailAt, horizon)
 		}
 		rep.Flows = append(rep.Flows, FlowReport{
-			Src: tp.Node(fr.src).Name, Dst: tp.Node(fr.dst).Name,
-			Sent: fr.source.Sent(), Delivered: len(fr.sink.Arrivals),
+			Src: tp.Node(fr.Src).Name, Dst: tp.Node(fr.Dst).Name,
+			Sent: fr.Source.Sent(), Delivered: len(fr.Sink.Arrivals),
 			ConnectivityLoss: loss, LossMs: float64(loss.Microseconds()) / 1000,
 		})
 	}
 	return rep, nil
-}
-
-// parseCondition maps "C1".."C7".
-func parseCondition(s string) (failure.Condition, error) {
-	for _, c := range failure.AllConditions() {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown condition %q", s)
 }
 
 // WriteReport renders the report as indented JSON.

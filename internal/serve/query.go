@@ -13,7 +13,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -64,7 +63,7 @@ type Query struct {
 	BudgetMs  int64 `json:"budgetMs,omitempty"`
 	// Flows is the whatif workload W (default: the chaos corner-to-corner
 	// pair).
-	Flows []chaos.Flow `json:"flows,omitempty"`
+	Flows []exp.Flow `json:"flows,omitempty"`
 	// Condition is the recovery query's Table IV condition, "C1".."C7".
 	Condition string `json:"condition,omitempty"`
 	Seed      int64  `json:"seed,omitempty"`
@@ -75,7 +74,9 @@ type Query struct {
 }
 
 // normalized validates the query and fills defaults, returning the
-// canonical form whose encoding is the cache key.
+// canonical form whose encoding is the cache key. Where a field has two
+// spellings of one value the canonical one is the shorter document: control
+// "ospf" becomes "", condition "c1" becomes "C1".
 func (q Query) normalized() (Query, error) {
 	switch q.Kind {
 	case "":
@@ -107,6 +108,11 @@ func (q Query) normalized() (Query, error) {
 		if q.Link == nil || q.Link.A == "" || q.Link.B == "" {
 			return q, fmt.Errorf("serve: whatif needs link endpoints a and b")
 		}
+		if q.Control == exp.ControlOSPF {
+			// Also keeps the run's traceHash equal: chaos seeds it with
+			// the scenario JSON, where an empty control is omitted.
+			q.Control = ""
+		}
 		if q.RestoreAtMs != 0 && q.RestoreAtMs <= q.FailAtMs {
 			return q, fmt.Errorf("serve: restoreAtMs %d not after failAtMs %d", q.RestoreAtMs, q.FailAtMs)
 		}
@@ -123,9 +129,11 @@ func (q Query) normalized() (Query, error) {
 		if q.Link != nil || q.Control != "" || q.RestoreAtMs != 0 || q.BudgetMs != 0 || len(q.Flows) != 0 {
 			return q, fmt.Errorf("serve: link, control, restoreAtMs, budgetMs and flows are whatif-query fields")
 		}
-		if _, err := parseCondition(q.Condition); err != nil {
-			return q, err
+		cond, err := failure.ParseCondition(q.Condition)
+		if err != nil {
+			return q, fmt.Errorf("serve: %w", err)
 		}
+		q.Condition = cond.String()
 		if _, err := exp.BuildTopology(exp.Scheme(q.Scheme), q.Ports); err != nil {
 			return q, err
 		}
@@ -164,19 +172,6 @@ func (q Query) scenario() *chaos.Scenario {
 	}
 }
 
-// parseCondition maps "C1".."C7" to the failure condition.
-func parseCondition(s string) (failure.Condition, error) {
-	if len(s) == 2 && (s[0] == 'C' || s[0] == 'c') {
-		if n, err := strconv.Atoi(s[1:]); err == nil {
-			c := failure.Condition(n)
-			if c >= failure.C1 && c <= failure.C7 {
-				return c, nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("serve: unknown condition %q (want C1..C7)", s)
-}
-
 // FlowReport is one workload flow's outcome in a whatif report.
 type FlowReport struct {
 	Src       string `json:"src"`
@@ -195,7 +190,7 @@ type FlowReport struct {
 
 // affectedGapMs is the delivery-gap floor for calling a flow affected:
 // well below any control-plane recovery time, well above the healthy
-// inter-packet cadence (default 0.5 ms).
+// inter-packet cadence (default 1 ms).
 const affectedGapMs = 5
 
 // Report is one query's answer — the record the memoization store keeps.
@@ -270,7 +265,7 @@ func runWhatIf(q Query) (*Report, error) {
 }
 
 func runRecovery(q Query) (*Report, error) {
-	cond, err := parseCondition(q.Condition)
+	cond, err := failure.ParseCondition(q.Condition)
 	if err != nil {
 		return nil, err
 	}

@@ -87,6 +87,50 @@ func TestAnswerMemoizesRepeatedQuery(t *testing.T) {
 	}
 }
 
+// TestCanonicalSpellingsShareOneEntry: two spellings of one question are one
+// cache key, hence one simulation and (the key being the canonical query the
+// scenario is built from) one traceHash. The canonical spelling is the one
+// that omits control and upper-cases the condition; its keys are pinned to
+// the values stores written before canonicalisation hold.
+func TestCanonicalSpellingsShareOneEntry(t *testing.T) {
+	withControl := whatIfQuery(1)
+	withControl.Control = "ospf"
+	recovery := func(cond string) Query {
+		return Query{Kind: KindRecovery, Scheme: "f2tree", Ports: 8, Condition: cond}
+	}
+	cases := []struct {
+		name         string
+		canon, other Query
+		key          string
+	}{
+		{"control ospf", whatIfQuery(1), withControl, "c92888e21e0da407"},
+		{"condition case", recovery("C1"), recovery("c1"), "b422b429e4f461fa"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := &stubRunner{}
+			s := newTestServer(t, Config{Workers: 2, Runner: r.run})
+			rep1, disp1, err := s.Answer(c.canon)
+			if err != nil || disp1 != DispMiss {
+				t.Fatalf("first answer: disp=%v err=%v", disp1, err)
+			}
+			if rep1.Key != c.key {
+				t.Fatalf("canonical key = %s, want %s", rep1.Key, c.key)
+			}
+			rep2, disp2, err := s.Answer(c.other)
+			if err != nil || disp2 != DispHit {
+				t.Fatalf("second spelling: disp=%v err=%v, want a cache hit", disp2, err)
+			}
+			if rep2.Key != rep1.Key {
+				t.Fatalf("keys differ: %s vs %s", rep1.Key, rep2.Key)
+			}
+			if r.count() != 1 {
+				t.Fatalf("runner ran %d times, want 1", r.count())
+			}
+		})
+	}
+}
+
 func TestAnswerCoalescesConcurrentIdenticalQueries(t *testing.T) {
 	r := &stubRunner{block: make(chan struct{})}
 	s := newTestServer(t, Config{Workers: 4, Runner: r.run})
