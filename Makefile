@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: build test vet fmt-check f2tree-vet vet-audit race check \
-	campaign-smoke chaos-smoke detect-smoke serve-smoke smoke bench serve
+	campaign-smoke chaos-smoke detect-smoke serve-smoke smoke bench bench-ospf serve
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,11 @@ smoke: campaign-smoke chaos-smoke detect-smoke serve-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# SPF microbenchmarks: one domain-wide pass per op on F²Tree N=8/12/16, by
+# the path that serves it (full BFS, single-link repairs, fallback).
+bench-ospf:
+	$(GO) test -run '^$$' -bench BenchmarkSPF -benchmem ./internal/ospf
 
 # Run the what-if query service on localhost (see DESIGN.md §13).
 serve:

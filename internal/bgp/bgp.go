@@ -133,8 +133,7 @@ type best struct {
 	originated bool
 }
 
-// Instance is a per-switch BGP speaker. It lives on the shard that owns
-// its switch.
+// Instance is a per-switch BGP speaker.
 type Instance struct {
 	d    *Domain
 	node topo.NodeID

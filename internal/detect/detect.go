@@ -21,7 +21,7 @@
 // zero-size latency samples against the data plane's queue occupancy, not
 // as real packets, so they perturb neither the conservation ledgers nor
 // the forwarding traces. Everything is deterministic — no wall clock, no
-// RNG — and all state is owned by the embedding network's shard.
+// RNG — and all state is owned by the embedding network.
 package detect
 
 import (

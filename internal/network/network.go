@@ -134,7 +134,7 @@ type nodeState struct {
 
 // Network is the runtime data plane over a topology. Its state — FIB
 // tables, link/node state, the in-flight event pool — belongs to exactly
-// one simulation shard.
+// one simulation.
 type Network struct {
 	sim   *sim.Simulator
 	topo  *topo.Topology

@@ -24,196 +24,222 @@ package ospf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"repro/internal/detsort"
 	"repro/internal/fib"
+	"repro/internal/netaddr"
 	"repro/internal/topo"
 )
 
-// spfState is the memory the incremental SPF keeps between runs: the
-// two-way-checked adjacency rows, BFS distances and first-hop sets of the
-// last computation, and the set of origins whose LSAs changed since.
+// spfState is the memory the incremental SPF keeps between runs, all of it
+// indexed by NodeID: the two-way-checked adjacency rows (each sorted by
+// (neighbor, link)), BFS distances (inf = unreachable) and first-hop sets
+// of the last computation, and the origins whose LSAs changed since (in
+// arrival order, possibly repeated).
 type spfState struct {
 	valid bool
-	graph map[topo.NodeID][]edge
-	dist  map[topo.NodeID]int
-	nh    map[topo.NodeID]map[fib.NextHop]bool
-	dirty map[topo.NodeID]bool
+	graph [][]edge
+	dist  []int
+	nh    []hopSet
+	dirty []topo.NodeID
 
 	fullRuns int // full BFS (first run, fallback, or Config.FullSPF)
 	incRuns  int // single-link DAG repairs
 	sameRuns int // adjacency-preserving runs (seq/prefix-only changes)
 }
 
-// markDirty records that an origin's LSA changed since the last SPF run.
-func (i *Instance) markDirty(o topo.NodeID) {
-	if i.spf.dirty == nil {
-		i.spf.dirty = make(map[topo.NodeID]bool, 4)
+// init sizes the state for len(rowCap) nodes and cuts every adjacency row
+// from one array, rowCap[o] edges for origin o — as many as o has links, so
+// rebuilding a row in place never grows it.
+func (st *spfState) init(rowCap []int) {
+	n, total := len(rowCap), 0
+	for _, c := range rowCap {
+		total += c
 	}
-	i.spf.dirty[o] = true
+	arena := make([]edge, total)
+	st.graph = make([][]edge, n)
+	for o, c := range rowCap {
+		st.graph[o], arena = arena[:0:c], arena[c:]
+	}
+	st.dist = make([]int, n)
+	st.nh = make([]hopSet, n)
 }
 
-func (i *Instance) distOf(n topo.NodeID) int {
-	if d, ok := i.spf.dist[n]; ok {
-		return d
+// spfScratch is the working memory of one SPF run. The Domain owns it and
+// its instances share it: the simulation is single-threaded and no run
+// outlives the call that started it.
+type spfScratch struct {
+	// stamp marks nodes for the current pass: a pass draws a fresh base
+	// from mark() and treats stamp[n] == base and base+1 as its two marks,
+	// anything lower as unmarked, so no pass ever clears the array.
+	stamp []uint32
+	gen   uint32
+	cand  []int         // repairRemove: tentative distance per affected node
+	a, b  []topo.NodeID // frontiers, queues, member lists
+	rows  []edge        // computeIncremental: rebuilt rows, back to back
+	spans []rowSpan     // where each rebuilt row sits in rows
+
+	cands    []emitCand             // emitRoutes: one per prefix, first-seen order
+	byPrefix map[netaddr.Prefix]int // prefix → index in cands
+}
+
+// rowSpan locates origin's rebuilt row at rows[lo:hi].
+type rowSpan struct {
+	origin topo.NodeID
+	lo, hi int
+}
+
+func (sc *spfScratch) init(n int) {
+	sc.stamp = make([]uint32, n)
+	sc.cand = make([]int, n)
+	sc.byPrefix = make(map[netaddr.Prefix]int)
+}
+
+// mark starts a marking pass and returns its base stamp.
+func (sc *spfScratch) mark() uint32 {
+	if sc.gen > ^uint32(0)-4 {
+		clear(sc.stamp)
+		sc.gen = 0
 	}
-	return inf
+	sc.gen += 2
+	return sc.gen
+}
+
+// markDirty records that an origin's LSA changed since the last SPF run.
+func (i *Instance) markDirty(o topo.NodeID) {
+	i.spf.dirty = append(i.spf.dirty, o)
 }
 
 // taut reports whether an edge from distance a to distance b lies on some
 // shortest path.
 func taut(a, b int) bool { return a != inf && b != inf && a+1 == b }
 
-func hopSetEqual(a, b map[fib.NextHop]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	//f2tree:unordered subset check over equal-size sets; commutative
-	for h := range a {
-		if !b[h] {
-			return false
+// linkDiff accumulates the directed-edge diff between the cached rows and
+// the rebuilt ones. The repair handles exactly one link changing in both
+// directions the same way; multi records a second link.
+type linkDiff struct {
+	dirs  int // directed-edge changes seen on link
+	link  topo.LinkID
+	add   bool
+	u, v  topo.NodeID
+	ok    bool
+	multi bool
+}
+
+func (ld *linkDiff) record(from topo.NodeID, e edge, add bool) {
+	switch {
+	case ld.dirs == 0:
+		*ld = linkDiff{dirs: 1, link: e.link, add: add, u: from, v: e.to, ok: true}
+	case e.link != ld.link:
+		ld.multi = true
+	default:
+		ld.dirs++
+		if ld.add != add || ld.u != e.to || ld.v != from {
+			ld.ok = false
 		}
 	}
-	return true
 }
 
-// setRow installs an adjacency row, keeping the map canonical (no empty
-// rows) so incremental state compares equal to a fresh buildGraph.
-func setRow(graph map[topo.NodeID][]edge, o topo.NodeID, row []edge) {
-	if len(row) == 0 {
-		delete(graph, o)
-		return
+// diffRow records every edge present in only one of from's two rows. Both
+// are sorted by (neighbor, link), so one merge walk finds them.
+func (ld *linkDiff) diffRow(from topo.NodeID, oldRow, newRow []edge) {
+	x, y := 0, 0
+	for x < len(oldRow) && y < len(newRow) {
+		o, n := oldRow[x], newRow[y]
+		switch {
+		case o == n:
+			x++
+			y++
+		case o.to < n.to || (o.to == n.to && o.link < n.link):
+			ld.record(from, o, false)
+			x++
+		default:
+			ld.record(from, n, true)
+			y++
+		}
 	}
-	graph[o] = row
-}
-
-// dirEdge is one direction of a link in the two-way-checked graph.
-type dirEdge struct {
-	from, to topo.NodeID
-	link     topo.LinkID
-}
-
-// linkChange accumulates the directed-edge diff of one link.
-type linkChange struct {
-	add  bool
-	u, v topo.NodeID
-	dirs int
-	ok   bool
+	for _, o := range oldRow[x:] {
+		ld.record(from, o, false)
+	}
+	for _, n := range newRow[y:] {
+		ld.record(from, n, true)
+	}
 }
 
 // computeIncremental tries to serve the pending SPF run by repairing the
 // cached state. It returns false when the caller must fall back to a full
 // recomputation; on true the state (and counters) are up to date.
 func (i *Instance) computeIncremental() bool {
-	st := &i.spf
-	dirtyIDs := detsort.Keys(st.dirty)
-	if len(dirtyIDs) == 0 {
+	st, sc := &i.spf, &i.d.scratch
+	if len(st.dirty) == 0 {
 		st.sameRuns++
 		return true
 	}
+	slices.Sort(st.dirty)
+	st.dirty = slices.Compact(st.dirty)
 
 	// Recompute the adjacency rows of every dirty origin, plus those of
 	// their peers: the two-way check makes a peer's edge toward a dirty
 	// origin depend on the dirty LSA.
-	newRows := make(map[topo.NodeID][]edge, len(dirtyIDs))
-	for _, o := range dirtyIDs {
-		newRows[o] = i.buildRow(o)
+	isDirty := sc.mark()
+	isPeer := isDirty + 1
+	for _, o := range st.dirty {
+		sc.stamp[o] = isDirty
 	}
-	peerSet := make(map[topo.NodeID]bool)
-	for _, o := range dirtyIDs {
-		for _, e := range st.graph[o] {
-			if !st.dirty[e.to] {
-				peerSet[e.to] = true
+	sc.rows, sc.spans = sc.rows[:0], sc.spans[:0]
+	rebuild := func(o topo.NodeID) []edge {
+		lo := len(sc.rows)
+		sc.rows = i.buildRow(o, sc.rows)
+		sc.spans = append(sc.spans, rowSpan{origin: o, lo: lo, hi: len(sc.rows)})
+		return sc.rows[lo:]
+	}
+	peers := sc.a[:0]
+	addPeers := func(row []edge) {
+		for _, e := range row {
+			if sc.stamp[e.to] < isDirty {
+				sc.stamp[e.to] = isPeer
+				peers = append(peers, e.to)
 			}
 		}
-		for _, e := range newRows[o] {
-			if !st.dirty[e.to] {
-				peerSet[e.to] = true
-			}
-		}
 	}
-	peerRows := make(map[topo.NodeID][]edge, len(peerSet))
-	for _, x := range detsort.Keys(peerSet) {
-		peerRows[x] = i.buildRow(x)
+	for _, o := range st.dirty {
+		addPeers(st.graph[o])
+		addPeers(rebuild(o))
 	}
+	slices.Sort(peers)
+	for _, x := range peers {
+		rebuild(x)
+	}
+	sc.a = peers
 
 	// Diff old vs new rows into per-link changes. Directions must pair up
 	// (symmetry of the two-way check); anything inconsistent bails.
-	links := make(map[topo.LinkID]*linkChange)
-	record := func(de dirEdge, add bool) {
-		lc := links[de.link]
-		if lc == nil {
-			links[de.link] = &linkChange{add: add, u: de.from, v: de.to, dirs: 1, ok: true}
-			return
-		}
-		lc.dirs++
-		if lc.add != add || !(lc.u == de.to && lc.v == de.from) {
-			lc.ok = false
-		}
+	var ld linkDiff
+	for _, sp := range sc.spans {
+		ld.diffRow(sp.origin, st.graph[sp.origin], sc.rows[sp.lo:sp.hi])
 	}
-	diffRow := func(from topo.NodeID, oldRow, newRow []edge) {
-		old := make(map[edge]bool, len(oldRow))
-		for _, e := range oldRow {
-			old[e] = true
-		}
-		cur := make(map[edge]bool, len(newRow))
-		for _, e := range newRow {
-			cur[e] = true
-		}
-		for _, e := range newRow {
-			if !old[e] {
-				record(dirEdge{from: from, to: e.to, link: e.link}, true)
-			}
-		}
-		for _, e := range oldRow {
-			if !cur[e] {
-				record(dirEdge{from: from, to: e.to, link: e.link}, false)
-			}
-		}
+	if ld.multi {
+		return false // structural change: full recomputation
 	}
-	for _, o := range dirtyIDs {
-		diffRow(o, st.graph[o], newRows[o])
+	if ld.dirs != 0 && (!ld.ok || ld.dirs != 2) {
+		return false
 	}
-	for _, x := range detsort.Keys(peerRows) {
-		diffRow(x, st.graph[x], peerRows[x])
+	for _, sp := range sc.spans {
+		st.graph[sp.origin] = append(st.graph[sp.origin][:0], sc.rows[sp.lo:sp.hi]...)
 	}
-
-	apply := func() {
-		for _, o := range dirtyIDs {
-			setRow(st.graph, o, newRows[o])
-		}
-		//f2tree:unordered independent row installs; order-free
-		for x, row := range peerRows {
-			setRow(st.graph, x, row)
-		}
-		st.dirty = nil
-	}
-
-	if len(links) == 0 {
+	st.dirty = st.dirty[:0]
+	if ld.dirs == 0 {
 		// Seq bumps, prefix changes, or an edge change whose two-way check
 		// already failed: the graph is untouched, only emission can differ.
-		apply()
 		st.sameRuns++
 		return true
 	}
-	if len(links) > 1 {
-		return false // structural change: full recomputation
-	}
-	var lc *linkChange
-	//f2tree:unordered single-entry map
-	for _, c := range links {
-		lc = c
-	}
-	if !lc.ok || lc.dirs != 2 {
-		return false
-	}
-	apply()
 	var repaired bool
-	if lc.add {
-		repaired = i.repairAdd(lc.u, lc.v)
+	if ld.add {
+		repaired = i.repairAdd(ld.u, ld.v)
 	} else {
-		repaired = i.repairRemove(lc.u, lc.v)
+		repaired = i.repairRemove(ld.u, ld.v)
 	}
 	if !repaired {
 		return false
@@ -227,8 +253,8 @@ func (i *Instance) computeIncremental() bool {
 // increase, and only inside the set of taut descendants of the downstream
 // endpoint. Returns false to request a full fallback.
 func (i *Instance) repairRemove(u, v topo.NodeID) bool {
-	st := &i.spf
-	du, dv := i.distOf(u), i.distOf(v)
+	st, sc := &i.spf, &i.d.scratch
+	du, dv := st.dist[u], st.dist[v]
 	var y topo.NodeID
 	switch {
 	case taut(du, dv):
@@ -242,20 +268,22 @@ func (i *Instance) repairRemove(u, v topo.NodeID) bool {
 	// P: y plus its taut descendants under the old distances — the only
 	// nodes whose distance or first-hop set can change. The removed edge is
 	// gone from the rows, and it is not a taut out-edge of any member.
-	affected := map[topo.NodeID]bool{y: true}
-	queue := []topo.NodeID{y}
-	for len(queue) > 0 {
-		w := queue[0]
-		queue = queue[1:]
+	affected := sc.mark()
+	settled := affected + 1
+	sc.stamp[y] = affected
+	members := append(sc.a[:0], y)
+	for q := 0; q < len(members); q++ {
+		w := members[q]
 		for _, e := range st.graph[w] {
-			if affected[e.to] || !taut(i.distOf(w), i.distOf(e.to)) {
+			if sc.stamp[e.to] >= affected || !taut(st.dist[w], st.dist[e.to]) {
 				continue
 			}
-			affected[e.to] = true
-			queue = append(queue, e.to)
+			sc.stamp[e.to] = affected
+			members = append(members, e.to)
 		}
 	}
-	if affected[i.node] {
+	sc.a = members
+	if sc.stamp[i.node] >= affected {
 		return false // the root's distance is 0; reaching it means corrupt state
 	}
 
@@ -263,60 +291,57 @@ func (i *Instance) repairRemove(u, v topo.NodeID) bool {
 	// from unaffected parents (whose distances are final) and relaxing
 	// through already-settled members — Dijkstra restricted to P with a
 	// fixed boundary.
-	members := detsort.Keys(affected)
-	cand := make(map[topo.NodeID]int, len(members))
 	for _, w := range members {
 		best := inf
 		for _, e := range st.graph[w] { // out-edges double as in-edges
-			if affected[e.to] {
+			if sc.stamp[e.to] >= affected {
 				continue
 			}
-			if dp := i.distOf(e.to); dp != inf && dp+1 < best {
+			if dp := st.dist[e.to]; dp != inf && dp+1 < best {
 				best = dp + 1
 			}
 		}
-		cand[w] = best
+		sc.cand[w] = best
 	}
-	settled := make(map[topo.NodeID]bool, len(members))
-	var order []topo.NodeID
+	order := sc.b[:0]
 	for len(order) < len(members) {
 		d := inf
 		for _, w := range members {
-			if !settled[w] && cand[w] < d {
-				d = cand[w]
+			if sc.stamp[w] != settled && sc.cand[w] < d {
+				d = sc.cand[w]
 			}
 		}
 		if d == inf {
 			break // the rest lost their last path to the root
 		}
-		var batch []topo.NodeID
+		from := len(order)
 		for _, w := range members {
-			if !settled[w] && cand[w] == d {
-				settled[w] = true
-				batch = append(batch, w)
+			if sc.stamp[w] != settled && sc.cand[w] == d {
+				sc.stamp[w] = settled
+				order = append(order, w)
 			}
 		}
-		for _, w := range batch {
+		for _, w := range order[from:] {
 			st.dist[w] = d
-			order = append(order, w)
 			for _, e := range st.graph[w] {
-				if affected[e.to] && !settled[e.to] && d+1 < cand[e.to] {
-					cand[e.to] = d + 1
+				if sc.stamp[e.to] == affected && d+1 < sc.cand[e.to] {
+					sc.cand[e.to] = d + 1
 				}
 			}
 		}
 	}
+	sc.b = order
 	for _, w := range members {
-		if !settled[w] {
-			delete(st.dist, w)
-			delete(st.nh, w)
+		if sc.stamp[w] != settled {
+			st.dist[w] = inf
+			st.nh[w] = 0
 		}
 	}
 	// Rebuild first-hop sets in settle order: every taut parent either lies
 	// outside P (unchanged) or settled strictly earlier.
 	for _, w := range order {
 		set := i.recomputeNH(w)
-		if len(set) == 0 {
+		if set == 0 {
 			return false // finite distance but no taut parent: corrupt state
 		}
 		st.nh[w] = set
@@ -326,10 +351,10 @@ func (i *Instance) repairRemove(u, v topo.NodeID) bool {
 
 // repairAdd repairs dist/nh after the single link between u and v was
 // added (rows already updated). Distances can only decrease, propagating
-// outward from the farther endpoint in distance order.
+// outward from the farther endpoint one distance level at a time.
 func (i *Instance) repairAdd(u, v topo.NodeID) bool {
-	st := &i.spf
-	du, dv := i.distOf(u), i.distOf(v)
+	st, sc := &i.spf, &i.d.scratch
+	du, dv := st.dist[u], st.dist[v]
 	if du == inf && dv == inf {
 		return true // still disconnected from the root
 	}
@@ -344,137 +369,99 @@ func (i *Instance) repairAdd(u, v topo.NodeID) bool {
 	if newdv > dv {
 		return true // cannot happen with BFS-consistent state; defensive
 	}
-	distChanged := make(map[topo.NodeID]bool)
-	buckets := make(map[int]map[topo.NodeID]bool)
-	enq := func(w topo.NodeID, d int) {
-		b := buckets[d]
-		if b == nil {
-			b = make(map[topo.NodeID]bool, 2)
-			buckets[d] = b
-		}
-		b[w] = true
-	}
+	queued := sc.mark()
+	moved := queued + 1 // queued, and its distance dropped
+	sc.stamp[v] = queued
 	if newdv < dv {
 		st.dist[v] = newdv
-		distChanged[v] = true
+		sc.stamp[v] = moved
 	}
-	enq(v, newdv)
-	// Pop buckets in increasing distance: every node's taut parents are
-	// final (distance and first-hop set) by the time it is popped, so one
-	// recomputeNH per popped node suffices. Propagation stops where
-	// neither the distance nor the first-hop set changed.
-	for len(buckets) > 0 {
-		ds := detsort.Keys(buckets)
-		d := ds[0]
-		bucket := buckets[d]
-		delete(buckets, d)
-		for _, w := range detsort.Keys(bucket) {
-			if i.distOf(w) != d {
+	// Sweep levels in increasing distance (every enqueue targets the next
+	// level): a node's taut parents are final (distance and first-hop set)
+	// by the time its level is swept, so one recomputeNH per node suffices.
+	// Propagation stops where neither the distance nor the first-hop set
+	// changed.
+	level, next := append(sc.a[:0], v), sc.b[:0]
+	ok := true
+sweep:
+	for d := newdv; len(level) > 0; d++ {
+		next = next[:0]
+		for _, w := range level {
+			if st.dist[w] != d {
 				continue // superseded by a closer repair
 			}
 			set := i.recomputeNH(w)
-			changed := distChanged[w] || !hopSetEqual(set, st.nh[w])
-			if len(set) == 0 {
-				return false
+			changed := sc.stamp[w] == moved || set != st.nh[w]
+			if set == 0 {
+				ok = false
+				break sweep
 			}
 			st.nh[w] = set
 			if !changed {
 				continue
 			}
 			for _, e := range st.graph[w] {
-				dz := i.distOf(e.to)
-				switch {
-				case d+1 < dz:
+				dz := st.dist[e.to]
+				if d+1 > dz {
+					continue
+				}
+				if sc.stamp[e.to] < queued {
+					sc.stamp[e.to] = queued
+					next = append(next, e.to)
+				}
+				if d+1 < dz {
 					st.dist[e.to] = d + 1
-					distChanged[e.to] = true
-					enq(e.to, d+1)
-				case d+1 == dz:
-					enq(e.to, d+1)
+					sc.stamp[e.to] = moved
 				}
 			}
 		}
+		level, next = next, level
 	}
-	return true
+	sc.a, sc.b = level, next
+	return ok
 }
 
 // recomputeNH rebuilds a node's first-hop set from its taut in-edges (the
 // symmetric graph makes the out-edge list the in-edge list).
-func (i *Instance) recomputeNH(w topo.NodeID) map[fib.NextHop]bool {
+func (i *Instance) recomputeNH(w topo.NodeID) hopSet {
 	st := &i.spf
-	dw := i.distOf(w)
-	set := make(map[fib.NextHop]bool, 2)
+	dw := st.dist[w]
+	var set hopSet
 	for _, e := range st.graph[w] {
 		p := e.to
-		if !taut(i.distOf(p), dw) {
+		if !taut(st.dist[p], dw) {
 			continue
 		}
 		if p == i.node {
-			if hop, ok := i.firstHop(e.link, w); ok {
-				set[hop] = true
-			}
+			set |= i.portSet(e.link)
 		} else {
-			//f2tree:unordered set union; content is order-independent
-			for hop := range st.nh[p] {
-				set[hop] = true
-			}
+			set |= st.nh[p]
 		}
 	}
 	return set
 }
 
 // verifySPF compares the incrementally maintained state against a fresh
-// full computation and panics on any divergence. Enabled by
-// Domain.EnableSelfCheck; the chaos equivalence suite runs every corpus
-// and fuzz scenario under it.
+// full computation — every row, distance and first-hop set — and panics on
+// any divergence. Enabled by Domain.EnableSelfCheck; the chaos equivalence
+// suite runs every corpus and fuzz scenario under it.
 func (i *Instance) verifySPF() {
 	st := &i.spf
-	fresh := i.buildGraph()
-	for _, o := range detsort.Keys(fresh) {
-		if !rowsEqual(st.graph[o], fresh[o]) {
-			panic(fmt.Sprintf("ospf ispf: node %d graph row of %d diverged: have %v want %v", i.node, o, st.graph[o], fresh[o]))
+	n := len(st.graph)
+	fresh := spfState{graph: make([][]edge, n), dist: make([]int, n), nh: make([]hopSet, n)}
+	i.buildGraph(fresh.graph)
+	i.runBFS(fresh.graph, fresh.dist, fresh.nh)
+	for o := range fresh.graph {
+		if !slices.Equal(st.graph[o], fresh.graph[o]) {
+			panic(fmt.Sprintf("ospf ispf: node %d graph row of %d diverged: have %v want %v", i.node, o, st.graph[o], fresh.graph[o]))
+		}
+		if st.dist[o] != fresh.dist[o] {
+			panic(fmt.Sprintf("ospf ispf: node %d dist[%d] = %d, want %d", i.node, o, st.dist[o], fresh.dist[o]))
+		}
+		if st.nh[o] != fresh.nh[o] {
+			panic(fmt.Sprintf("ospf ispf: node %d nh[%d] = %#x, want %#x", i.node, o, st.nh[o], fresh.nh[o]))
 		}
 	}
-	for _, o := range detsort.Keys(st.graph) {
-		if len(fresh[o]) == 0 && len(st.graph[o]) != 0 {
-			panic(fmt.Sprintf("ospf ispf: node %d keeps stale graph row of %d: %v", i.node, o, st.graph[o]))
-		}
-	}
-	dist, nh := i.runBFS(fresh)
-	for _, n := range detsort.Keys(dist) {
-		if got, ok := st.dist[n]; !ok || got != dist[n] {
-			panic(fmt.Sprintf("ospf ispf: node %d dist[%d] = %d (present=%v), want %d", i.node, n, got, ok, dist[n]))
-		}
-	}
-	for _, n := range detsort.Keys(st.dist) {
-		if _, ok := dist[n]; !ok {
-			panic(fmt.Sprintf("ospf ispf: node %d keeps stale dist[%d] = %d", i.node, n, st.dist[n]))
-		}
-	}
-	for _, n := range detsort.Keys(nh) {
-		if len(nh[n]) == 0 {
-			continue // full BFS can leave an empty placeholder set
-		}
-		if !hopSetEqual(st.nh[n], nh[n]) {
-			panic(fmt.Sprintf("ospf ispf: node %d nh[%d] = %v, want %v", i.node, n, st.nh[n], nh[n]))
-		}
-	}
-	for _, n := range detsort.Keys(st.nh) {
-		if len(st.nh[n]) != 0 && len(nh[n]) == 0 {
-			panic(fmt.Sprintf("ospf ispf: node %d keeps stale nh[%d] = %v", i.node, n, st.nh[n]))
-		}
-	}
-}
-
-func rowsEqual(a, b []edge) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // install lands a computed route set in the forwarding table. The steady
@@ -514,7 +501,7 @@ func (i *Instance) verifyInstall(tbl *fib.Table, routes []fib.Route) {
 	diverged := len(got) != len(want)
 	if !diverged {
 		for idx := range got {
-			if got[idx].Prefix != want[idx].Prefix || !hopsListEqual(got[idx].NextHops, want[idx].NextHops) {
+			if got[idx].Prefix != want[idx].Prefix || !slices.Equal(got[idx].NextHops, want[idx].NextHops) {
 				diverged = true
 				break
 			}
@@ -523,18 +510,6 @@ func (i *Instance) verifyInstall(tbl *fib.Table, routes []fib.Route) {
 	if diverged {
 		panic(fmt.Sprintf("ospf ispf: node %d FIB diverged after delta install:\nhave %v\nwant %v", i.node, got, want))
 	}
-}
-
-func hopsListEqual(a, b []fib.NextHop) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SPFBreakdown reports how this instance's SPF runs were served: full BFS,

@@ -14,7 +14,9 @@
 package ospf
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/detsort"
@@ -89,7 +91,9 @@ type Adjacency struct {
 	Link     topo.LinkID
 }
 
-// LSA is a router link-state advertisement.
+// LSA is a router link-state advertisement. Adjacencies are sorted by
+// (Neighbor, Link) at origination, so adjacency rows built from them come
+// out sorted and two rows can be diffed by a merge walk (spf.go, ispf.go).
 type LSA struct {
 	Origin      topo.NodeID
 	Seq         uint64
@@ -111,6 +115,7 @@ type Domain struct {
 	cfg  Config
 
 	instances   map[topo.NodeID]*Instance
+	scratch     spfScratch
 	onSPF       func(now sim.Time, node topo.NodeID)
 	floodFilter FloodFilter
 	// selfCheck compares every incremental SPF result and every delta FIB
@@ -119,13 +124,28 @@ type Domain struct {
 	selfCheck bool
 }
 
-// Instance is the per-router protocol state. It lives on the shard that
-// owns its router.
+// localAdj is one switch-facing link of a router: the neighbor, the link
+// and the local port it occupies.
+type localAdj struct {
+	neighbor topo.NodeID
+	link     topo.LinkID
+	port     int
+}
+
+// Instance is the per-router protocol state.
 type Instance struct {
 	d    *Domain
 	node topo.NodeID
 
-	lsdb map[topo.NodeID]*LSA
+	// adj lists the switch neighbors in port order (the order floods are
+	// scheduled in); hops[p] is the next hop out of local port p. A port
+	// carries one link, so the port names the next hop and an ECMP set is
+	// a bitmask over ports (hopSet).
+	adj  []localAdj
+	hops []fib.NextHop
+
+	// lsdb holds the latest LSA per origin, indexed by NodeID (nil = none).
+	lsdb []*LSA
 	seq  uint64
 	// down marks a crashed router: it neither floods, receives nor
 	// computes until restarted. seq survives the crash so post-restart
@@ -167,15 +187,36 @@ func NewDomain(nw *network.Network, cfg Config) *Domain {
 		cfg:       cfg.withDefaults(),
 		instances: make(map[topo.NodeID]*Instance),
 	}
+	n := len(d.topo.Nodes)
+	d.scratch.init(n)
+	rowCap := make([]int, n) // switch-facing links per node: its longest adjacency row
 	for _, id := range d.topo.LiveNodes() {
-		if d.topo.Node(id).Kind == topo.Host {
+		nd := d.topo.Node(id)
+		if nd.Kind == topo.Host {
 			continue
 		}
-		d.instances[id] = &Instance{
+		inst := &Instance{
 			d:       d,
 			node:    id,
-			lsdb:    make(map[topo.NodeID]*LSA),
+			hops:    make([]fib.NextHop, nd.NumPorts),
+			lsdb:    make([]*LSA, n),
 			curHold: d.cfg.SPFHoldInitial,
+		}
+		for _, l := range d.topo.LinksOf(id) {
+			other, _ := l.Other(id)
+			if d.topo.Node(other).Kind == topo.Host {
+				continue
+			}
+			port, _ := l.PortOf(id)
+			inst.adj = append(inst.adj, localAdj{neighbor: other, link: l.ID, port: port})
+			inst.hops[port] = fib.NextHop{Port: port, Via: d.topo.Node(other).Addr}
+		}
+		rowCap[id] = len(inst.adj)
+		d.instances[id] = inst
+	}
+	for _, id := range d.topo.LiveNodes() {
+		if inst := d.instances[id]; inst != nil {
+			inst.spf.init(rowCap)
 		}
 	}
 	nw.OnPortState(d.portStateChanged)
@@ -209,12 +250,9 @@ func (d *Domain) SetNodeDown(now sim.Time, node topo.NodeID, down bool) {
 		inst.installedValid = false
 		return
 	}
-	inst.lsdb = make(map[topo.NodeID]*LSA)
-	inst.spf = spfState{
-		fullRuns: inst.spf.fullRuns,
-		incRuns:  inst.spf.incRuns,
-		sameRuns: inst.spf.sameRuns,
-	}
+	clear(inst.lsdb)
+	inst.spf.valid = false
+	inst.spf.dirty = inst.spf.dirty[:0]
 	inst.installed = nil
 	inst.pending = false
 	inst.curHold = d.cfg.SPFHoldInitial
@@ -283,9 +321,17 @@ func (d *Domain) Config() Config { return d.cfg }
 // the current simulation time, modeling a network that finished its initial
 // convergence before the experiment starts. Throttle state stays quiet, so
 // the first failure is handled with the initial SPF delay.
+//
+// It fails if a switch has more ports than a hopSet can name: routes over
+// the excess ports would silently vanish from every ECMP set.
 func (d *Domain) Bootstrap() error {
 	// Sorted iteration keeps install order and any error deterministic.
 	ids := detsort.Keys(d.instances)
+	for _, id := range ids {
+		if nd := d.topo.Node(id); nd.NumPorts > hopSetPorts {
+			return fmt.Errorf("bootstrap %s: %d ports, next-hop sets name at most %d", nd.Name, nd.NumPorts, hopSetPorts)
+		}
+	}
 	for _, id := range ids {
 		d.instances[id].originateLocked()
 	}
@@ -332,17 +378,14 @@ func (i *Instance) originateLocked() *LSA {
 	i.seq++
 	nd := i.d.topo.Node(i.node)
 	lsa := &LSA{Origin: i.node, Seq: i.seq}
-	for _, l := range i.d.topo.LinksOf(i.node) {
-		other, ok := l.Other(i.node)
-		if !ok || i.d.topo.Node(other).Kind == topo.Host {
-			continue
+	for _, a := range i.adj {
+		if i.d.nw.PortBelievedUp(i.node, a.port) {
+			lsa.Adjacencies = append(lsa.Adjacencies, Adjacency{Neighbor: a.neighbor, Link: a.link})
 		}
-		port, _ := l.PortOf(i.node)
-		if !i.d.nw.PortBelievedUp(i.node, port) {
-			continue
-		}
-		lsa.Adjacencies = append(lsa.Adjacencies, Adjacency{Neighbor: other, Link: l.ID})
 	}
+	slices.SortFunc(lsa.Adjacencies, func(a, b Adjacency) int {
+		return cmp.Or(cmp.Compare(a.Neighbor, b.Neighbor), cmp.Compare(a.Link, b.Link))
+	})
 	if nd.Kind == topo.ToR && !nd.Subnet.IsZero() {
 		lsa.Prefixes = append(lsa.Prefixes, nd.Subnet)
 	}
@@ -359,33 +402,23 @@ func (i *Instance) flood(now sim.Time, lsa *LSA, from topo.NodeID) {
 	if i.down {
 		return
 	}
-	for _, l := range i.d.topo.LinksOf(i.node) {
-		other, ok := l.Other(i.node)
-		if !ok || other == from {
-			continue
-		}
-		if i.d.topo.Node(other).Kind == topo.Host {
-			continue
-		}
-		port, _ := l.PortOf(i.node)
-		if !i.d.nw.PortBelievedUp(i.node, port) {
+	for _, a := range i.adj {
+		if a.neighbor == from || !i.d.nw.PortBelievedUp(i.node, a.port) {
 			continue
 		}
 		var extra time.Duration
 		if i.d.floodFilter != nil {
-			drop, delay := i.d.floodFilter(now, i.node, other, lsa)
+			drop, delay := i.d.floodFilter(now, i.node, a.neighbor, lsa)
 			if drop {
 				continue // swallowed by the fault, like a dead wire
 			}
 			extra = delay
 		}
-		linkID := l.ID
-		neighbor := other
 		i.d.sim.After(i.d.cfg.FloodHopDelay+extra, func(at sim.Time) {
-			if !i.d.nw.LinkDirUp(linkID, i.node) {
+			if !i.d.nw.LinkDirUp(a.link, i.node) {
 				return // lost on a dead wire
 			}
-			if ni := i.d.instances[neighbor]; ni != nil {
+			if ni := i.d.instances[a.neighbor]; ni != nil {
 				ni.receive(at, lsa, i.node)
 			}
 		})
@@ -473,4 +506,12 @@ func (i *Instance) SPFRuns() int { return i.spfRuns }
 func (i *Instance) MaxSPFWait() time.Duration { return i.maxWait }
 
 // LSDBSize returns the number of LSAs held.
-func (i *Instance) LSDBSize() int { return len(i.lsdb) }
+func (i *Instance) LSDBSize() int {
+	n := 0
+	for _, lsa := range i.lsdb {
+		if lsa != nil {
+			n++
+		}
+	}
+	return n
+}

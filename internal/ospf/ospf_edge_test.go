@@ -94,7 +94,10 @@ func TestLSALostOnDeadWireStillConvergesViaFlooding(t *testing.T) {
 		inst := l.dom.Instance(id)
 		got := map[topo.NodeID]uint64{}
 		for origin, lsa := range inst.lsdb {
-			got[origin] = lsa.Seq
+			if lsa == nil {
+				continue
+			}
+			got[topo.NodeID(origin)] = lsa.Seq
 		}
 		if wantSeq == nil {
 			wantSeq = got

@@ -1,9 +1,8 @@
 package ospf
 
 import (
-	"sort"
+	"math/bits"
 
-	"repro/internal/detsort"
 	"repro/internal/fib"
 	"repro/internal/netaddr"
 	"repro/internal/topo"
@@ -15,6 +14,14 @@ type edge struct {
 }
 
 const inf = int(^uint(0) >> 1)
+
+// hopSet is an ECMP first-hop set: bit p set means "leave through local
+// port p". Union is |, equality is ==, and walking the bits upward yields
+// the hops in fib.HopLess order. Domain.Bootstrap rejects switches with
+// more than hopSetPorts ports, so no port is ever silently dropped.
+type hopSet uint64
+
+const hopSetPorts = 64
 
 // computeRoutes runs the shortest-path computation over the LSDB and
 // returns the ECMP routes to every advertised prefix. Links have unit cost
@@ -50,7 +57,10 @@ func (i *Instance) adjOK(from, to topo.NodeID, link topo.LinkID) bool {
 	if peer == nil {
 		return false
 	}
-	for _, a := range peer.Adjacencies {
+	for _, a := range peer.Adjacencies { // sorted by (Neighbor, Link)
+		if a.Neighbor > from {
+			break
+		}
 		if a.Neighbor == from && a.Link == link {
 			return true
 		}
@@ -58,69 +68,44 @@ func (i *Instance) adjOK(from, to topo.NodeID, link topo.LinkID) bool {
 	return false
 }
 
-// buildRow returns origin's adjacency row — its two-way-checked out-edges,
-// sorted by (neighbor, link). nil when the origin has no usable edge.
-func (i *Instance) buildRow(origin topo.NodeID) []edge {
+// buildRow appends origin's adjacency row — its two-way-checked out-edges
+// — to row. LSAs are born sorted by (neighbor, link), so the row is too.
+func (i *Instance) buildRow(origin topo.NodeID, row []edge) []edge {
 	lsa := i.lsdb[origin]
 	if lsa == nil {
-		return nil
+		return row
 	}
-	var row []edge
 	for _, a := range lsa.Adjacencies {
 		if i.adjOK(origin, a.Neighbor, a.Link) {
 			row = append(row, edge{to: a.Neighbor, link: a.Link})
 		}
 	}
-	sort.Slice(row, func(x, y int) bool {
-		if row[x].to != row[y].to {
-			return row[x].to < row[y].to
-		}
-		return row[x].link < row[y].link
-	})
 	return row
 }
 
-// buildGraph assembles the full adjacency-row map from the LSDB.
-func (i *Instance) buildGraph() map[topo.NodeID][]edge {
-	graph := make(map[topo.NodeID][]edge, len(i.lsdb))
-	for _, origin := range detsort.Keys(i.lsdb) {
-		if row := i.buildRow(origin); len(row) > 0 {
-			graph[origin] = row
-		}
+// buildGraph rebuilds every adjacency row from the LSDB into graph, reusing
+// the rows' storage.
+func (i *Instance) buildGraph(graph [][]edge) {
+	for o := range graph {
+		graph[o] = i.buildRow(topo.NodeID(o), graph[o][:0])
 	}
-	return graph
-}
-
-// firstHop returns the local first hop for a directly attached link.
-func (i *Instance) firstHop(link topo.LinkID, to topo.NodeID) (fib.NextHop, bool) {
-	l := i.d.topo.Link(link)
-	port, ok := l.PortOf(i.node)
-	if !ok {
-		return fib.NextHop{}, false
-	}
-	return fib.NextHop{Port: port, Via: i.d.topo.Node(to).Addr}, true
 }
 
 // runBFS computes distances and first-hop sets from self over the graph.
-// nh[v] is the set of local first-hop next hops beginning some shortest
-// path to v.
-func (i *Instance) runBFS(graph map[topo.NodeID][]edge) (map[topo.NodeID]int, map[topo.NodeID]map[fib.NextHop]bool) {
-	dist := make(map[topo.NodeID]int, len(graph))
-	nh := make(map[topo.NodeID]map[fib.NextHop]bool, len(graph))
-	distOf := func(n topo.NodeID) int {
-		if d, ok := dist[n]; ok {
-			return d
-		}
-		return inf
+// nh[v] is the set of local ports beginning some shortest path to v.
+func (i *Instance) runBFS(graph [][]edge, dist []int, nh []hopSet) {
+	for n := range dist {
+		dist[n] = inf
 	}
+	clear(nh)
+	sc := &i.d.scratch
 	dist[i.node] = 0
-	frontier := []topo.NodeID{i.node}
-	for len(frontier) > 0 {
-		var next []topo.NodeID
+	frontier, next := append(sc.a[:0], i.node), sc.b[:0]
+	for du := 0; len(frontier) > 0; du++ {
+		next = next[:0]
 		for _, u := range frontier {
 			for _, e := range graph[u] {
-				dv := distOf(e.to)
-				du := dist[u]
+				dv := dist[e.to]
 				if dv < du+1 {
 					continue
 				}
@@ -128,40 +113,44 @@ func (i *Instance) runBFS(graph map[topo.NodeID][]edge) (map[topo.NodeID]int, ma
 					dist[e.to] = du + 1
 					next = append(next, e.to)
 				}
-				set := nh[e.to]
-				if set == nil {
-					set = make(map[fib.NextHop]bool, 2)
-					nh[e.to] = set
-				}
 				if u == i.node {
-					// First hop: the local port of this link.
-					hop, ok := i.firstHop(e.link, e.to)
-					if !ok {
-						continue
-					}
-					set[hop] = true
+					nh[e.to] |= i.portSet(e.link)
 				} else {
-					//f2tree:unordered set union; content is order-independent
-					for hop := range nh[u] {
-						set[hop] = true
-					}
+					nh[e.to] |= nh[u]
 				}
 			}
 		}
-		frontier = dedupe(next)
+		frontier, next = next, frontier
 	}
-	return dist, nh
+	sc.a, sc.b = frontier, next
+}
+
+// portSet returns the one-port set of a directly attached link (empty if
+// the link does not touch this router).
+func (i *Instance) portSet(link topo.LinkID) hopSet {
+	port, ok := i.d.topo.Link(link).PortOf(i.node)
+	if !ok {
+		return 0
+	}
+	return 1 << port
 }
 
 // computeFull rebuilds the shortest-path state from scratch and resets the
 // incremental bookkeeping.
 func (i *Instance) computeFull() {
 	st := &i.spf
-	st.graph = i.buildGraph()
-	st.dist, st.nh = i.runBFS(st.graph)
-	st.dirty = nil
+	i.buildGraph(st.graph)
+	i.runBFS(st.graph, st.dist, st.nh)
+	st.dirty = st.dirty[:0]
 	st.valid = true
 	st.fullRuns++
+}
+
+// emitCand is a prefix's best origin so far: its distance and hop set.
+type emitCand struct {
+	prefix netaddr.Prefix
+	dist   int
+	hops   hopSet
 }
 
 // emitRoutes emits one route per advertised prefix of every other
@@ -173,67 +162,48 @@ func (i *Instance) computeFull() {
 // so traffic prefers the nearer rack ToR and load-shares at equal cost.
 // With single-origin prefixes the emission is exactly the historical
 // per-origin list.
+//
+// Every route's NextHops is cut from one backing array (fib.Table.Add
+// copies what it keeps), so a run allocates the route list and that array.
 func (i *Instance) emitRoutes() []fib.Route {
-	type cand struct {
-		dist int
-		hops map[fib.NextHop]bool
-	}
-	var order []netaddr.Prefix
-	byPrefix := make(map[netaddr.Prefix]*cand)
-	for _, o := range detsort.Keys(i.lsdb) {
-		if o == i.node {
+	sc := &i.d.scratch
+	cands := sc.cands[:0]
+	clear(sc.byPrefix)
+	for o, lsa := range i.lsdb {
+		if lsa == nil || topo.NodeID(o) == i.node {
 			continue
 		}
-		lsa := i.lsdb[o]
 		set := i.spf.nh[o]
-		if len(set) == 0 || len(lsa.Prefixes) == 0 {
+		if set == 0 {
 			continue
 		}
 		d := i.spf.dist[o]
 		for _, p := range lsa.Prefixes {
-			c := byPrefix[p]
+			at, seen := sc.byPrefix[p]
 			switch {
-			case c == nil:
-				order = append(order, p)
-				byPrefix[p] = &cand{dist: d, hops: set}
-			case d < c.dist:
-				c.dist = d
-				c.hops = set
-			case d == c.dist:
-				if c.hops != nil && len(set) > 0 {
-					merged := make(map[fib.NextHop]bool, len(c.hops)+len(set))
-					//f2tree:unordered set union; content is order-independent
-					for h := range c.hops {
-						merged[h] = true
-					}
-					//f2tree:unordered set union; content is order-independent
-					for h := range set {
-						merged[h] = true
-					}
-					c.hops = merged
-				}
+			case !seen:
+				sc.byPrefix[p] = len(cands)
+				cands = append(cands, emitCand{prefix: p, dist: d, hops: set})
+			case d < cands[at].dist:
+				cands[at].dist, cands[at].hops = d, set
+			case d == cands[at].dist:
+				cands[at].hops |= set
 			}
 		}
 	}
-	routes := make([]fib.Route, 0, len(order))
-	for _, p := range order {
-		routes = append(routes, fib.Route{
-			Prefix: p, Source: fib.OSPF,
-			NextHops: detsort.KeysFunc(byPrefix[p].hops, fib.HopLess),
-		})
+	sc.cands = cands
+	total := 0
+	for _, c := range cands {
+		total += bits.OnesCount64(uint64(c.hops))
+	}
+	hops := make([]fib.NextHop, 0, total)
+	routes := make([]fib.Route, len(cands))
+	for k, c := range cands {
+		lo := len(hops)
+		for set := c.hops; set != 0; set &= set - 1 {
+			hops = append(hops, i.hops[bits.TrailingZeros64(uint64(set))])
+		}
+		routes[k] = fib.Route{Prefix: c.prefix, Source: fib.OSPF, NextHops: hops[lo:len(hops):len(hops)]}
 	}
 	return routes
-}
-
-// dedupe removes duplicate node IDs while preserving first-seen order.
-func dedupe(ids []topo.NodeID) []topo.NodeID {
-	seen := make(map[topo.NodeID]bool, len(ids))
-	out := ids[:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -146,12 +146,14 @@ func TestAnswerCoalescesConcurrentIdenticalQueries(t *testing.T) {
 			reps[i], _, errs[i] = s.Answer(whatIfQuery(1))
 		}(i)
 	}
-	// Wait until one run is actually in flight, then release it.
+	// Release the run only once it is in flight and the other callers
+	// have joined it (Answer counts a join before it waits): a caller that
+	// arrives after the release would be a cache hit, not a coalesce.
 	deadline := time.Now().Add(5 * time.Second) //f2tree:wallclock test deadline
-	for r.count() == 0 {
+	for r.count() == 0 || s.Metrics().Coalesced != n-1 {
 		//f2tree:wallclock test deadline
 		if time.Now().After(deadline) {
-			t.Fatal("runner never started")
+			t.Fatalf("run in flight: %v, joined: %d of %d", r.count() != 0, s.Metrics().Coalesced, n-1)
 		}
 		time.Sleep(time.Millisecond) //f2tree:wallclock polling in a concurrency test
 	}

@@ -94,9 +94,8 @@ func (h Handle) Active() bool { return h.it != nil && h.it.gen == h.gen && h.it.
 // ErrStopped is returned by Run when the simulation was stopped explicitly.
 var ErrStopped = errors.New("sim: stopped")
 
-// Simulator owns the virtual clock and event queue. It is the unit the
-// future sharded core partitions: one Simulator (or shard thereof) per
-// pod/core-group, so the whole object is shard-confined by contract.
+// Simulator owns the virtual clock and event queue. It is single-threaded:
+// every event of a run executes on the goroutine that called Run.
 type Simulator struct {
 	now     Time
 	heap    []*item // indexed 4-ary min-heap ordered by itemLess
