@@ -1,56 +1,111 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/exp"
 )
 
-// TestControlPlaneCountsPinned pins how much simulated work one fixed OSPF
-// scenario costs: events executed, SPF runs by kind, FIB installs by kind.
-// The constants were captured before the dense SPF kernel replaced the
-// map-based one, so a representation change that moves any decision point
-// of the algorithm (when the incremental path bails, when a run counts as
-// unchanged, when an install is a delta) fails here even if every trace
-// hash still happens to match.
+// pinnedFaults is the schedule both halves of TestControlPlaneCountsPinned
+// run on F²Tree N=8, seed 15.
+func pinnedFaults() []Fault {
+	return []Fault{
+		{Kind: FaultLinkDown, AtMs: 400, EndMs: 1900, A: "agg-p0-0", B: "tor-p0-0"},
+		{Kind: FaultCrash, AtMs: 3500, EndMs: 5000, Node: "agg-p2-1"},
+		{Kind: FaultPodBurst, AtMs: 7000, EndMs: 7600, Pod: 1},
+	}
+}
+
+// TestControlPlaneCountsPinned pins how much simulated work one fixed
+// scenario costs. Under OSPF: events executed, SPF runs by kind, FIB
+// installs by kind. Under BGP (plain, graceful restart, LLGR): events
+// executed, UPDATEs received over all switches and the trace hash. Each
+// constant was captured while the control plane it guards was still
+// map-based, so a representation change that moves any decision point of
+// the algorithm (when the incremental path bails, when a run counts as
+// unchanged, when an install is a delta; which message is delivered,
+// dropped or reordered) fails here even if every trace hash still happens
+// to match.
 func TestControlPlaneCountsPinned(t *testing.T) {
-	const (
-		wantEvents                  = 826374
-		wantFull, wantInc, wantSame = 269, 108, 54
-		wantInstFull, wantInstDelta = 1, 376
-	)
-	sc := &Scenario{
-		Scheme: "f2tree", Ports: 8, Control: exp.ControlOSPF, Seed: 15,
-		Faults: []Fault{
-			{Kind: FaultLinkDown, AtMs: 400, EndMs: 1900, A: "agg-p0-0", B: "tor-p0-0"},
-			{Kind: FaultCrash, AtMs: 3500, EndMs: 5000, Node: "agg-p2-1"},
-			{Kind: FaultPodBurst, AtMs: 7000, EndMs: 7600, Pod: 1},
+	t.Run("ospf", func(t *testing.T) {
+		const (
+			wantEvents                  = 826374
+			wantFull, wantInc, wantSame = 269, 108, 54
+			wantInstFull, wantInstDelta = 1, 376
+		)
+		sc := &Scenario{
+			Scheme: "f2tree", Ports: 8, Control: exp.ControlOSPF, Seed: 15,
 			// The refresh at window end bumps sequence numbers only: the
 			// adjacency-preserving ("unchanged") SPF path.
-			{Kind: FaultLSADrop, AtMs: 20000, EndMs: 20100},
-		},
-	}
-	var events uint64
-	var full, inc, same, instFull, instDelta int
-	v, err := RunScenarioOpts(sc, RunOpts{OnFinish: func(lab *core.Lab) {
-		events = lab.Sim.EventsRun()
-		full, inc, same = lab.Domain.SPFTotals()
-		instFull, instDelta = lab.Domain.InstallTotals()
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Violated() {
-		t.Fatalf("pinned scenario violated: %+v", v.Violations)
-	}
-	if events != wantEvents {
-		t.Errorf("Sim.EventsRun() = %d, want %d", events, wantEvents)
-	}
-	if full != wantFull || inc != wantInc || same != wantSame {
-		t.Errorf("SPFTotals() = %d/%d/%d, want %d/%d/%d", full, inc, same, wantFull, wantInc, wantSame)
-	}
-	if instFull != wantInstFull || instDelta != wantInstDelta {
-		t.Errorf("InstallTotals() = %d/%d, want %d/%d", instFull, instDelta, wantInstFull, wantInstDelta)
+			Faults: append(pinnedFaults(), Fault{Kind: FaultLSADrop, AtMs: 20000, EndMs: 20100}),
+		}
+		var events uint64
+		var full, inc, same, instFull, instDelta int
+		v, err := RunScenarioOpts(sc, RunOpts{OnFinish: func(lab *core.Lab) {
+			events = lab.Sim.EventsRun()
+			full, inc, same = lab.Domain.SPFTotals()
+			instFull, instDelta = lab.Domain.InstallTotals()
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Violated() {
+			t.Fatalf("pinned scenario violated: %+v", v.Violations)
+		}
+		if events != wantEvents {
+			t.Errorf("Sim.EventsRun() = %d, want %d", events, wantEvents)
+		}
+		if full != wantFull || inc != wantInc || same != wantSame {
+			t.Errorf("SPFTotals() = %d/%d/%d, want %d/%d/%d", full, inc, same, wantFull, wantInc, wantSame)
+		}
+		if instFull != wantInstFull || instDelta != wantInstDelta {
+			t.Errorf("InstallTotals() = %d/%d, want %d/%d", instFull, instDelta, wantInstFull, wantInstDelta)
+		}
+	})
+	for _, tc := range []struct {
+		name       string
+		gr         *bgp.GRSpec
+		wantEvents uint64
+		wantRx     int
+		wantHash   string
+	}{
+		{"bgp", nil, 392694, 2753, "9ab040cd24d3"},
+		{"bgp-gr", &bgp.GRSpec{RestartMs: 1000}, 388486, 776, "43e4978dae46"},
+		{"bgp-llgr", &bgp.GRSpec{RestartMs: 500, LongLived: true, StaleMs: 2000}, 390909, 1858, "a3acb07b349d"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := &Scenario{
+				Scheme: "f2tree", Ports: 8, Control: exp.ControlBGP, Seed: 15, GR: tc.gr,
+				Faults: pinnedFaults(),
+			}
+			var events uint64
+			rx := 0
+			v, err := RunScenarioOpts(sc, RunOpts{OnFinish: func(lab *core.Lab) {
+				events = lab.Sim.EventsRun()
+				for _, id := range lab.Topo.LiveNodes() {
+					if inst := lab.BGP.Instance(id); inst != nil {
+						rx += inst.UpdatesReceived()
+					}
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Violated() {
+				t.Fatalf("pinned scenario violated: %+v", v.Violations)
+			}
+			if events != tc.wantEvents {
+				t.Errorf("Sim.EventsRun() = %d, want %d", events, tc.wantEvents)
+			}
+			if rx != tc.wantRx {
+				t.Errorf("sum of UpdatesReceived() = %d, want %d", rx, tc.wantRx)
+			}
+			if !strings.HasPrefix(v.TraceHash, tc.wantHash) {
+				t.Errorf("TraceHash = %s, want prefix %s", v.TraceHash, tc.wantHash)
+			}
+		})
 	}
 }
