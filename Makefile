@@ -4,7 +4,8 @@
 GO ?= go
 
 .PHONY: build test vet fmt-check f2tree-vet vet-audit race check \
-	campaign-smoke chaos-smoke detect-smoke serve-smoke smoke bench bench-ospf serve
+	campaign-smoke chaos-smoke detect-smoke serve-smoke smoke bench bench-ospf \
+	bench-bgp bench-smoke serve
 
 build:
 	$(GO) build ./...
@@ -36,7 +37,7 @@ vet-audit:
 race:
 	$(GO) test -race ./...
 
-check: build fmt-check f2tree-vet vet-audit race
+check: build fmt-check f2tree-vet vet-audit race bench-smoke
 
 # Smoke campaign: the k=4 testbed matrix on two workers into a resumable
 # store (campaign-smoke.jsonl + campaign-smoke.agg.jsonl).
@@ -86,6 +87,17 @@ bench:
 # the path that serves it (full BFS, single-link repairs, fallback).
 bench-ospf:
 	$(GO) test -run '^$$' -bench BenchmarkSPF -benchmem ./internal/ospf
+
+# BGP microbenchmarks: bootstrap, one link failed and restored, and a ToR
+# speaker crash and restart without GR, each to quiescence on F²Tree
+# N=8/12/16 (N=16 withdraw-storm takes seconds per op).
+bench-bgp:
+	$(GO) test -run '^$$' -bench BenchmarkBGP -benchmem ./internal/bgp
+
+# One iteration of every N=8 control-plane microbenchmark (the pattern is
+# matched per name level), so both families keep compiling and running.
+bench-smoke:
+	$(GO) test -run '^$$' -bench '././N=8$$' -benchtime 1x ./internal/ospf ./internal/bgp
 
 # Run the what-if query service on localhost (see DESIGN.md §13).
 serve:

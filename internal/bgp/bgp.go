@@ -12,9 +12,11 @@ package bgp
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
 	"time"
 
-	"repro/internal/detsort"
 	"repro/internal/fib"
 	"repro/internal/netaddr"
 	"repro/internal/network"
@@ -78,35 +80,84 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// advert is one prefix announcement: the AS path the advertiser offers
-// (path[0] is the advertiser, the last element the origin).
-type advert struct {
-	prefix netaddr.Prefix
-	path   []topo.NodeID
+// asPath is an AS path as an immutable shared list: node is the advertiser,
+// next the path it selected, n the number of hops from here to the origin
+// (the origin's own path has n == 1 and next == nil). A speaker allocates
+// the path it offers once per best-path change; every UPDATE carrying it
+// and every Adj-RIB-In entry keeping it point at that one value, so nobody
+// may write to a path after it is built.
+type asPath struct {
+	node topo.NodeID
+	n    int32
+	next *asPath
 }
 
-// update is a BGP UPDATE message.
-type update struct {
-	adverts   []advert
-	withdrawn []netaddr.Prefix
-	// eor is the End-of-RIB marker (RFC 4724): the sender has finished its
-	// initial (re-)advertisement; the receiving GR helper flushes whatever
-	// stale routes the session did not refresh.
-	eor bool
+func (p *asPath) contains(n topo.NodeID) bool {
+	for ; p != nil; p = p.next {
+		if p.node == n {
+			return true
+		}
+	}
+	return false
+}
+
+// prefixSet is a set of prefix ordinals (Domain.prefixes indices). Walking
+// the bits upward yields the prefixes in prefixLess order. The nil set is
+// empty and may be read but not added to.
+type prefixSet []uint64
+
+func (s prefixSet) has(p int32) bool { return int(p>>6) < len(s) && s[p>>6]&(1<<(p&63)) != 0 }
+func (s prefixSet) add(p int32)      { s[p>>6] |= 1 << (p & 63) }
+
+func (s prefixSet) remove(p int32) {
+	if int(p>>6) < len(s) {
+		s[p>>6] &^= 1 << (p & 63)
+	}
+}
+
+func (s prefixSet) empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// appendTo appends the members to dst in ascending order.
+func (s prefixSet) appendTo(dst []int32) []int32 {
+	for k, w := range s {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, int32(k<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
+
+// advert is one entry of an UPDATE: the path the advertiser offers for the
+// prefix (path.node is the advertiser), or nil for a withdrawal. An UPDATE
+// lists its announcements before its withdrawals, each in prefix order.
+type advert struct {
+	prefix int32
+	path   *asPath
 }
 
 // session is per-link eBGP state.
 type session struct {
-	link     topo.LinkID
-	neighbor topo.NodeID
-	port     int
-	up       bool
+	link topo.LinkID
+	idx  int // position in Instance.sessions: the Adj-RIB-In column and hop-mask bit
+	// peer and peerIdx name the far end: peer.sessions[peerIdx] is this
+	// link's session there.
+	peer    *Instance
+	peerIdx int
+	hop     fib.NextHop
+	up      bool
 
 	mraiUntil sim.Time
 	scheduled bool
 	// pending marks prefixes whose current best must be (re)advertised or
 	// withdrawn when MRAI allows.
-	pending map[netaddr.Prefix]bool
+	pending prefixSet
 
 	// Graceful-restart helper state. While the session is down with
 	// retained=true, the routes learned over it stay in ribIn marked stale
@@ -114,7 +165,7 @@ type session struct {
 	// re-established peer has not yet refreshed. grEpoch invalidates
 	// expiry timers across down/up cycles.
 	retained      bool
-	stale         map[netaddr.Prefix]bool
+	stale         prefixSet
 	depreferenced bool
 	grEpoch       int
 	// eorPending makes the next flush carry the End-of-RIB marker (set
@@ -122,26 +173,37 @@ type session struct {
 	eorPending bool
 }
 
-// best is a selected route for a prefix.
+// remote returns the far end's session for the same link.
+func (s *session) remote() *session { return &s.peer.sessions[s.peerIdx] }
+
+// best is a selected route for a prefix; the zero value means no route.
 type best struct {
-	pathLen int
-	// repr is the representative AS path (used when advertising onward).
-	repr []topo.NodeID
-	// hops is the ECMP next-hop set over all tied sessions.
-	hops []fib.NextHop
+	// offer is the path advertised onward: this speaker prepended to the
+	// representative path (offer.next; nil for an originated prefix).
+	offer *asPath
+	// hops is the ECMP next-hop set over all tied sessions: bit k names
+	// sessions[k], so ascending bits are link order. Domain.Bootstrap
+	// rejects speakers with more than hopMaskSessions sessions.
+	hops    uint64
+	pathLen int32
 	// originated marks locally sourced prefixes (ToR subnets).
 	originated bool
 }
+
+const hopMaskSessions = 64
 
 // Instance is a per-switch BGP speaker.
 type Instance struct {
 	d    *Domain
 	node topo.NodeID
 
-	sessions map[topo.LinkID]*session
-	// ribIn[prefix][link] is the path learned over that session.
-	ribIn  map[netaddr.Prefix]map[topo.LinkID][]topo.NodeID
-	locRib map[netaddr.Prefix]*best
+	// sessions are in ascending LinkID order: the order every per-session
+	// walk (advertising, selection, hop lists) takes.
+	sessions []session
+	// ribIn[prefix*len(sessions)+session] is the path learned over that
+	// session, or nil.
+	ribIn  []*asPath
+	locRib []best // by prefix ordinal
 
 	// down marks a crashed speaker (SetNodeDown): it processes nothing and
 	// rewrites no FIB until restart — the switch's data plane keeps
@@ -160,17 +222,32 @@ type Domain struct {
 	topo *topo.Topology
 	cfg  Config
 
-	instances map[topo.NodeID]*Instance
-	// bootstrapping suppresses timers: messages are pumped synchronously
-	// through a FIFO until convergence.
+	instances []*Instance // by NodeID; nil for hosts and pruned nodes
+	// prefixes are the fabric's ToR subnets in prefixLess order; a prefix
+	// is its index here (its ordinal) everywhere else in the package.
+	prefixes []netaddr.Prefix
+	ordinals map[netaddr.Prefix]int32
+
+	// bootstrapping replaces timers and messages by bootQueue: a FIFO of
+	// best-path changes, each delivered synchronously to all the speaker's
+	// sessions in link order — the order per-session UPDATEs would be sent.
 	bootstrapping bool
-	bootQueue     []bootMsg
+	bootQueue     []announcement
+
+	// Scratch shared by the domain's instances: the prefix list of the
+	// running receive/flush/session teardown, and reselect's per-prefix
+	// generation stamps (seen[p] == gen: already reselected in this pass).
+	ords []int32
+	seen []uint64
+	gen  uint64
 }
 
-type bootMsg struct {
-	to   topo.NodeID
-	from topo.LinkID
-	upd  update
+// announcement is a queued bootstrap best-path change: the speaker now
+// offers path (nil: withdraws) for the prefix.
+type announcement struct {
+	from   *Instance
+	prefix int32
+	path   *asPath
 }
 
 // NewDomain attaches BGP speakers to every switch.
@@ -180,38 +257,64 @@ func NewDomain(nw *network.Network, cfg Config) *Domain {
 		nw:        nw,
 		topo:      nw.Topology(),
 		cfg:       cfg.withDefaults(),
-		instances: make(map[topo.NodeID]*Instance),
+		instances: make([]*Instance, len(nw.Topology().Nodes)),
+		ordinals:  make(map[netaddr.Prefix]int32),
 	}
-	for _, id := range d.topo.LiveNodes() {
+	live := d.topo.LiveNodes()
+	for _, id := range live {
+		if nd := d.topo.Node(id); nd.Kind == topo.ToR && !nd.Subnet.IsZero() {
+			d.prefixes = append(d.prefixes, nd.Subnet)
+		}
+	}
+	sort.Slice(d.prefixes, func(a, b int) bool { return prefixLess(d.prefixes[a], d.prefixes[b]) })
+	d.prefixes = slices.Compact(d.prefixes) // the ToRs of a dual-ToR rack share a subnet
+	for k, p := range d.prefixes {
+		d.ordinals[p] = int32(k)
+	}
+	d.seen = make([]uint64, len(d.prefixes))
+	words := (len(d.prefixes) + 63) / 64
+	for _, id := range live {
 		if d.topo.Node(id).Kind == topo.Host {
 			continue
 		}
-		inst := &Instance{
-			d:        d,
-			node:     id,
-			sessions: make(map[topo.LinkID]*session),
-			ribIn:    make(map[netaddr.Prefix]map[topo.LinkID][]topo.NodeID),
-			locRib:   make(map[netaddr.Prefix]*best),
-		}
+		inst := &Instance{d: d, node: id, locRib: make([]best, len(d.prefixes))}
 		for _, l := range d.topo.LinksOf(id) {
 			other, ok := l.Other(id)
 			if !ok || d.topo.Node(other).Kind == topo.Host {
 				continue
 			}
 			port, _ := l.PortOf(id)
-			inst.sessions[l.ID] = &session{
-				link: l.ID, neighbor: other, port: port, up: true,
-				pending: make(map[netaddr.Prefix]bool),
-			}
+			inst.sessions = append(inst.sessions, session{
+				link: l.ID, up: true, pending: make(prefixSet, words),
+				hop: fib.NextHop{Port: port, Via: d.topo.Node(other).Addr},
+			})
 		}
+		sort.Slice(inst.sessions, func(a, b int) bool { return inst.sessions[a].link < inst.sessions[b].link })
+		inst.ribIn = make([]*asPath, len(d.prefixes)*len(inst.sessions))
 		d.instances[id] = inst
+	}
+	for _, inst := range d.instances {
+		if inst == nil {
+			continue
+		}
+		for k := range inst.sessions {
+			s := &inst.sessions[k]
+			other, _ := d.topo.Link(s.link).Other(inst.node)
+			s.idx, s.peer = k, d.instances[other]
+			s.peerIdx = sort.Search(len(s.peer.sessions), func(j int) bool { return s.peer.sessions[j].link >= s.link })
+		}
 	}
 	nw.OnPortState(d.portStateChanged)
 	return d
 }
 
 // Instance returns a switch's speaker, or nil.
-func (d *Domain) Instance(node topo.NodeID) *Instance { return d.instances[node] }
+func (d *Domain) Instance(node topo.NodeID) *Instance {
+	if node < 0 || int(node) >= len(d.instances) {
+		return nil
+	}
+	return d.instances[node]
+}
 
 // Config returns the effective configuration.
 func (d *Domain) Config() Config { return d.cfg }
@@ -224,49 +327,58 @@ func (i *Instance) UpdatesReceived() int { return i.updatesRx }
 // (no MRAI, no delays) until the protocol converges, then installs every
 // FIB — a network that finished initial convergence before the experiment.
 func (d *Domain) Bootstrap() error {
+	for _, inst := range d.instances {
+		if inst != nil && len(inst.sessions) > hopMaskSessions {
+			return fmt.Errorf("bgp: bootstrap %s: %d sessions, next-hop sets name at most %d",
+				d.topo.Node(inst.node).Name, len(inst.sessions), hopMaskSessions)
+		}
+	}
 	d.bootstrapping = true
-	// Sorted iteration: origination order decides the synchronous pump's
+	// NodeID order: origination order decides the synchronous pump's
 	// message order, which decides the converged ribIn contents.
-	ids := detsort.Keys(d.instances)
-	for _, id := range ids {
-		nd := d.topo.Node(id)
-		if nd.Kind != topo.ToR || nd.Subnet.IsZero() {
+	for _, inst := range d.instances {
+		if inst == nil {
 			continue
 		}
-		d.instances[id].originate(nd.Subnet)
-	}
-	for len(d.bootQueue) > 0 {
-		m := d.bootQueue[0]
-		d.bootQueue = d.bootQueue[1:]
-		if inst := d.instances[m.to]; inst != nil {
-			inst.receive(0, m.from, m.upd)
+		if nd := d.topo.Node(inst.node); nd.Kind == topo.ToR && !nd.Subnet.IsZero() {
+			inst.originate(nd.Subnet)
 		}
 	}
+	for head := 0; head < len(d.bootQueue); head++ {
+		a := d.bootQueue[head]
+		one := [1]advert{{prefix: a.prefix, path: a.path}}
+		for k := range a.from.sessions {
+			if s := &a.from.sessions[k]; s.up {
+				s.peer.receive(0, s.peerIdx, one[:], false)
+			} else {
+				s.pending.add(a.prefix) // owed when the session establishes
+			}
+		}
+	}
+	d.bootQueue = nil
 	d.bootstrapping = false
-	for _, id := range ids {
-		inst := d.instances[id]
+	for _, inst := range d.instances {
+		if inst == nil {
+			continue
+		}
 		if err := d.nw.Table(inst.node).ReplaceSource(fib.BGP, inst.routes()); err != nil {
 			return fmt.Errorf("bgp: bootstrap %s: %w", d.topo.Node(inst.node).Name, err)
 		}
 		inst.fibPending = false
 		inst.updatesRx = 0
-		//f2tree:unordered independent per-session reset
-		for _, s := range inst.sessions {
-			s.mraiUntil = 0 // bootstrap chatter does not count against MRAI
-		}
 	}
 	return nil
 }
 
 // portStateChanged tears down or re-establishes the session on that port.
 func (d *Domain) portStateChanged(now sim.Time, node topo.NodeID, port int, up bool) {
-	inst := d.instances[node]
+	inst := d.Instance(node)
 	if inst == nil || inst.down {
 		return
 	}
-	//f2tree:unordered ports are unique per switch; at most one session matches
-	for _, s := range inst.sessions {
-		if s.port != port {
+	for k := range inst.sessions {
+		s := &inst.sessions[k]
+		if s.hop.Port != port {
 			continue
 		}
 		if s.up == up {
@@ -290,11 +402,39 @@ func (i *Instance) sessionUp(now sim.Time, s *session) {
 	if i.d.cfg.GracefulRestart {
 		s.eorPending = true
 	}
-	//f2tree:unordered set fill; flush sorts before sending
 	for p := range i.locRib {
-		s.pending[p] = true
+		if i.locRib[p].offer != nil {
+			s.pending.add(int32(p))
+		}
 	}
 	i.kick(now, s)
+}
+
+// learned returns the Adj-RIB-In slot of prefix p over session s.
+func (i *Instance) learned(p int32, s *session) **asPath {
+	return &i.ribIn[int(p)*len(i.sessions)+s.idx]
+}
+
+// dropLearned removes what session s holds for each of the prefixes and
+// reselects those it held something for.
+func (i *Instance) dropLearned(now sim.Time, s *session, prefixes []int32) {
+	affected := prefixes[:0]
+	for _, p := range prefixes {
+		if slot := i.learned(p, s); *slot != nil {
+			*slot = nil
+			affected = append(affected, p)
+		}
+	}
+	i.reselect(now, affected)
+}
+
+// allPrefixes fills the domain's scratch list with every ordinal.
+func (d *Domain) allPrefixes() []int32 {
+	d.ords = d.ords[:0]
+	for p := range d.prefixes {
+		d.ords = append(d.ords, int32(p))
+	}
+	return d.ords
 }
 
 // sessionDown tears a session down: without GR everything learned over it
@@ -305,15 +445,7 @@ func (i *Instance) sessionDown(now sim.Time, s *session) {
 		i.retainStale(now, s)
 		return
 	}
-	var affected []netaddr.Prefix
-	for _, p := range detsort.KeysFunc(i.ribIn, prefixLess) {
-		byLink := i.ribIn[p]
-		if _, ok := byLink[s.link]; ok {
-			delete(byLink, s.link)
-			affected = append(affected, p)
-		}
-	}
-	i.reselect(now, affected)
+	i.dropLearned(now, s, i.d.allPrefixes())
 }
 
 // retainStale is the GR helper's down path: mark everything learned over
@@ -325,10 +457,10 @@ func (i *Instance) retainStale(now sim.Time, s *session) {
 	s.depreferenced = false
 	s.grEpoch++
 	epoch := s.grEpoch
-	s.stale = make(map[netaddr.Prefix]bool)
-	for _, p := range detsort.KeysFunc(i.ribIn, prefixLess) {
-		if _, ok := i.ribIn[p][s.link]; ok {
-			s.stale[p] = true
+	s.stale = make(prefixSet, len(s.pending))
+	for p := range i.d.prefixes {
+		if *i.learned(int32(p), s) != nil {
+			s.stale.add(int32(p))
 		}
 	}
 	i.d.sim.At(now.Add(i.d.cfg.RestartTime), func(t sim.Time) {
@@ -354,186 +486,143 @@ func (i *Instance) retainStale(now sim.Time, s *session) {
 // flushStale drops every route the session still holds stale and clears
 // the helper state (GR timer expiry, or the peer's EOR after re-sync).
 func (i *Instance) flushStale(now sim.Time, s *session) {
-	var affected []netaddr.Prefix
-	for _, p := range detsort.KeysFunc(s.stale, prefixLess) {
-		if byLink := i.ribIn[p]; byLink != nil {
-			if _, ok := byLink[s.link]; ok {
-				delete(byLink, s.link)
-				affected = append(affected, p)
-			}
-		}
-	}
+	i.d.ords = s.stale.appendTo(i.d.ords[:0])
 	s.stale = nil
 	s.retained = false
 	s.depreferenced = false
-	i.reselect(now, affected)
+	i.dropLearned(now, s, i.d.ords)
 }
 
 // reselectRetained re-runs selection for the session's stale prefixes
 // (their preference tier just changed).
 func (i *Instance) reselectRetained(now sim.Time, s *session) {
-	i.reselect(now, detsort.KeysFunc(s.stale, prefixLess))
+	i.d.ords = s.stale.appendTo(i.d.ords[:0])
+	i.reselect(now, i.d.ords)
 }
 
 // originate injects a locally sourced prefix.
 func (i *Instance) originate(p netaddr.Prefix) {
-	i.locRib[p] = &best{originated: true, repr: nil, pathLen: 0}
-	// Sorted sessions: kick order decides bootstrap pump order and, live,
-	// the event-queue tie-break sequence.
-	for _, l := range detsort.Keys(i.sessions) {
-		s := i.sessions[l]
-		s.pending[p] = true
-		i.kick(0, s)
+	ord := i.d.ordinals[p]
+	i.locRib[ord] = best{originated: true, offer: &asPath{node: i.node, n: 1}}
+	i.announce(0, ord)
+}
+
+// announce tells every neighbor that the best path for p changed. Sessions
+// go in link order: kick order decides bootstrap pump order and, live, the
+// event-queue tie-break sequence.
+func (i *Instance) announce(now sim.Time, p int32) {
+	if i.d.bootstrapping {
+		i.d.bootQueue = append(i.d.bootQueue, announcement{from: i, prefix: p, path: i.locRib[p].offer})
+		return
+	}
+	for k := range i.sessions {
+		s := &i.sessions[k]
+		s.pending.add(p)
+		i.kick(now, s)
 	}
 }
 
-// receive processes an UPDATE arriving over link `from`.
-func (i *Instance) receive(now sim.Time, from topo.LinkID, upd update) {
+// receive processes an UPDATE arriving over session `from`.
+func (i *Instance) receive(now sim.Time, from int, routes []advert, eor bool) {
 	if i.down {
 		return
 	}
 	i.updatesRx++
-	s := i.sessions[from]
-	if s == nil || !s.up {
+	s := &i.sessions[from]
+	if !s.up {
 		return
 	}
-	var affected []netaddr.Prefix
-	for _, a := range upd.adverts {
-		if s.stale != nil {
-			delete(s.stale, a.prefix) // refreshed by the restarted peer
-		}
-		if containsNode(a.path, i.node) {
+	affected := i.d.ords[:0]
+	for _, a := range routes {
+		s.stale.remove(a.prefix) // refreshed by the restarted peer
+		path := a.path
+		if path.contains(i.node) {
 			// Loop prevention. An UPDATE replaces the neighbor's previous
 			// announcement (RFC 4271): a rejected path implicitly
 			// withdraws whatever this session advertised before —
 			// otherwise a stale pre-failure route lingers and forwarding
 			// loops form.
-			if byLink := i.ribIn[a.prefix]; byLink != nil {
-				if _, ok := byLink[from]; ok {
-					delete(byLink, from)
-					affected = append(affected, a.prefix)
-				}
-			}
-			continue
+			path = nil
 		}
-		byLink := i.ribIn[a.prefix]
-		if byLink == nil {
-			byLink = make(map[topo.LinkID][]topo.NodeID, 2)
-			i.ribIn[a.prefix] = byLink
-		}
-		byLink[from] = a.path
-		affected = append(affected, a.prefix)
-	}
-	for _, p := range upd.withdrawn {
-		if s.stale != nil {
-			delete(s.stale, p)
-		}
-		if byLink := i.ribIn[p]; byLink != nil {
-			if _, ok := byLink[from]; ok {
-				delete(byLink, from)
-				affected = append(affected, p)
-			}
+		if slot := i.learned(a.prefix, s); path != nil || *slot != nil {
+			*slot = path
+			affected = append(affected, a.prefix)
 		}
 	}
+	i.d.ords = affected
 	i.reselect(now, affected)
-	if upd.eor && s.retained {
+	if eor && s.retained {
 		// Re-sync complete: whatever the peer did not refresh is gone.
 		i.flushStale(now, s)
 	}
 }
 
-// reselect recomputes best paths for the prefixes and floods changes.
-func (i *Instance) reselect(now sim.Time, prefixes []netaddr.Prefix) {
+// reselect recomputes best paths for the prefixes (a repeated prefix counts
+// once, where it first appears) and floods changes. A best path whose
+// length and hop set are unchanged keeps its representative path, and so
+// the path it offers, even if the session that supplied it now holds
+// another: the comparison is blind to the representative path.
+func (i *Instance) reselect(now sim.Time, prefixes []int32) {
+	d := i.d
+	d.gen++
 	changed := false
-	for _, p := range dedupePrefixes(prefixes) {
-		old := i.locRib[p]
-		if old != nil && old.originated {
-			continue // locally sourced beats everything
+	for _, p := range prefixes {
+		old := &i.locRib[p]
+		if d.seen[p] == d.gen || old.originated { // locally sourced beats everything
+			continue
 		}
-		nb := i.selectBest(p)
-		if bestEqual(old, nb) {
+		d.seen[p] = d.gen
+		repr, hops := i.selectBest(p)
+		nb := best{hops: hops}
+		if repr != nil {
+			nb.pathLen = repr.n
+		}
+		if old.pathLen == nb.pathLen && old.hops == nb.hops {
 			continue
 		}
 		changed = true
-		if nb == nil {
-			delete(i.locRib, p)
-		} else {
-			i.locRib[p] = nb
+		if repr != nil {
+			nb.offer = &asPath{node: i.node, n: repr.n + 1, next: repr}
 		}
-		for _, l := range detsort.Keys(i.sessions) {
-			s := i.sessions[l]
-			s.pending[p] = true
-			i.kick(now, s)
-		}
+		*old = nb
+		i.announce(now, p)
 	}
 	if changed {
 		i.scheduleFIB(now)
 	}
 }
 
-// selectBest picks the multipath set of shortest AS paths. Candidates are
-// routes over up sessions plus, under GR, routes a helper retains for a
-// down peer. LLGR-depreferenced stale routes form a second tier used only
-// when no fresh route exists.
-func (i *Instance) selectBest(p netaddr.Prefix) *best {
-	byLink := i.ribIn[p]
-	if len(byLink) == 0 {
-		return nil
-	}
-	if nb := i.selectTier(p, byLink, false); nb != nil {
-		return nb
-	}
-	return i.selectTier(p, byLink, true)
-}
-
-// selectTier selects among the prefix's candidates of one preference tier
-// (fresh, or LLGR-depreferenced stale).
-func (i *Instance) selectTier(p netaddr.Prefix, byLink map[topo.LinkID][]topo.NodeID, wantDepref bool) *best {
-	links := make([]topo.LinkID, 0, len(byLink))
-	minLen := -1
-	for _, l := range detsort.Keys(byLink) {
-		s := i.sessions[l]
-		if s == nil || (!s.up && !s.retained) {
-			continue
+// selectBest picks the multipath set of shortest AS paths and its
+// representative (the first tied session's path), or nil and no hops.
+// Candidates are routes over up sessions plus, under GR, routes a helper
+// retains for a down peer. LLGR-depreferenced stale routes form a second
+// tier used only when no fresh route exists.
+func (i *Instance) selectBest(p int32) (repr *asPath, hops uint64) {
+	row := i.ribIn[int(p)*len(i.sessions):][:len(i.sessions)]
+	for _, wantDepref := range [2]bool{false, true} {
+		for k, path := range row {
+			s := &i.sessions[k]
+			if path == nil || (!s.up && !s.retained) || (s.depreferenced && s.stale.has(p)) != wantDepref {
+				continue
+			}
+			switch {
+			case repr == nil || path.n < repr.n:
+				repr, hops = path, 1<<k
+			case path.n == repr.n:
+				hops |= 1 << k
+			}
 		}
-		depref := s.depreferenced && s.stale != nil && s.stale[p]
-		if depref != wantDepref {
-			continue
-		}
-		if path := byLink[l]; minLen == -1 || len(path) < minLen {
-			minLen = len(path)
-		}
-		links = append(links, l)
-	}
-	if minLen == -1 {
-		return nil
-	}
-	nb := &best{pathLen: minLen}
-	for _, l := range links {
-		path := byLink[l]
-		if len(path) != minLen {
-			continue
-		}
-		s := i.sessions[l]
-		nb.hops = append(nb.hops, fib.NextHop{Port: s.port, Via: i.d.topo.Node(s.neighbor).Addr})
-		if nb.repr == nil {
-			nb.repr = path
+		if repr != nil {
+			return repr, hops
 		}
 	}
-	if len(nb.hops) == 0 {
-		return nil
-	}
-	return nb
+	return nil, 0
 }
 
 // kick arranges for the session's pending prefixes to be flushed, honoring
 // MRAI.
 func (i *Instance) kick(now sim.Time, s *session) {
-	if i.d.bootstrapping {
-		i.flush(now, s)
-		return
-	}
-	if s.scheduled || (len(s.pending) == 0 && !s.eorPending) || !s.up {
+	if s.scheduled || (s.pending.empty() && !s.eorPending) || !s.up {
 		return
 	}
 	at := now
@@ -549,40 +638,33 @@ func (i *Instance) kick(now sim.Time, s *session) {
 
 // flush sends one UPDATE carrying every pending prefix.
 func (i *Instance) flush(now sim.Time, s *session) {
-	if (len(s.pending) == 0 && !s.eorPending) || !s.up {
+	if (s.pending.empty() && !s.eorPending) || !s.up {
 		return
 	}
-	var upd update
-	for _, p := range detsort.KeysFunc(s.pending, prefixLess) {
-		delete(s.pending, p)
-		b := i.locRib[p]
-		if b == nil {
-			upd.withdrawn = append(upd.withdrawn, p)
-			continue
+	d := i.d
+	d.ords = s.pending.appendTo(d.ords[:0])
+	clear(s.pending)
+	routes := make([]advert, 0, len(d.ords))
+	for _, p := range d.ords {
+		if offer := i.locRib[p].offer; offer != nil {
+			routes = append(routes, advert{prefix: p, path: offer})
 		}
-		path := append([]topo.NodeID{i.node}, b.repr...)
-		upd.adverts = append(upd.adverts, advert{prefix: p, path: path})
 	}
-	if s.eorPending {
-		// The flush drained the full post-establishment advertisement; mark
-		// its end so the helper can flush unrefreshed stale routes.
-		upd.eor = true
-		s.eorPending = false
+	for _, p := range d.ords {
+		if i.locRib[p].offer == nil {
+			routes = append(routes, advert{prefix: p})
+		}
 	}
-	s.mraiUntil = now.Add(i.d.cfg.MRAI)
-	if i.d.bootstrapping {
-		i.d.bootQueue = append(i.d.bootQueue, bootMsg{to: s.neighbor, from: s.link, upd: upd})
-		return
-	}
-	link := s.link
-	neighbor := s.neighbor
-	i.d.sim.After(i.d.cfg.ProcDelay, func(at sim.Time) {
-		if !i.d.nw.LinkDirUp(link, i.node) {
+	// The flush drained the full post-establishment advertisement; the
+	// End-of-RIB marker lets the helper flush unrefreshed stale routes.
+	eor := s.eorPending
+	s.eorPending = false
+	s.mraiUntil = now.Add(d.cfg.MRAI)
+	d.sim.After(d.cfg.ProcDelay, func(at sim.Time) {
+		if !d.nw.LinkDirUp(s.link, i.node) {
 			return // lost on a dead wire
 		}
-		if ni := i.d.instances[neighbor]; ni != nil {
-			ni.receive(at, link, upd)
-		}
+		s.peer.receive(at, s.peerIdx, routes, eor)
 	})
 }
 
@@ -602,17 +684,27 @@ func (i *Instance) scheduleFIB(now sim.Time) {
 }
 
 // routes renders locRib as FIB routes (originated prefixes excluded: the
-// ToR reaches its own subnet via connected /32s).
+// ToR reaches its own subnet via connected /32s). Every route's NextHops
+// is cut from one array.
 func (i *Instance) routes() []fib.Route {
-	out := make([]fib.Route, 0, len(i.locRib))
-	for _, p := range detsort.KeysFunc(i.locRib, prefixLess) {
-		b := i.locRib[p]
-		if b.originated || len(b.hops) == 0 {
+	nroutes, nhops := 0, 0
+	for _, b := range i.locRib {
+		if b.hops != 0 {
+			nroutes++
+			nhops += bits.OnesCount64(b.hops)
+		}
+	}
+	out := make([]fib.Route, 0, nroutes)
+	hops := make([]fib.NextHop, 0, nhops)
+	for p, b := range i.locRib {
+		if b.hops == 0 {
 			continue
 		}
-		hops := make([]fib.NextHop, len(b.hops))
-		copy(hops, b.hops)
-		out = append(out, fib.Route{Prefix: p, Source: fib.BGP, NextHops: hops})
+		from := len(hops)
+		for m := b.hops; m != 0; m &= m - 1 {
+			hops = append(hops, i.sessions[bits.TrailingZeros64(m)].hop)
+		}
+		out = append(out, fib.Route{Prefix: i.d.prefixes[p], Source: fib.BGP, NextHops: hops[from:len(hops):len(hops)]})
 	}
 	return out
 }
@@ -625,40 +717,4 @@ func prefixLess(a, b netaddr.Prefix) bool {
 		return a.Addr() < b.Addr()
 	}
 	return a.Bits() < b.Bits()
-}
-
-func containsNode(path []topo.NodeID, n topo.NodeID) bool {
-	for _, p := range path {
-		if p == n {
-			return true
-		}
-	}
-	return false
-}
-
-func dedupePrefixes(ps []netaddr.Prefix) []netaddr.Prefix {
-	seen := make(map[netaddr.Prefix]bool, len(ps))
-	out := ps[:0]
-	for _, p := range ps {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func bestEqual(a, b *best) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	if a.originated != b.originated || a.pathLen != b.pathLen || len(a.hops) != len(b.hops) {
-		return false
-	}
-	for i := range a.hops {
-		if a.hops[i] != b.hops[i] {
-			return false
-		}
-	}
-	return true
 }

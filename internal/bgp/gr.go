@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/detsort"
-	"repro/internal/netaddr"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -25,37 +23,29 @@ import (
 // sides re-advertise their full tables, terminated under GR by End-of-RIB
 // markers that flush whatever stale state was not refreshed.
 func (d *Domain) SetNodeDown(now sim.Time, node topo.NodeID, down bool) {
-	inst := d.instances[node]
+	inst := d.Instance(node)
 	if inst == nil || inst.down == down {
 		return
 	}
 	if down {
 		inst.down = true
-		inst.ribIn = make(map[netaddr.Prefix]map[topo.LinkID][]topo.NodeID)
-		inst.locRib = make(map[netaddr.Prefix]*best)
-		for _, l := range detsort.Keys(inst.sessions) {
-			s := inst.sessions[l]
+		clear(inst.ribIn)
+		clear(inst.locRib)
+		for k := range inst.sessions {
+			s := &inst.sessions[k]
 			s.up = false
 			s.retained = false
 			s.stale = nil
 			s.depreferenced = false
 			s.eorPending = false
 			s.grEpoch++
-			s.pending = make(map[netaddr.Prefix]bool)
+			clear(s.pending)
 		}
 		// Peers notice after one processing delay, in link order.
-		for _, l := range detsort.Keys(inst.sessions) {
-			s := inst.sessions[l]
-			ni := d.instances[s.neighbor]
-			if ni == nil {
-				continue
-			}
-			link := s.link
+		for k := range inst.sessions {
+			ni, ps := inst.sessions[k].peer, inst.sessions[k].remote()
 			d.sim.After(d.cfg.ProcDelay, func(t sim.Time) {
-				if ni.down {
-					return
-				}
-				if ps := ni.sessions[link]; ps != nil && ps.up {
+				if !ni.down && ps.up {
 					ni.sessionDown(t, ps)
 				}
 			})
@@ -67,24 +57,23 @@ func (d *Domain) SetNodeDown(now sim.Time, node topo.NodeID, down bool) {
 	if nd.Kind == topo.ToR && !nd.Subnet.IsZero() {
 		inst.originate(nd.Subnet)
 	}
-	for _, l := range detsort.Keys(inst.sessions) {
-		s := inst.sessions[l]
-		ni := d.instances[s.neighbor]
-		if ni == nil || ni.down || !d.nw.LinkUp(s.link) {
+	for k := range inst.sessions {
+		s := &inst.sessions[k]
+		if s.peer.down || !d.nw.LinkUp(s.link) {
 			continue
 		}
 		inst.sessionUp(now, s)
 		// The peer's side re-establishes too (it saw the session drop at
 		// crash time) and re-advertises toward the restarted speaker.
-		if ps := ni.sessions[s.link]; ps != nil && !ps.up {
-			ni.sessionUp(now, ps)
+		if ps := s.remote(); !ps.up {
+			s.peer.sessionUp(now, ps)
 		}
 	}
 }
 
 // NodeDown reports whether the node's speaker is crashed.
 func (d *Domain) NodeDown(node topo.NodeID) bool {
-	inst := d.instances[node]
+	inst := d.Instance(node)
 	return inst != nil && inst.down
 }
 

@@ -54,11 +54,17 @@ func newGRFixture(t *testing.T, cfg Config) *grFixture {
 // aggHasRoute reports whether the helper agg still selects a route for
 // the crashed ToR's subnet.
 func (f *grFixture) aggHasRoute() bool {
-	return f.d.Instance(f.agg).locRib[f.sub] != nil
+	return f.d.Instance(f.agg).locRib[f.d.ordinals[f.sub]].offer != nil
 }
 
 func (f *grFixture) aggSession() *session {
-	return f.d.Instance(f.agg).sessions[f.sl]
+	inst := f.d.Instance(f.agg)
+	for k := range inst.sessions {
+		if inst.sessions[k].link == f.sl {
+			return &inst.sessions[k]
+		}
+	}
+	return nil
 }
 
 func (f *grFixture) pathWorks() bool {
@@ -120,7 +126,7 @@ func TestGRRestartBeforeExpiryResyncs(t *testing.T) {
 	if !f.aggHasRoute() {
 		t.Fatal("route lost despite restart inside the GR window")
 	}
-	if s := f.aggSession(); !s.up || s.retained || len(s.stale) != 0 {
+	if s := f.aggSession(); !s.up || s.retained || !s.stale.empty() {
 		t.Fatalf("session not cleanly resynced: %+v", s)
 	}
 	if !f.pathWorks() {
@@ -141,7 +147,7 @@ func TestGRBackToBackCrashes(t *testing.T) {
 	if !f.aggHasRoute() {
 		t.Fatal("route lost across back-to-back GR cycles")
 	}
-	if s := f.aggSession(); !s.up || s.retained || len(s.stale) != 0 {
+	if s := f.aggSession(); !s.up || s.retained || !s.stale.empty() {
 		t.Fatalf("session dirty after back-to-back cycles: %+v", s)
 	}
 	if !f.pathWorks() {
@@ -189,7 +195,7 @@ func TestGRWithMRAIResyncs(t *testing.T) {
 	if !f.aggHasRoute() {
 		t.Fatal("route lost after GR resync under MRAI")
 	}
-	if s := f.aggSession(); !s.up || s.retained || len(s.stale) != 0 {
+	if s := f.aggSession(); !s.up || s.retained || !s.stale.empty() {
 		t.Fatalf("stale state leaked under MRAI pacing: %+v", s)
 	}
 	if !f.pathWorks() {

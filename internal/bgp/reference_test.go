@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fib"
 	"repro/internal/netaddr"
+	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -133,12 +134,7 @@ func TestRoutesMatchReferenceBFS(t *testing.T) {
 					t.Fatal(err)
 				}
 				s, nw, _ := buildBGP(t, tp, Config{GracefulRestart: gr})
-				var fabric []topo.LinkID
-				for _, l := range tp.LiveLinks() {
-					if tp.Node(l.A).Kind != topo.Host && tp.Node(l.B).Kind != topo.Host {
-						fabric = append(fabric, l.ID)
-					}
-				}
+				fabric := fabricLinks(tp)
 				failed := map[topo.LinkID]bool{}
 				check := func(when string) {
 					t.Helper()
@@ -191,4 +187,80 @@ func renderRoutes(m map[netaddr.Prefix][]fib.NextHop) string {
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "")
+}
+
+// wideTopology is a hand-built two-tier fabric whose spine has one session
+// per ToR.
+func wideTopology(t *testing.T, tors int) *topo.Topology {
+	t.Helper()
+	tp := topo.NewTopology("wide")
+	spine := tp.AddNode(topo.Node{Name: "spine", Kind: topo.Core, NumPorts: tors, Addr: netaddr.AddrFrom4(10, 0, 0, 1)})
+	for k := 0; k < tors; k++ {
+		subnet, err := netaddr.PrefixFrom(netaddr.AddrFrom4(10, 1, byte(k), 0), 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tor := tp.AddNode(topo.Node{
+			Name: fmt.Sprintf("tor-%d", k), Kind: topo.ToR, NumPorts: 1,
+			Addr: netaddr.AddrFrom4(10, 1, byte(k), 1), Subnet: subnet,
+		})
+		if _, err := tp.AddLink(spine, tor, topo.SpineLink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tp
+}
+
+// TestBootstrapRejectsSpeakerWiderThanHopMask pins the width rule of the
+// session-bitmask ECMP set: a switch with more sessions than a mask can
+// name is refused by name at Bootstrap instead of silently losing the
+// routes over its high sessions, and the widest switch a mask can name
+// routes over its last port.
+func TestBootstrapRejectsSpeakerWiderThanHopMask(t *testing.T) {
+	newDomain := func(tp *topo.Topology) (*network.Network, *Domain) {
+		nw, err := network.New(sim.New(1), tp, network.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw, NewDomain(nw, Config{})
+	}
+	_, d := newDomain(wideTopology(t, hopMaskSessions+1))
+	if err := d.Bootstrap(); err == nil || !strings.Contains(err.Error(), "spine") {
+		t.Fatalf("Bootstrap with %d sessions on one switch: err = %v, want one naming \"spine\"", hopMaskSessions+1, err)
+	}
+
+	tp := wideTopology(t, hopMaskSessions)
+	nw, d := newDomain(tp)
+	if err := d.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	spine, last := tp.FindNode("spine"), tp.FindNode(fmt.Sprintf("tor-%d", hopMaskSessions-1))
+	for _, r := range nw.Table(spine.ID).SourceRoutes(fib.BGP) {
+		if r.Prefix == last.Subnet {
+			if len(r.NextHops) != 1 || r.NextHops[0].Port != hopMaskSessions-1 {
+				t.Fatalf("route to the last ToR = %v, want one hop on port %d", r.NextHops, hopMaskSessions-1)
+			}
+			return
+		}
+	}
+	t.Fatalf("spine has no route to %v", last.Subnet)
+}
+
+// TestInstanceIsNilSafe: Instance indexes a slice by NodeID, and callers
+// hand it hosts, topo.None and ids of other topologies.
+func TestInstanceIsNilSafe(t *testing.T) {
+	tp, err := topo.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, d := buildBGP(t, tp, Config{})
+	for _, id := range []topo.NodeID{tp.NodesOfKind(topo.Host)[0], topo.None, topo.NodeID(len(tp.Nodes)), 1 << 20} {
+		if d.Instance(id) != nil || d.NodeDown(id) {
+			t.Errorf("Instance(%d) = %v, NodeDown = %v, want nil and false", id, d.Instance(id), d.NodeDown(id))
+		}
+		d.SetNodeDown(0, id, true) // must not panic
+	}
+	if d.Instance(tp.NodesOfKind(topo.ToR)[0]) == nil {
+		t.Error("a ToR has no speaker")
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -23,49 +22,50 @@ import (
 // while the RIBs were map-of-maps.
 func dumpState(d *Domain) string {
 	var b strings.Builder
-	prefixes := func(set map[netaddr.Prefix]bool) []netaddr.Prefix {
+	prefixes := func(set prefixSet) []netaddr.Prefix {
 		var out []netaddr.Prefix
-		for p := range set {
-			out = append(out, p)
+		for _, p := range set.appendTo(nil) {
+			out = append(out, d.prefixes[p])
 		}
-		sort.Slice(out, func(i, j int) bool { return prefixLess(out[i], out[j]) })
 		return out
 	}
-	for _, id := range d.topo.LiveNodes() {
-		inst := d.instances[id]
+	nodes := func(path *asPath) []topo.NodeID {
+		var out []topo.NodeID
+		for want := path; path != nil; path = path.next {
+			out = append(out, path.node)
+			if path.next == nil && int(want.n) != len(out) {
+				out = append(out, topo.None) // a path lying about its length breaks the hash
+			}
+		}
+		return out
+	}
+	for _, inst := range d.instances {
 		if inst == nil {
 			continue
 		}
-		fmt.Fprintf(&b, "node %s down=%t fibPending=%t rx=%d\n", d.topo.Node(id).Name, inst.down, inst.fibPending, inst.updatesRx)
-		var links []topo.LinkID
-		for l := range inst.sessions {
-			links = append(links, l)
-		}
-		sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-		for _, l := range links {
-			s := inst.sessions[l]
+		fmt.Fprintf(&b, "node %s down=%t fibPending=%t rx=%d\n", d.topo.Node(inst.node).Name, inst.down, inst.fibPending, inst.updatesRx)
+		for k := range inst.sessions {
+			s := &inst.sessions[k]
 			fmt.Fprintf(&b, " sess link=%d nbr=%d port=%d up=%t retained=%t depref=%t epoch=%d eor=%t sched=%t mrai=%d stale=%v pending=%v\n",
-				s.link, s.neighbor, s.port, s.up, s.retained, s.depreferenced, s.grEpoch, s.eorPending, s.scheduled, s.mraiUntil,
+				s.link, s.peer.node, s.hop.Port, s.up, s.retained, s.depreferenced, s.grEpoch, s.eorPending, s.scheduled, s.mraiUntil,
 				prefixes(s.stale), prefixes(s.pending))
 		}
-		var loc []netaddr.Prefix
-		for p := range inst.locRib {
-			loc = append(loc, p)
+		for p, best := range inst.locRib {
+			if best.offer == nil {
+				continue
+			}
+			var hops []fib.NextHop
+			for k := range inst.sessions {
+				if best.hops&(1<<k) != 0 {
+					hops = append(hops, inst.sessions[k].hop)
+				}
+			}
+			fmt.Fprintf(&b, " loc %v len=%d orig=%t repr=%s hops=%s\n", d.prefixes[p], best.pathLen, best.originated, fmtPath(nodes(best.offer.next)), fmtHops(hops))
 		}
-		sort.Slice(loc, func(i, j int) bool { return prefixLess(loc[i], loc[j]) })
-		for _, p := range loc {
-			best := inst.locRib[p]
-			fmt.Fprintf(&b, " loc %v len=%d orig=%t repr=%s hops=%s\n", p, best.pathLen, best.originated, fmtPath(best.repr), fmtHops(best.hops))
-		}
-		var in []netaddr.Prefix
-		for p := range inst.ribIn {
-			in = append(in, p)
-		}
-		sort.Slice(in, func(i, j int) bool { return prefixLess(in[i], in[j]) })
-		for _, p := range in {
-			for _, l := range links {
-				if path, ok := inst.ribIn[p][l]; ok {
-					fmt.Fprintf(&b, " in %v link=%d path=%s\n", p, l, fmtPath(path))
+		for p := range d.prefixes {
+			for k := range inst.sessions {
+				if path := inst.ribIn[p*len(inst.sessions)+k]; path != nil {
+					fmt.Fprintf(&b, " in %v link=%d path=%s\n", d.prefixes[p], inst.sessions[k].link, fmtPath(nodes(path)))
 				}
 			}
 		}
@@ -199,18 +199,24 @@ func TestProtocolStatePinned(t *testing.T) {
 	}
 }
 
-// churnHashes drives 40 seeded steps — fail or restore a fabric link, flap
-// one for 30 ms, crash or restart a speaker — and returns the state hash
-// after every fifth.
-func churnHashes(t *testing.T, s *sim.Simulator, nw *network.Network, d *Domain) []string {
-	t.Helper()
-	tp := nw.Topology()
+// fabricLinks returns the live switch-to-switch links in LinkID order.
+func fabricLinks(tp *topo.Topology) []topo.LinkID {
 	var fabric []topo.LinkID
 	for _, l := range tp.LiveLinks() {
 		if tp.Node(l.A).Kind != topo.Host && tp.Node(l.B).Kind != topo.Host {
 			fabric = append(fabric, l.ID)
 		}
 	}
+	return fabric
+}
+
+// churnHashes drives 40 seeded steps — fail or restore a fabric link, flap
+// one for 30 ms, crash or restart a speaker — and returns the state hash
+// after every fifth.
+func churnHashes(t *testing.T, s *sim.Simulator, nw *network.Network, d *Domain) []string {
+	t.Helper()
+	tp := nw.Topology()
+	fabric := fabricLinks(tp)
 	var switches []topo.NodeID
 	for _, id := range tp.LiveNodes() {
 		if tp.Node(id).Kind != topo.Host {
