@@ -83,10 +83,12 @@ smoke: campaign-smoke chaos-smoke detect-smoke serve-smoke
 bench:
 	$(GO) test -bench=. -benchmem
 
-# SPF microbenchmarks: one domain-wide pass per op on F²Tree N=8/12/16, by
-# the path that serves it (full BFS, single-link repairs, fallback).
+# OSPF microbenchmarks. BenchmarkSPF: one domain-wide pass per op on F²Tree
+# N=8/12/16, by the path that serves it (full BFS, single-link repairs,
+# fallback). BenchmarkFlood: one link, or every link of a pod, failed and
+# restored through the simulator, each to quiescence, at N=8/16.
 bench-ospf:
-	$(GO) test -run '^$$' -bench BenchmarkSPF -benchmem ./internal/ospf
+	$(GO) test -run '^$$' -bench 'BenchmarkSPF|BenchmarkFlood' -benchmem ./internal/ospf
 
 # BGP microbenchmarks: bootstrap, one link failed and restored, and a ToR
 # speaker crash and restart without GR, each to quiescence on F²Tree

@@ -21,7 +21,8 @@ func pinnedFaults() []Fault {
 
 // TestControlPlaneCountsPinned pins how much simulated work one fixed
 // scenario costs. Under OSPF: events executed, SPF runs by kind, FIB
-// installs by kind. Under BGP (plain, graceful restart, LLGR): events
+// installs by kind and the trace hash (the scenario ends in an lsa-drop
+// window, so a FloodFilter is installed for the whole run). Under BGP (plain, graceful restart, LLGR): events
 // executed, UPDATEs received over all switches and the trace hash. Each
 // constant was captured while the control plane it guards was still
 // map-based, so a representation change that moves any decision point of
@@ -35,6 +36,7 @@ func TestControlPlaneCountsPinned(t *testing.T) {
 			wantEvents                  = 826374
 			wantFull, wantInc, wantSame = 269, 108, 54
 			wantInstFull, wantInstDelta = 1, 376
+			wantHash                    = "b6b4e63eb781"
 		)
 		sc := &Scenario{
 			Scheme: "f2tree", Ports: 8, Control: exp.ControlOSPF, Seed: 15,
@@ -63,6 +65,9 @@ func TestControlPlaneCountsPinned(t *testing.T) {
 		}
 		if instFull != wantInstFull || instDelta != wantInstDelta {
 			t.Errorf("InstallTotals() = %d/%d, want %d/%d", instFull, instDelta, wantInstFull, wantInstDelta)
+		}
+		if !strings.HasPrefix(v.TraceHash, wantHash) {
+			t.Errorf("TraceHash = %s, want prefix %s", v.TraceHash, wantHash)
 		}
 	})
 	for _, tc := range []struct {

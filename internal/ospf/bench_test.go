@@ -214,3 +214,81 @@ func TestSPFAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// fabricLinksOf returns the switch-to-switch links touching any node the
+// predicate selects, in topology order, each once.
+func fabricLinksOf(tp *topo.Topology, pick func(*topo.Node) bool) []topo.LinkID {
+	var out []topo.LinkID
+	for _, l := range tp.LiveLinks() {
+		a, b := tp.Node(l.A), tp.Node(l.B)
+		if a.Kind != topo.Host && b.Kind != topo.Host && (pick(a) || pick(b)) {
+			out = append(out, l.ID)
+		}
+	}
+	return out
+}
+
+// BenchmarkFlood measures a fault and its repair, each run to quiescence on
+// a bootstrapped F²Tree(N) domain through the simulator: detection, LSA
+// flooding, throttled SPF and FIB install. linkdown is one aggregation
+// uplink; podburst is every fabric link touching the ToRs and aggregation
+// switches of the last pod, failed at one instant — the flood-heavy case
+// (hundreds of LSAs cross the domain at once and most hops are duplicates).
+// events/op is the simulator events one op executes.
+func BenchmarkFlood(b *testing.B) {
+	for _, k := range []struct {
+		name  string
+		links func(tp *topo.Topology) []topo.LinkID
+	}{
+		{"linkdown", func(tp *topo.Topology) []topo.LinkID {
+			agg := tp.NodesOfKind(topo.Agg)[0]
+			return fabricLinksOf(tp, func(nd *topo.Node) bool { return nd.ID == agg })[:1]
+		}},
+		{"podburst", func(tp *topo.Topology) []topo.LinkID {
+			tors := tp.NodesOfKind(topo.ToR)
+			last := tp.Node(tors[len(tors)-1]).Pod
+			return fabricLinksOf(tp, func(nd *topo.Node) bool {
+				return nd.Pod == last && (nd.Kind == topo.ToR || nd.Kind == topo.Agg)
+			})
+		}},
+	} {
+		for _, n := range []int{8, 16} {
+			b.Run(fmt.Sprintf("%s/N=%d", k.name, n), func(b *testing.B) {
+				tp, err := topo.F2Tree(n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s := sim.New(7)
+				nw, err := network.New(s, tp, network.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := NewDomain(nw, Config{}).Bootstrap(); err != nil {
+					b.Fatal(err)
+				}
+				links := k.links(tp)
+				op := func() {
+					for _, up := range []bool{false, true} {
+						s.After(0, func(sim.Time) {
+							for _, l := range links {
+								nw.SetLinkState(l, up)
+							}
+						})
+						if err := s.RunUntilIdle(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				op() // warm the simulator's and the domain's pools
+				events := s.EventsRun()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					op()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(s.EventsRun()-events)/float64(b.N), "events/op")
+			})
+		}
+	}
+}
