@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/detsort"
 	"repro/internal/fib"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -38,9 +37,11 @@ func newSPFBench(tb testing.TB, n int) *spfBench {
 		tb.Fatal(err)
 	}
 	sb := &spfBench{boot: map[topo.NodeID]*LSA{}, seq: 1 << 32}
-	for _, id := range detsort.Keys(dom.instances) {
-		sb.insts = append(sb.insts, dom.instances[id])
-		sb.boot[id] = dom.instances[id].lsdb[id]
+	for _, inst := range dom.instances {
+		if inst != nil {
+			sb.insts = append(sb.insts, inst)
+			sb.boot[inst.node] = inst.lsdb[inst.node]
+		}
 	}
 	return sb
 }
@@ -259,10 +260,7 @@ func BenchmarkFlood(b *testing.B) {
 					b.Fatal(err)
 				}
 				s := sim.New(7)
-				nw, err := network.New(s, tp, network.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
+				nw := mustNetwork(b, s, tp)
 				if err := NewDomain(nw, Config{}).Bootstrap(); err != nil {
 					b.Fatal(err)
 				}
@@ -283,7 +281,7 @@ func BenchmarkFlood(b *testing.B) {
 				events := s.EventsRun()
 				b.ReportAllocs()
 				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
+				for i := 0; i < b.N; i++ {
 					op()
 				}
 				b.StopTimer()

@@ -19,7 +19,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/detsort"
 	"repro/internal/fib"
 	"repro/internal/netaddr"
 	"repro/internal/network"
@@ -114,14 +113,27 @@ type Domain struct {
 	topo *topo.Topology
 	cfg  Config
 
-	instances   map[topo.NodeID]*Instance
+	instances   []*Instance // indexed by NodeID; nil for hosts and dead switches
 	scratch     spfScratch
 	onSPF       func(now sim.Time, node topo.NodeID)
 	floodFilter FloodFilter
+	freeFloods  []*floodRec // recycled flood records
 	// selfCheck compares every incremental SPF result and every delta FIB
 	// install against a from-scratch recomputation, panicking on any
 	// divergence. Tests and the chaos equivalence suite enable it.
 	selfCheck bool
+}
+
+// floodRec is the pooled record of the hops of one flood call that share a
+// delivery instant (indices into the sender's adj, in port order): one event
+// delivers them. delay keys the record while the call still collects hops.
+//
+//f2tree:pooled
+type floodRec struct {
+	inst  *Instance
+	lsa   *LSA
+	delay time.Duration
+	hops  []int32
 }
 
 // localAdj is one switch-facing link of a router: the neighbor, the link
@@ -185,7 +197,7 @@ func NewDomain(nw *network.Network, cfg Config) *Domain {
 		nw:        nw,
 		topo:      nw.Topology(),
 		cfg:       cfg.withDefaults(),
-		instances: make(map[topo.NodeID]*Instance),
+		instances: make([]*Instance, len(nw.Topology().Nodes)),
 	}
 	n := len(d.topo.Nodes)
 	d.scratch.init(n)
@@ -214,8 +226,8 @@ func NewDomain(nw *network.Network, cfg Config) *Domain {
 		rowCap[id] = len(inst.adj)
 		d.instances[id] = inst
 	}
-	for _, id := range d.topo.LiveNodes() {
-		if inst := d.instances[id]; inst != nil {
+	for _, inst := range d.instances {
+		if inst != nil {
 			inst.spf.init(rowCap)
 		}
 	}
@@ -239,7 +251,7 @@ func (d *Domain) SetFloodFilter(fn FloodFilter) { d.floodFilter = fn }
 // the domain to refill the restarted LSDB follow up with RefreshAll once
 // the restarted links are believed up again.
 func (d *Domain) SetNodeDown(now sim.Time, node topo.NodeID, down bool) {
-	inst := d.instances[node]
+	inst := d.Instance(node)
 	if inst == nil || inst.down == down {
 		return
 	}
@@ -265,7 +277,7 @@ func (d *Domain) SetNodeDown(now sim.Time, node topo.NodeID, down bool) {
 
 // NodeDown reports whether the router's instance is crashed.
 func (d *Domain) NodeDown(node topo.NodeID) bool {
-	inst := d.instances[node]
+	inst := d.Instance(node)
 	return inst != nil && inst.down
 }
 
@@ -275,9 +287,8 @@ func (d *Domain) NodeDown(node topo.NodeID) bool {
 // epidemic flooding alone can no longer repair LSDB staleness (our model
 // floods only on change and has no ack/retransmit machinery).
 func (d *Domain) RefreshAll(now sim.Time) {
-	for _, id := range detsort.Keys(d.instances) {
-		inst := d.instances[id]
-		if inst.down {
+	for _, inst := range d.instances {
+		if inst == nil || inst.down {
 			continue
 		}
 		inst.originate(now)
@@ -286,7 +297,12 @@ func (d *Domain) RefreshAll(now sim.Time) {
 }
 
 // Instance returns the protocol instance of a switch, or nil.
-func (d *Domain) Instance(node topo.NodeID) *Instance { return d.instances[node] }
+func (d *Domain) Instance(node topo.NodeID) *Instance {
+	if node < 0 || int(node) >= len(d.instances) {
+		return nil
+	}
+	return d.instances[node]
+}
 
 // EnableSelfCheck makes every incremental SPF run and delta FIB install
 // verify itself against a full recomputation, panicking on divergence.
@@ -295,21 +311,21 @@ func (d *Domain) EnableSelfCheck() { d.selfCheck = true }
 
 // SPFTotals sums the per-instance SPF breakdown across the domain.
 func (d *Domain) SPFTotals() (full, incremental, unchanged int) {
-	for _, id := range detsort.Keys(d.instances) {
-		f, inc, same := d.instances[id].SPFBreakdown()
-		full += f
-		incremental += inc
-		unchanged += same
+	for _, inst := range d.instances {
+		if inst != nil {
+			f, inc, same := inst.SPFBreakdown()
+			full, incremental, unchanged = full+f, incremental+inc, unchanged+same
+		}
 	}
 	return full, incremental, unchanged
 }
 
 // InstallTotals sums the per-instance FIB install breakdown.
 func (d *Domain) InstallTotals() (full, delta int) {
-	for _, id := range detsort.Keys(d.instances) {
-		f, del := d.instances[id].InstallBreakdown()
-		full += f
-		delta += del
+	for _, inst := range d.instances {
+		if inst != nil {
+			full, delta = full+inst.fullInstalls, delta+inst.deltaInstalls
+		}
 	}
 	return full, delta
 }
@@ -325,27 +341,37 @@ func (d *Domain) Config() Config { return d.cfg }
 // It fails if a switch has more ports than a hopSet can name: routes over
 // the excess ports would silently vanish from every ECMP set.
 func (d *Domain) Bootstrap() error {
-	// Sorted iteration keeps install order and any error deterministic.
-	ids := detsort.Keys(d.instances)
-	for _, id := range ids {
-		if nd := d.topo.Node(id); nd.NumPorts > hopSetPorts {
+	// Ascending NodeID keeps install order and any error deterministic.
+	var insts []*Instance
+	for _, inst := range d.instances {
+		if inst == nil {
+			continue
+		}
+		if nd := d.topo.Node(inst.node); nd.NumPorts > hopSetPorts {
 			return fmt.Errorf("bootstrap %s: %d ports, next-hop sets name at most %d", nd.Name, nd.NumPorts, hopSetPorts)
 		}
+		insts = append(insts, inst)
 	}
-	for _, id := range ids {
-		d.instances[id].originateLocked()
+	for _, inst := range insts {
+		inst.originateLocked()
 	}
 	// Copy every origin LSA into every LSDB.
-	for _, id := range ids {
-		inst := d.instances[id]
-		for _, srcID := range ids {
-			src := d.instances[srcID]
+	for _, inst := range insts {
+		for _, src := range insts {
 			inst.lsdb[src.node] = src.lsdb[src.node]
 		}
 	}
-	for _, id := range ids {
-		inst := d.instances[id]
-		routes := inst.computeRoutes()
+	// Every LSDB now holds the same LSAs, so the two-way-checked adjacency
+	// rows are built once and copied; each instance runs its own search.
+	for k, inst := range insts {
+		if k == 0 {
+			inst.buildGraph(inst.spf.graph)
+		}
+		for o, row := range insts[0].spf.graph { // onto itself for the first: a no-op
+			inst.spf.graph[o] = append(inst.spf.graph[o][:0], row...)
+		}
+		inst.searchFull()
+		routes := inst.emitRoutes()
 		if err := d.nw.Table(inst.node).ReplaceSource(fib.OSPF, routes); err != nil {
 			return fmt.Errorf("bootstrap %s: %w", d.topo.Node(inst.node).Name, err)
 		}
@@ -358,7 +384,7 @@ func (d *Domain) Bootstrap() error {
 
 // portStateChanged reacts to a failure detector firing on a switch.
 func (d *Domain) portStateChanged(now sim.Time, node topo.NodeID, port int, up bool) {
-	inst := d.instances[node]
+	inst := d.Instance(node)
 	if inst == nil || inst.down {
 		return // host port (no protocol) or crashed router
 	}
@@ -398,34 +424,73 @@ func (i *Instance) originateLocked() *LSA {
 // LSA is lost if the link is actually down at delivery time; epidemic
 // re-flooding through the rest of the graph still converges as long as the
 // network is connected.
+//
+// The hops of a call that land at one instant ride in one simulator event:
+// scheduled back to back, they would run consecutively and in port order
+// anyway, so only the event count changes (DESIGN.md §13). Hops a
+// FloodFilter spreads over several instants get one record per instant,
+// keyed on the delay as the simulator clamps it, scheduled when first seen.
+//
+//f2tree:hotpath
 func (i *Instance) flood(now sim.Time, lsa *LSA, from topo.NodeID) {
 	if i.down {
 		return
 	}
-	for _, a := range i.adj {
-		if a.neighbor == from || !i.d.nw.PortBelievedUp(i.node, a.port) {
+	d := i.d
+	open := make([]*floodRec, 0, 4) // this call's records (on the stack); more than one only under a delaying filter
+	for k, a := range i.adj {
+		if a.neighbor == from || !d.nw.PortBelievedUp(i.node, a.port) {
 			continue
 		}
-		var extra time.Duration
-		if i.d.floodFilter != nil {
-			drop, delay := i.d.floodFilter(now, i.node, a.neighbor, lsa)
+		delay := d.cfg.FloodHopDelay
+		if d.floodFilter != nil {
+			drop, extra := d.floodFilter(now, i.node, a.neighbor, lsa)
 			if drop {
 				continue // swallowed by the fault, like a dead wire
 			}
-			extra = delay
+			delay = max(0, delay+extra) // negative delays all mean "now"
 		}
-		i.d.sim.After(i.d.cfg.FloodHopDelay+extra, func(at sim.Time) {
-			if !i.d.nw.LinkDirUp(a.link, i.node) {
-				return // lost on a dead wire
+		var rec *floodRec
+		for _, r := range open {
+			if r.delay == delay {
+				rec = r
 			}
-			if ni := i.d.instances[a.neighbor]; ni != nil {
-				ni.receive(at, lsa, i.node)
+		}
+		if rec == nil {
+			if n := len(d.freeFloods); n > 0 {
+				rec, d.freeFloods = d.freeFloods[n-1], d.freeFloods[:n-1]
+			} else {
+				rec = &floodRec{}
 			}
-		})
+			rec.inst, rec.lsa, rec.delay = i, lsa, delay
+			open = append(open, rec)
+			d.sim.AfterArg(delay, deliverFlood, rec)
+		}
+		rec.hops = append(rec.hops, int32(k)) //f2tree:alloc amortized hop-list growth, zero once the record has carried a flood of this fan-out
 	}
 }
 
+// deliverFlood is the sim.ArgEvent of a flood record: it hands the LSA to
+// each hop's neighbor in order, unless the wire died in flight.
+//
+//f2tree:hotpath
+func deliverFlood(at sim.Time, arg any) {
+	rec := arg.(*floodRec)
+	i := rec.inst
+	for _, k := range rec.hops {
+		a := &i.adj[k]
+		if ni := i.d.instances[a.neighbor]; ni != nil && i.d.nw.LinkDirUp(a.link, i.node) { // else lost on a dead wire
+			ni.receive(at, rec.lsa, i.node)
+		}
+	}
+	rec.inst, rec.lsa, rec.hops = nil, nil, rec.hops[:0]
+	//f2tree:retained the free list IS the pool; this append is the recycle step
+	i.d.freeFloods = append(i.d.freeFloods, rec) //f2tree:alloc amortized free-list growth, zero once warm
+}
+
 // receive processes a flooded LSA.
+//
+//f2tree:hotpath
 func (i *Instance) receive(now sim.Time, lsa *LSA, from topo.NodeID) {
 	if i.down {
 		return // crashed: the LSA is lost on the floor
@@ -435,7 +500,7 @@ func (i *Instance) receive(now sim.Time, lsa *LSA, from topo.NodeID) {
 		return // stale or duplicate
 	}
 	i.lsdb[lsa.Origin] = lsa
-	i.markDirty(lsa.Origin)
+	i.markDirty(lsa.Origin) //f2tree:alloc amortized dirty-list growth: every SPF run empties the list and keeps its storage
 	i.flood(now, lsa, from)
 	i.scheduleSPF(now)
 }

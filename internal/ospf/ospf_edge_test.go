@@ -171,8 +171,23 @@ func TestMaxSPFWaitCapsAtHoldMax(t *testing.T) {
 	}
 }
 
+// TestInstanceIsNilSafe: Instance indexes a slice by NodeID, and callers
+// hand it hosts, topo.None and ids of other topologies.
+func TestInstanceIsNilSafe(t *testing.T) {
+	l := newFatTreeLab(t, 4, Config{})
+	for _, id := range []topo.NodeID{l.topo.NodesOfKind(topo.Host)[0], topo.None, topo.NodeID(len(l.topo.Nodes)), 1 << 20} {
+		if l.dom.Instance(id) != nil || l.dom.NodeDown(id) {
+			t.Errorf("Instance(%d) = %v, NodeDown = %v, want nil and false", id, l.dom.Instance(id), l.dom.NodeDown(id))
+		}
+		l.dom.SetNodeDown(0, id, true) // must not panic
+	}
+	if l.dom.Instance(l.topo.NodesOfKind(topo.ToR)[0]) == nil {
+		t.Error("a ToR has no instance")
+	}
+}
+
 // mustNetwork builds a network over tp.
-func mustNetwork(t *testing.T, s *sim.Simulator, tp *topo.Topology) *network.Network {
+func mustNetwork(t testing.TB, s *sim.Simulator, tp *topo.Topology) *network.Network {
 	t.Helper()
 	nw, err := network.New(s, tp, network.Config{})
 	if err != nil {

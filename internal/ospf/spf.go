@@ -135,11 +135,16 @@ func (i *Instance) portSet(link topo.LinkID) hopSet {
 	return 1 << port
 }
 
-// computeFull rebuilds the shortest-path state from scratch and resets the
-// incremental bookkeeping.
+// computeFull rebuilds the shortest-path state from scratch.
 func (i *Instance) computeFull() {
+	i.buildGraph(i.spf.graph)
+	i.searchFull()
+}
+
+// searchFull recomputes distances and first hops over the current adjacency
+// rows and resets the incremental bookkeeping.
+func (i *Instance) searchFull() {
 	st := &i.spf
-	i.buildGraph(st.graph)
 	i.runBFS(st.graph, st.dist, st.nh)
 	st.dirty = st.dirty[:0]
 	st.valid = true
