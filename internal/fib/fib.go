@@ -10,11 +10,12 @@
 package fib
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
-	"repro/internal/detsort"
 	"repro/internal/netaddr"
 )
 
@@ -110,209 +111,301 @@ func (k FlowKey) Hash() uint32 {
 	return h
 }
 
-// entry holds every route installed for one prefix, keyed by source.
+// numSources is the number of route sources: an entry keeps one next-hop
+// slot for each, indexed by Source-1.
+const numSources = int(BGP)
+
+// maxHops bounds a route's ECMP set: a lookup holds the usable subset of a
+// set as a bitmask in one uint64 (the width rule ospf.hopSet and bgp's
+// session masks follow too), so a wider route is an Add error.
+const maxHops = 64
+
+// entry holds every route installed for one prefix, one slot per source.
 type entry struct {
-	bySource map[Source][]NextHop
+	// hops[s-1] is the next-hop list source s installed, sorted by port;
+	// nil when s has no route for the prefix.
+	//f2tree:epochguarded
+	hops [numSources][]NextHop
+	// stamp is the generation of the last ReplaceSource call that named the
+	// prefix; the call withdraws the slots of its source it did not stamp.
+	stamp uint64
+	// live is the usable subset of best() as a bitmask over its positions,
+	// memoized by Lookup and valid only while liveAt equals the table's
+	// epoch (which starts at 1, so a fresh entry holds no memo).
+	live, liveAt uint64
 }
 
 // best returns the next hops of the lowest-distance source present.
 //
 //f2tree:hotpath
 func (e *entry) best() []NextHop {
-	var (
-		bestSrc Source
-		hops    []NextHop
-	)
-	//f2tree:unordered minimum over source keys; commutative
-	for src, nh := range e.bySource {
-		if len(nh) == 0 {
-			continue
-		}
-		if hops == nil || src < bestSrc {
-			bestSrc, hops = src, nh
+	for s := range e.hops {
+		if len(e.hops[s]) != 0 {
+			return e.hops[s]
 		}
 	}
-	return hops
+	return nil
 }
 
-// cacheEntry is one memoized lookup; it is live only while its epoch
-// matches the table's.
-type cacheEntry struct {
-	res   Result
-	epoch uint64
+// level holds the entries of one prefix length as two parallel arrays in
+// ascending address order, which is the order Routes() lists them in.
+type level struct {
+	bits int
+	mask netaddr.Addr
+	//f2tree:epochguarded
+	keys []netaddr.Addr
+	//f2tree:epochguarded
+	ents []entry
+	// index finds a key without a search: an open-addressed table of
+	// positions+1 into keys (0 = free slot), probed from the top bits of a
+	// multiplicative hash of the address, at most half full. Only Lookup
+	// uses it; installs search keys directly and empty it when they insert
+	// or remove a key, and the next Lookup rebuilds it.
+	index []int32
+	shift uint
+}
+
+// linearMax is the level size up to which find scans keys instead of
+// hashing: a ToR's four host routes, the one or two static backups.
+const linearMax = 4
+
+// find returns the entry stored under key, or nil.
+//
+//f2tree:hotpath
+func (l *level) find(key netaddr.Addr) *entry {
+	if len(l.keys) <= linearMax {
+		for i, k := range l.keys {
+			if k == key {
+				return &l.ents[i]
+			}
+		}
+		return nil
+	}
+	if len(l.index) == 0 {
+		l.reindex() //f2tree:alloc amortised: runs once after an install changed the key set, and reuses the array unless the level outgrew it
+	}
+	for h := indexHash(key) >> l.shift; ; h = (h + 1) & uint32(len(l.index)-1) {
+		at := l.index[h]
+		if at == 0 {
+			return nil
+		}
+		if l.keys[at-1] == key {
+			return &l.ents[at-1]
+		}
+	}
+}
+
+// indexHash is multiplicative (Fibonacci) hashing; callers keep the top bits.
+func indexHash(key netaddr.Addr) uint32 { return uint32(key) * 0x9E3779B1 }
+
+// reindex rebuilds the index over the current keys.
+func (l *level) reindex() {
+	size := 2 * linearMax
+	for size < 2*len(l.keys) {
+		size <<= 1
+	}
+	if cap(l.index) < size {
+		l.index = make([]int32, size)
+	} else {
+		l.index = l.index[:size]
+		clear(l.index)
+	}
+	l.shift = uint(32 - bits.Len(uint(size-1)))
+	for i, key := range l.keys {
+		h := indexHash(key) >> l.shift
+		for l.index[h] != 0 {
+			h = (h + 1) & uint32(size-1)
+		}
+		l.index[h] = int32(i + 1)
+	}
+}
+
+// compact drops the entries that no longer hold a route of any source.
+//
+//f2tree:noepoch helper of Remove and ReplaceSource, which bump the epoch after it
+func (l *level) compact() {
+	n := 0
+	for i := range l.ents {
+		if l.ents[i].best() == nil {
+			continue
+		}
+		if n != i {
+			l.keys[n], l.ents[n] = l.keys[i], l.ents[i]
+		}
+		n++
+	}
+	if n == len(l.keys) {
+		return
+	}
+	clear(l.ents[n:]) // release the hop arrays of what moved down
+	l.keys, l.ents, l.index = l.keys[:n], l.ents[:n], l.index[:0]
 }
 
 // Table is a forwarding table. The zero value is not usable; call New.
 // Each table belongs to one switch of one simulation.
 type Table struct {
-	// byLen[b] maps masked network addresses of length b to entries.
+	// levels holds one level per prefix length that ever held a route, in
+	// descending length — the only lengths Lookup visits. A production
+	// table holds ~3 distinct lengths (/32, /24, /16, /15), not 33.
 	//f2tree:epochguarded
-	byLen [33]map[netaddr.Addr]*entry
-	// lens lists the prefix lengths with at least one installed route, in
-	// descending order — the only lengths Lookup visits. A production table
-	// holds ~3 distinct lengths (/32, /24, /16, /15), not 33.
+	levels []level
+	// count[s-1] is the number of routes source s holds.
 	//f2tree:epochguarded
-	lens []int
-	//f2tree:epochguarded
-	count int
+	count [numSources]int
 
 	// epoch versions every state a Lookup result depends on. Route
 	// mutations bump it internally; link-usability transitions must bump
 	// it via InvalidateFlowCache (the usable predicate is external state).
 	//f2tree:epoch
-	epoch    uint64
-	cache    map[FlowKey]cacheEntry
-	cacheCap int
+	epoch uint64
+	// memo says whether Lookup keeps each entry's live set (EnableFlowCache).
+	memo bool
+	// gen numbers the ReplaceSource calls (entry.stamp).
+	gen uint64
 }
 
 // New returns an empty table.
 func New() *Table {
-	return &Table{}
+	return &Table{epoch: 1}
 }
 
-// EnableFlowCache turns on flow→Result memoization for Lookup. capEntries
-// bounds the map (≤ 0 means a default of 4096); at capacity the cache is
-// reset rather than evicted, keeping behaviour deterministic.
+// EnableFlowCache turns on the live-hop memo: Lookup keeps, per prefix, the
+// set of next hops the usable predicate accepted, and reuses it until the
+// epoch moves. capEntries is unused — a per-prefix memo lives in the
+// entries and cannot outgrow the table; the parameter (and the name, from
+// the per-flow cache this replaced) stay because bench/ calls them.
 //
-// Correctness contract: the cache is invalidated by epoch comparison, and
-// the epoch advances automatically on every Add/Remove/ReplaceSource. The
-// caller owns the other half — whenever the state behind a Lookup's usable
-// predicate changes (a port's believed state flips), it must call
-// InvalidateFlowCache, or cached Results may bypass the F²Tree fallback.
-func (t *Table) EnableFlowCache(capEntries int) {
-	if capEntries <= 0 {
-		capEntries = 4096
-	}
-	t.cacheCap = capEntries
-	t.cache = make(map[FlowKey]cacheEntry, 64)
-}
+// Correctness contract: the memo is invalidated by epoch comparison, and
+// the epoch advances automatically on every Add/Remove/ReplaceSource/Clear.
+// The caller owns the other half — whenever the state behind a Lookup's
+// usable predicate changes (a port's believed state flips), it must call
+// InvalidateFlowCache, or memoized live sets may bypass the F²Tree
+// fallback. Every Lookup on a memoizing table must pass the same predicate.
+func (t *Table) EnableFlowCache(capEntries int) { t.memo = true }
 
-// InvalidateFlowCache discards every memoized lookup by advancing the
+// InvalidateFlowCache discards every memoized live set by advancing the
 // table's epoch. Call it on any link-usability transition visible to the
 // usable predicates passed to Lookup.
 func (t *Table) InvalidateFlowCache() { t.epoch++ }
 
-// notePopulated records that length b just gained its first route,
-// inserting it into the descending lens list.
-//
-//f2tree:noepoch internal helper; every caller (Add/ReplaceSource) bumps the epoch itself
-func (t *Table) notePopulated(b int) {
-	i := sort.Search(len(t.lens), func(i int) bool { return t.lens[i] <= b })
-	if i < len(t.lens) && t.lens[i] == b {
-		return
+// known reports whether s is one of Connected..BGP, the sources an entry
+// has a slot for.
+func (s Source) known() bool { return Connected <= s && s <= BGP }
+
+// validate checks a route before anything is written for it.
+func validate(src Source, r Route) error {
+	switch {
+	case !src.known():
+		return fmt.Errorf("fib: route %v has unknown source %v", r.Prefix, src)
+	case len(r.NextHops) == 0:
+		return fmt.Errorf("fib: route %v has no next hops", r.Prefix)
+	case len(r.NextHops) > maxHops:
+		return fmt.Errorf("fib: route %v has %d next hops, more than the %d a live mask holds", r.Prefix, len(r.NextHops), maxHops)
 	}
-	t.lens = append(t.lens, 0)
-	copy(t.lens[i+1:], t.lens[i:])
-	t.lens[i] = b
+	return nil
 }
 
-// noteEmptied records that length b lost its last route.
+// slot returns the level and position of prefix p's entry; the position is
+// -1 when the table has none and room is 0. With room > 0 a missing entry
+// (and level) is inserted, and arrays that must grow for it grow by room
+// entries at once — the number the caller may still insert. hint is a guess
+// at the position, tried before searching: a caller walking a route list
+// passes one past its previous hit, which is right whenever the emitter
+// lists a length's prefixes in ascending order (all three do).
 //
-//f2tree:noepoch internal helper; every caller (Remove/ReplaceSource) bumps the epoch itself
-func (t *Table) noteEmptied(b int) {
-	i := sort.Search(len(t.lens), func(i int) bool { return t.lens[i] <= b })
-	if i < len(t.lens) && t.lens[i] == b {
-		t.lens = append(t.lens[:i], t.lens[i+1:]...)
+//f2tree:noepoch every caller that passes room > 0 bumps the epoch after its own writes
+func (t *Table) slot(p netaddr.Prefix, room, hint int) (*level, int) {
+	b, li := p.Bits(), 0
+	for li < len(t.levels) && t.levels[li].bits > b {
+		li++
 	}
+	if li == len(t.levels) || t.levels[li].bits != b {
+		if room == 0 {
+			return nil, -1
+		}
+		t.levels = slices.Insert(t.levels, li, level{bits: b, mask: (^netaddr.Addr(0)).Masked(b)})
+	}
+	l := &t.levels[li]
+	at, ok := hint, hint < len(l.keys) && l.keys[hint] == p.Addr()
+	if !ok {
+		at, ok = slices.BinarySearch(l.keys, p.Addr())
+	}
+	if !ok {
+		if room == 0 {
+			return l, -1
+		}
+		if n := len(l.keys); n == cap(l.keys) {
+			grown := n + max(room, n) // at least doubled, so lone Adds stay amortised
+			l.keys = append(make([]netaddr.Addr, 0, grown), l.keys...)
+			l.ents = append(make([]entry, 0, grown), l.ents...)
+		}
+		l.keys, l.ents = slices.Insert(l.keys, at, p.Addr()), slices.Insert(l.ents, at, entry{})
+		l.index = l.index[:0]
+	}
+	return l, at
+}
+
+// put makes hops the route of src in e: copied onto the end of buf (the
+// grown buf is returned) and stably sorted by port for deterministic ECMP —
+// an insertion sort at these sizes, one comparison per hop for the emitters,
+// which list hops in HopLess order already.
+//
+//f2tree:noepoch helper of Add and ReplaceSource, which bump the epoch after it
+func (t *Table) put(e *entry, src Source, hops, buf []NextHop) []NextHop {
+	if e.hops[src-1] == nil {
+		t.count[src-1]++
+	}
+	lo := len(buf)
+	buf = append(buf, hops...)
+	e.hops[src-1] = buf[lo:len(buf):len(buf)]
+	slices.SortStableFunc(e.hops[src-1], func(a, b NextHop) int { return cmp.Compare(a.Port, b.Port) })
+	return buf
 }
 
 // Add installs (or replaces) the route for (prefix, source). Next hops are
-// kept sorted by port for deterministic ECMP. An empty next-hop set is an
-// error.
+// kept sorted by port for deterministic ECMP. An empty next-hop set, one of
+// more than 64 hops and a source outside Connected..BGP are errors.
 func (t *Table) Add(r Route) error {
-	if len(r.NextHops) == 0 {
-		return fmt.Errorf("fib: route %v has no next hops", r.Prefix)
+	if err := validate(r.Source, r); err != nil {
+		return err
 	}
-	hops := make([]NextHop, len(r.NextHops))
-	copy(hops, r.NextHops)
-	sort.Slice(hops, func(i, j int) bool { return hops[i].Port < hops[j].Port })
-	b := r.Prefix.Bits()
-	if t.byLen[b] == nil {
-		t.byLen[b] = make(map[netaddr.Addr]*entry)
-	}
-	if len(t.byLen[b]) == 0 {
-		t.notePopulated(b)
-	}
-	e := t.byLen[b][r.Prefix.Addr()]
-	if e == nil {
-		e = &entry{bySource: make(map[Source][]NextHop, 2)}
-		t.byLen[b][r.Prefix.Addr()] = e
-	}
-	if _, existed := e.bySource[r.Source]; !existed {
-		t.count++
-	}
-	e.bySource[r.Source] = hops
+	l, at := t.slot(r.Prefix, 1, 0)
+	t.put(&l.ents[at], r.Source, r.NextHops, nil)
 	t.epoch++
 	return nil
 }
 
 // Remove deletes the route for (prefix, source). Removing a route that is
-// not present is a no-op.
+// not present, or of an unknown source, is a no-op.
 func (t *Table) Remove(p netaddr.Prefix, src Source) {
-	b := p.Bits()
-	m := t.byLen[b]
-	if m == nil {
+	if !src.known() {
 		return
 	}
-	e := m[p.Addr()]
-	if e == nil {
+	l, at := t.slot(p, 0, 0)
+	if at < 0 || l.ents[at].hops[src-1] == nil {
 		return
 	}
-	if _, ok := e.bySource[src]; !ok {
-		return
-	}
-	delete(e.bySource, src)
-	t.count--
-	if len(e.bySource) == 0 {
-		delete(m, p.Addr())
-		if len(m) == 0 {
-			t.noteEmptied(b)
-		}
-	}
+	l.ents[at].hops[src-1] = nil
+	t.count[src-1]--
+	l.compact()
 	t.epoch++
-}
-
-// ReplaceSource atomically replaces every route of the given source with
-// the provided set. This models a routing protocol installing the result of
-// a fresh computation.
-func (t *Table) ReplaceSource(src Source, routes []Route) error {
-	for b := 0; b <= 32; b++ {
-		//f2tree:unordered per-entry delete and commutative count decrement
-		for addr, e := range t.byLen[b] {
-			if _, ok := e.bySource[src]; ok {
-				delete(e.bySource, src)
-				t.count--
-				if len(e.bySource) == 0 {
-					delete(t.byLen[b], addr)
-					if len(t.byLen[b]) == 0 {
-						t.noteEmptied(b)
-					}
-				}
-			}
-		}
-	}
-	t.epoch++
-	for _, r := range routes {
-		r.Source = src
-		if err := t.Add(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Len returns the number of installed (prefix, source) routes.
-func (t *Table) Len() int { return t.count }
+func (t *Table) Len() int {
+	n := 0
+	for _, c := range t.count {
+		n += c
+	}
+	return n
+}
 
 // Clear wipes every installed route of every source — the FIB of a switch
-// that crashed and restarted with empty forwarding state. The flow cache
+// that crashed and restarted with empty forwarding state. The live-hop memo
 // (if enabled) stays enabled and is invalidated by the epoch bump.
 func (t *Table) Clear() {
-	for b := range t.byLen {
-		t.byLen[b] = nil
-	}
-	t.lens = t.lens[:0]
-	t.count = 0
+	t.levels = nil
+	t.count = [numSources]int{}
 	t.epoch++
 }
 
@@ -330,70 +423,65 @@ type Result struct {
 // unusable, the /16 is consulted, then the /15 — exactly the behaviour the
 // paper configures with its two static backup routes.
 //
+// The usable set is a bitmask over the best route's hops, memoized per
+// prefix when EnableFlowCache was called. The pick is the hop at the
+// (flow.Hash() mod n)-th set bit — the element hashing into the filtered
+// list would select; with one usable hop (a host's default route, a
+// down-link, a ToR's host route) the flow is not hashed at all.
+//
 //f2tree:hotpath
 func (t *Table) Lookup(dst netaddr.Addr, flow FlowKey, usable func(NextHop) bool) (Result, bool) {
-	// The cache memoizes only the canonical forwarding query (dst is the
-	// flow's destination); diagnostic lookups with a detached dst bypass it.
-	cached := t.cache != nil && dst == flow.Dst
-	if cached {
-		if e, ok := t.cache[flow]; ok && e.epoch == t.epoch {
-			return e.res, true
-		}
-	}
-	var scratch [16]NextHop
-	// Only lengths that hold routes are visited — typically /32, /24, /16,
-	// /15 — and the mask is applied directly: no per-length error path.
-	for _, b := range t.lens {
-		e := t.byLen[b][dst.Masked(b)]
+	for li := range t.levels {
+		l := &t.levels[li]
+		e := l.find(dst & l.mask)
 		if e == nil {
 			continue
 		}
-		hops := e.best()
-		if len(hops) == 0 {
-			continue
-		}
-		live := scratch[:0]
-		for _, nh := range hops {
-			if usable == nil || usable(nh) {
-				live = append(live, nh)
+		hops, live := e.best(), e.live
+		if e.liveAt != t.epoch {
+			live = 0
+			for k, nh := range hops {
+				if usable == nil || usable(nh) {
+					live |= 1 << uint(k)
+				}
+			}
+			if t.memo {
+				e.live, e.liveAt = live, t.epoch
 			}
 		}
-		if len(live) == 0 {
+		if live == 0 {
 			continue // fall through to a shorter prefix
 		}
-		pick := live[int(flow.Hash()%uint32(len(live)))]
-		res := Result{Prefix: netaddr.PrefixOf(dst, b), NextHop: pick}
-		if cached {
-			if len(t.cache) >= t.cacheCap {
-				t.cache = make(map[FlowKey]cacheEntry, 64)
+		k := bits.TrailingZeros64(live)
+		if n := bits.OnesCount64(live); n > 1 {
+			k = int(flow.Hash() % uint32(n))
+			if n < len(hops) { // some hop is dead: step to the k-th live one
+				for ; k > 0; k-- {
+					live &= live - 1
+				}
+				k = bits.TrailingZeros64(live)
 			}
-			t.cache[flow] = cacheEntry{res: res, epoch: t.epoch}
 		}
-		return res, true
+		return Result{Prefix: netaddr.PrefixOf(dst, l.bits), NextHop: hops[k]}, true
 	}
 	return Result{}, false
 }
 
 // Routes returns every installed route, sorted by (bits desc, addr, source)
 // for stable diagnostics output.
-func (t *Table) Routes() []Route {
-	out := make([]Route, 0, t.count)
-	for b := 32; b >= 0; b-- {
-		m := t.byLen[b]
-		if len(m) == 0 {
-			continue
-		}
-		for _, a := range detsort.Keys(m) {
-			e := m[a]
-			srcs := detsort.Keys(e.bySource)
-			p, err := netaddr.PrefixFrom(a, b)
-			if err != nil {
-				continue
-			}
-			for _, s := range srcs {
-				hops := make([]NextHop, len(e.bySource[s]))
-				copy(hops, e.bySource[s])
-				out = append(out, Route{Prefix: p, Source: s, NextHops: hops})
+func (t *Table) Routes() []Route { return t.routes(Connected, BGP) }
+
+// routes lists the routes of sources lo..hi in Routes() order: levels by
+// descending length, keys ascending, slots by source. The hops are copies.
+func (t *Table) routes(lo, hi Source) []Route {
+	out := make([]Route, 0, t.Len())
+	for li := range t.levels {
+		l := &t.levels[li]
+		for i, key := range l.keys {
+			for s, hops := range l.ents[i].hops {
+				if src := Source(s + 1); hops != nil && lo <= src && src <= hi {
+					out = append(out, Route{Prefix: netaddr.PrefixOf(key, l.bits), Source: src, NextHops: slices.Clone(hops)})
+				}
 			}
 		}
 	}

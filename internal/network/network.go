@@ -47,10 +47,10 @@ type Config struct {
 	// hashing per flow (ablation: breaks TCP ordering assumptions the
 	// paper's ECMP analysis relies on).
 	ECMPPerPacket bool
-	// DisableFlowCache turns off the per-switch flow→Result lookup cache
-	// (ablation; results are identical either way, only slower). The cache
-	// is also skipped automatically under ECMPPerPacket, whose per-packet
-	// key perturbation defeats memoization.
+	// DisableFlowCache turns off the per-switch live-hop memo of the FIB
+	// lookup (ablation; results are identical either way, only slower).
+	// The memo is per prefix, so it also serves ECMPPerPacket, which
+	// perturbs the flow key and not the destination.
 	DisableFlowCache bool
 }
 
@@ -122,8 +122,8 @@ func (ls *linkState) bothUp() bool { return ls.dirs[0].up && ls.dirs[1].up }
 type nodeState struct {
 	table *fib.Table
 	// believedUp[p] is the port's detected state; lags actual by
-	// DetectionDelay. Cached fib lookup results consult it through the
-	// usable predicate, so every flip must invalidate the flow cache.
+	// DetectionDelay. The table's live-hop memo holds what the usable
+	// predicate read from it, so every flip must invalidate the memo.
 	//f2tree:epochguarded
 	believedUp []bool
 	recv       ReceiveFunc
@@ -283,7 +283,6 @@ func New(s *sim.Simulator, t *topo.Topology, cfg Config) (*Network, error) {
 		links: make([]linkState, len(t.Links)),
 	}
 	n.stats.Drops = make(map[DropCause]uint64)
-	flowCache := !n.cfg.DisableFlowCache && !n.cfg.ECMPPerPacket
 	for i := range t.Nodes {
 		nd := &t.Nodes[i]
 		n.nodes[i] = nodeState{
@@ -292,11 +291,11 @@ func New(s *sim.Simulator, t *topo.Topology, cfg Config) (*Network, error) {
 		}
 		st := &n.nodes[i]
 		for p := range st.believedUp {
-			//f2tree:noepoch construction; the node's flow cache cannot hold entries yet
+			//f2tree:noepoch construction; the node's live-hop memo cannot hold anything yet
 			st.believedUp[p] = true
 		}
 		st.usable = func(nh fib.NextHop) bool { return st.believedUp[nh.Port] }
-		if flowCache {
+		if !n.cfg.DisableFlowCache {
 			st.table.EnableFlowCache(0)
 		}
 	}
@@ -551,7 +550,7 @@ func (n *Network) EchoDelay(id topo.LinkID) [2]time.Duration {
 
 // SetPortBelief records a detector verdict for a node's local port. No-op
 // verdicts are ignored; an installed DetectionFilter may suppress the
-// transition. Accepted flips invalidate the node's flow cache and fan out
+// transition. Accepted flips invalidate the node's live-hop memo and fan out
 // to port-state listeners. A down verdict against a link that is actually
 // healthy in both directions counts as a detector false positive.
 func (n *Network) SetPortBelief(now sim.Time, node topo.NodeID, port int, up bool) {
@@ -568,8 +567,8 @@ func (n *Network) SetPortBelief(now sim.Time, node topo.NodeID, port int, up boo
 		}
 	}
 	st.believedUp[port] = up
-	// Link-usability transition: cached lookup results on this node may
-	// now bypass (or miss) the F²Tree fallback.
+	// Link-usability transition: memoized live sets on this node may now
+	// bypass (or miss) the F²Tree fallback.
 	st.table.InvalidateFlowCache()
 	for _, fn := range n.onPortState {
 		fn(now, node, port, up)
@@ -653,17 +652,21 @@ func (n *Network) transmit(now sim.Time, node topo.NodeID, port int, pkt *Packet
 		start = d.nextFree
 	}
 	// Drop-tail: the backlog ahead of this packet, in bytes, must fit the
-	// queue.
-	backlogBytes := start.Sub(now).Seconds() * n.cfg.BandwidthBps / 8
-	if backlogBytes > float64(n.cfg.QueueBytes) {
-		n.drop(now, node, pkt, DropQueueOverflow)
-		return
+	// queue. An idle transmitter (start == now) has none, and 0 bytes
+	// exceed neither a non-negative QueueBytes nor the recorded peak, so
+	// the float arithmetic is skipped for it.
+	if start > now || n.cfg.QueueBytes < 0 {
+		backlogBytes := start.Sub(now).Seconds() * n.cfg.BandwidthBps / 8
+		if backlogBytes > float64(n.cfg.QueueBytes) {
+			n.drop(now, node, pkt, DropQueueOverflow)
+			return
+		}
+		if backlogBytes > d.peakBacklogB {
+			d.peakBacklogB = backlogBytes
+		}
 	}
 	d.packets++
 	d.bytes += uint64(pkt.Size)
-	if backlogBytes > d.peakBacklogB {
-		d.peakBacklogB = backlogBytes
-	}
 	d.nextFree = start.Add(txTime)
 	other, _ := l.Other(node)
 	arrive := d.nextFree.Add(n.cfg.PropDelay)

@@ -464,22 +464,20 @@ func (i *Instance) verifySPF() {
 	}
 }
 
-// install lands a computed route set in the forwarding table. The steady
-// state is a delta install: diff against what this instance last handed to
-// the table and touch only the changed prefixes. The first install after
-// bootstrap, a crash or a restart — any point where the table contents
-// cannot be assumed — and every install under Config.FullSPF performs a
-// full ReplaceSource.
+// install lands a computed route set in the forwarding table. It is always
+// a ReplaceSource: the table diffs the list against what it holds and
+// touches only the changed prefixes, so no copy of the last list is kept
+// here. The counters keep telling the two situations apart — full counts
+// the installs under Config.FullSPF and the first one after bootstrap, a
+// crash or a restart, when the table may have been cleared; delta the rest.
 func (i *Instance) install(routes []fib.Route) {
 	tbl := i.d.nw.Table(i.node)
+	_ = tbl.ReplaceSource(fib.OSPF, routes) // emitRoutes lists 1..64 hops per route: nothing to reject
 	if i.d.cfg.FullSPF || !i.installedValid {
-		_ = tbl.ReplaceSource(fib.OSPF, routes)
 		i.fullInstalls++
 	} else {
-		_ = tbl.ApplySourceDelta(fib.OSPF, fib.DiffRoutes(i.installed, routes))
 		i.deltaInstalls++
 	}
-	i.installed = routes
 	i.installedValid = true
 	if i.d.selfCheck {
 		i.verifyInstall(tbl, routes)
@@ -487,7 +485,7 @@ func (i *Instance) install(routes []fib.Route) {
 }
 
 // verifyInstall asserts the table's OSPF routes equal the freshly computed
-// set — the delta-install equivalence gate.
+// set — the in-place install's equivalence gate.
 func (i *Instance) verifyInstall(tbl *fib.Table, routes []fib.Route) {
 	want := make([]fib.Route, len(routes))
 	copy(want, routes)
@@ -508,7 +506,7 @@ func (i *Instance) verifyInstall(tbl *fib.Table, routes []fib.Route) {
 		}
 	}
 	if diverged {
-		panic(fmt.Sprintf("ospf ispf: node %d FIB diverged after delta install:\nhave %v\nwant %v", i.node, got, want))
+		panic(fmt.Sprintf("ospf ispf: node %d FIB diverged after install:\nhave %v\nwant %v", i.node, got, want))
 	}
 }
 
@@ -518,7 +516,8 @@ func (i *Instance) SPFBreakdown() (full, incremental, unchanged int) {
 	return i.spf.fullRuns, i.spf.incRuns, i.spf.sameRuns
 }
 
-// InstallBreakdown reports full ReplaceSource installs vs delta installs.
+// InstallBreakdown reports the installs into a table of unknown contents
+// (or under Config.FullSPF) vs the steady-state ones; see install.
 func (i *Instance) InstallBreakdown() (full, delta int) {
 	return i.fullInstalls, i.deltaInstalls
 }

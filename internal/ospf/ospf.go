@@ -173,12 +173,9 @@ type Instance struct {
 
 	// Incremental SPF memory (ispf.go).
 	spf spfState
-	// installed is the OSPF route list most recently handed to the FIB;
-	// delta installs diff the next computation against it. installedValid
-	// is false whenever the table contents cannot be assumed (before the
-	// first install, after a crash or restart), forcing a full
-	// ReplaceSource.
-	installed      []fib.Route
+	// installedValid is false whenever the table contents cannot be
+	// assumed (before the first install, after a crash or restart); the
+	// next install counts as full.
 	installedValid bool
 	fullInstalls   int
 	deltaInstalls  int
@@ -257,15 +254,13 @@ func (d *Domain) SetNodeDown(now sim.Time, node topo.NodeID, down bool) {
 	}
 	inst.down = down
 	if down {
-		// The forwarding table may be cleared while the router is down;
-		// the first post-restart install must not trust a stale diff base.
+		// The forwarding table may be cleared while the router is down.
 		inst.installedValid = false
 		return
 	}
 	clear(inst.lsdb)
 	inst.spf.valid = false
 	inst.spf.dirty = inst.spf.dirty[:0]
-	inst.installed = nil
 	inst.pending = false
 	inst.curHold = d.cfg.SPFHoldInitial
 	inst.holdUntil = 0
@@ -375,7 +370,6 @@ func (d *Domain) Bootstrap() error {
 		if err := d.nw.Table(inst.node).ReplaceSource(fib.OSPF, routes); err != nil {
 			return fmt.Errorf("bootstrap %s: %w", d.topo.Node(inst.node).Name, err)
 		}
-		inst.installed = routes
 		inst.installedValid = true
 		inst.spfRuns++
 	}
