@@ -117,4 +117,45 @@ func TestControlPlaneCountsPinned(t *testing.T) {
 			}
 		})
 	}
+	// Centralized: events executed, global recomputations and the trace
+	// hash, captured while the controller's search was map-based. The
+	// controller has no daemon to crash, so the crash fault is left out.
+	t.Run("centralized", func(t *testing.T) {
+		const (
+			wantEvents = 230855
+			wantRecomp = 4
+			wantHash   = "5ab06c6511f9"
+		)
+		var faults []Fault
+		for _, f := range pinnedFaults() {
+			if f.Kind != FaultCrash {
+				faults = append(faults, f)
+			}
+		}
+		sc := &Scenario{
+			Scheme: "f2tree", Ports: 8, Control: exp.ControlCentralized, Seed: 15,
+			Faults: faults,
+		}
+		var events uint64
+		recomp := 0
+		v, err := RunScenarioOpts(sc, RunOpts{OnFinish: func(lab *core.Lab) {
+			events = lab.Sim.EventsRun()
+			recomp = lab.Controller.Recomputations()
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Violated() {
+			t.Fatalf("pinned scenario violated: %+v", v.Violations)
+		}
+		if events != wantEvents {
+			t.Errorf("Sim.EventsRun() = %d, want %d", events, wantEvents)
+		}
+		if recomp != wantRecomp {
+			t.Errorf("Recomputations() = %d, want %d", recomp, wantRecomp)
+		}
+		if !strings.HasPrefix(v.TraceHash, wantHash) {
+			t.Errorf("TraceHash = %s, want prefix %s", v.TraceHash, wantHash)
+		}
+	})
 }
