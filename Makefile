@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build test vet fmt-check f2tree-vet vet-audit race check \
 	campaign-smoke chaos-smoke detect-smoke serve-smoke smoke bench bench-ospf \
-	bench-bgp bench-fib bench-smoke serve
+	bench-bgp bench-fib bench-controller bench-smoke serve
 
 build:
 	$(GO) build ./...
@@ -102,11 +102,19 @@ bench-bgp:
 bench-fib:
 	$(GO) test -run '^$$' -bench BenchmarkFIB -benchmem ./internal/fib
 
+# Centralized controller microbenchmarks on F²Tree N=8/12/16: one Bootstrap
+# (a kernel search from every switch plus every install) per op, and one
+# aggregation uplink failed and restored through the simulator, each to
+# quiescence.
+bench-controller:
+	$(GO) test -run '^$$' -bench BenchmarkController -benchmem ./internal/controller
+
 # One iteration of every N=8 control-plane and FIB microbenchmark (the
 # pattern is matched per name level), so the families keep compiling and
 # running.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '././N=8$$' -benchtime 1x ./internal/ospf ./internal/bgp ./internal/fib
+	$(GO) test -run '^$$' -bench '././N=8$$' -benchtime 1x ./internal/ospf ./internal/bgp ./internal/fib \
+		./internal/controller
 
 # Run the what-if query service on localhost (see DESIGN.md §13).
 serve:

@@ -101,68 +101,6 @@ func uncoveredLen(gap interval, merged []interval) sim.Time {
 	return rest
 }
 
-// linkDirs is the replayed per-direction link state.
-type linkDirs [][2]bool
-
-func initialDirs(tp *topo.Topology) linkDirs {
-	dirs := make(linkDirs, len(tp.Links))
-	for _, l := range tp.LiveLinks() {
-		dirs[l.ID] = [2]bool{true, true}
-	}
-	return dirs
-}
-
-func (d linkDirs) apply(tp *topo.Topology, tr transition) {
-	if tr.from == topo.None {
-		d[tr.link] = [2]bool{tr.up, tr.up}
-		return
-	}
-	dir := 0
-	if tp.Link(tr.link).B == tr.from {
-		dir = 1
-	}
-	d[tr.link][dir] = tr.up
-}
-
-// connected BFSes src→dst over links healthy in both directions — the
-// same bothUp condition the BFD-style detectors enforce.
-func (d linkDirs) connected(tp *topo.Topology, src, dst topo.NodeID) bool {
-	return d.hops(tp, src, dst) >= 0
-}
-
-// hops returns the BFS hop count src→dst over bothUp links, -1 if
-// disconnected.
-func (d linkDirs) hops(tp *topo.Topology, src, dst topo.NodeID) int {
-	if src == dst {
-		return 0
-	}
-	dist := make([]int, len(tp.Nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []topo.NodeID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range tp.LinksOf(cur) {
-			if !d[l.ID][0] || !d[l.ID][1] {
-				continue
-			}
-			next, _ := l.Other(cur)
-			if dist[next] >= 0 {
-				continue
-			}
-			dist[next] = dist[cur] + 1
-			if next == dst {
-				return dist[next]
-			}
-			queue = append(queue, next)
-		}
-	}
-	return -1
-}
-
 // sortedTransitions returns the transition list in replay order: stably
 // sorted by time, so equal-time writes keep their scheduling order —
 // exactly the simulator's (time, seq) tie-break.
@@ -172,43 +110,82 @@ func sortedTransitions(trs []transition) []transition {
 	return s
 }
 
-// disconnectedIntervals replays the link-state timeline and returns the
-// spans during which src and dst had no bothUp path at all — outages no
-// routing scheme can mask.
-func disconnectedIntervals(tp *topo.Topology, sorted []transition, src, dst topo.NodeID, end sim.Time) []interval {
-	dirs := initialDirs(tp)
-	var out []interval
-	var openAt sim.Time
-	open := !dirs.connected(tp, src, dst)
-	i := 0
-	for i < len(sorted) {
-		t := sorted[i].at
-		for i < len(sorted) && sorted[i].at == t {
-			dirs.apply(tp, sorted[i])
-			i++
-		}
-		c := dirs.connected(tp, src, dst)
-		if open && c {
-			out = append(out, interval{openAt, t})
-			open = false
-		} else if !open && !c {
-			openAt = t
-			open = true
-		}
-	}
-	if open {
-		out = append(out, interval{openAt, end})
-	}
-	return out
+// reach replays the link-state timeline and answers the oracles' path
+// questions over links healthy in both directions — the bothUp condition
+// the BFD-style detectors enforce. One adjacency arena and one search
+// serve every transition of a run.
+type reach struct {
+	tp     *topo.Topology
+	dirs   [][2]bool // per-direction link state
+	up     []bool    // both directions up
+	graph  topo.Graph
+	search topo.Search
 }
 
-// finalDirs replays the whole timeline and returns the quiesced state.
-func finalDirs(tp *topo.Topology, sorted []transition) linkDirs {
-	dirs := initialDirs(tp)
-	for _, tr := range sorted {
-		dirs.apply(tp, tr)
+func newReach(tp *topo.Topology) *reach {
+	rc := &reach{tp: tp, dirs: make([][2]bool, len(tp.Links)), up: make([]bool, len(tp.Links)),
+		search: topo.Search{Dist: make([]int, len(tp.Nodes))}}
+	for _, l := range tp.LiveLinks() {
+		rc.dirs[l.ID], rc.up[l.ID] = [2]bool{true, true}, true
 	}
-	return dirs
+	rc.graph.Build(tp, rc.up, true)
+	return rc
+}
+
+// apply replays one transition; the rows follow at the next Build.
+func (rc *reach) apply(tr transition) {
+	d := &rc.dirs[tr.link]
+	switch {
+	case tr.from == topo.None:
+		*d = [2]bool{tr.up, tr.up}
+	case rc.tp.Link(tr.link).B == tr.from:
+		d[1] = tr.up
+	default:
+		d[0] = tr.up
+	}
+	rc.up[tr.link] = d[0] && d[1]
+}
+
+// hops returns the shortest src→dst hop count, topo.Unreachable if none.
+func (rc *reach) hops(src, dst topo.NodeID) int {
+	rc.search.Run(rc.tp, rc.graph.Rows, src)
+	return rc.search.Dist[dst]
+}
+
+// disconnectedIntervals replays the whole timeline and returns, per flow,
+// the spans during which its endpoints had no bothUp path at all — outages
+// no routing scheme can mask. It leaves rc in the quiesced state.
+func (rc *reach) disconnectedIntervals(sorted []transition, flows []*flowRun, end sim.Time) [][]interval {
+	out := make([][]interval, len(flows))
+	openAt := make([]sim.Time, len(flows)) // onset of the current outage; -1 while connected
+	check := func(t sim.Time) {
+		for k, fr := range flows {
+			switch c := rc.hops(fr.Src, fr.Dst) != topo.Unreachable; {
+			case c && openAt[k] >= 0:
+				out[k], openAt[k] = append(out[k], interval{openAt[k], t}), -1
+			case !c && openAt[k] < 0:
+				openAt[k] = t
+			}
+		}
+	}
+	for k := range openAt {
+		openAt[k] = -1
+	}
+	check(0)
+	for i := 0; i < len(sorted); {
+		t := sorted[i].at
+		for ; i < len(sorted) && sorted[i].at == t; i++ {
+			rc.apply(sorted[i])
+		}
+		rc.graph.Build(rc.tp, rc.up, true)
+		check(t)
+	}
+	for k, at := range openAt {
+		if at >= 0 {
+			out[k] = append(out[k], interval{at, end})
+		}
+	}
+	return out
 }
 
 // maxListedPerOracle caps the violations reported per (oracle, flow); the
@@ -258,8 +235,8 @@ func (r *run) verdict() *Verdict {
 		last := sim.Time(f.lastTransitionMs()) * sim.Millisecond
 		global = append(global, interval{f.at, last + r.budget})
 	}
-	sorted := sortedTransitions(r.trans)
-	final := finalDirs(r.tp, sorted)
+	final := newReach(r.tp) // quiesced once the replay below has run
+	disc := final.disconnectedIntervals(sortedTransitions(r.trans), r.flows, r.horizon)
 
 	for i, fr := range r.flows {
 		// Fold arrivals into the trace digest (deterministic order).
@@ -276,8 +253,7 @@ func (r *run) verdict() *Verdict {
 		v.Flows = append(v.Flows, fs)
 
 		disturbed := slices.Clone(global)
-		disc := disconnectedIntervals(r.tp, sorted, fr.Src, fr.Dst, r.horizon)
-		for _, d := range disc {
+		for _, d := range disc[i] {
 			disturbed = append(disturbed, interval{d.a, d.b + r.budget})
 		}
 		disturbed = mergeIntervals(disturbed)
@@ -365,8 +341,7 @@ func (r *run) verdict() *Verdict {
 		// FIB consistency at quiesce: if the final link state connects the
 		// endpoints, the FIB walk must reach the destination loop-free and
 		// without excessive stretch.
-		shortest := final.hops(r.tp, fr.Src, fr.Dst)
-		if shortest >= 0 {
+		if shortest := final.hops(fr.Src, fr.Dst); shortest != topo.Unreachable {
 			path, err := r.lab.Net.PathTrace(fr.Src, fr.Source.FlowKey())
 			switch {
 			case err != nil:

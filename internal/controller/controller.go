@@ -1,94 +1,72 @@
 // Package controller implements a centralized routing control plane for
 // the paper's §V "Centralized Routing DCNs" discussion (PortLand-style
-// [26]): switches report detected failures to a logically central
-// controller, which recomputes global shortest paths and pushes new FIBs
-// to every affected switch.
-//
-// Recovery then costs detect + report + recompute + install — better than
-// churning OSPF, but still a round trip through a remote brain. The
-// paper's point, reproduced here, is that F²Tree's backup routes bridge
-// that window too: the data plane reroutes locally the moment detection
-// fires, and the controller's eventual update merely restores optimal
-// paths.
+// [26]): switches report detected failures to a central controller, which
+// recomputes global shortest paths and pushes new FIBs to every switch.
+// Recovery costs detect + report + recompute + install; F²Tree's backup
+// routes bridge that window, and the update merely restores optimal paths.
 package controller
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
-	"repro/internal/detsort"
-	"repro/internal/fib"
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
-// Config carries the control-loop latencies.
+// Config carries the control-loop latencies; a zero field takes DefaultConfig's.
 type Config struct {
-	// ReportDelay is the switch→controller failure-report latency.
-	ReportDelay time.Duration
-	// ComputeDelay is the controller's global route recomputation time
-	// (grows with fabric size in production; fixed here).
-	ComputeDelay time.Duration
-	// InstallDelay is the controller→switch push plus FIB install time.
-	InstallDelay time.Duration
+	ReportDelay  time.Duration // switch→controller failure-report latency
+	ComputeDelay time.Duration // global route recomputation (grows with fabric size in production; fixed here)
+	InstallDelay time.Duration // controller→switch push plus FIB install
 }
 
-// DefaultConfig models a mid-size deployment: the full loop costs ≈ 70 ms
-// on top of failure detection.
+// DefaultConfig models a mid-size deployment: the loop adds ≈ 70 ms to detection.
 func DefaultConfig() Config {
-	return Config{
-		ReportDelay:  2 * time.Millisecond,
-		ComputeDelay: 50 * time.Millisecond,
-		InstallDelay: 20 * time.Millisecond,
-	}
+	return Config{ReportDelay: 2 * time.Millisecond, ComputeDelay: 50 * time.Millisecond, InstallDelay: 20 * time.Millisecond}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.ReportDelay == 0 {
-		c.ReportDelay = d.ReportDelay
-	}
-	if c.ComputeDelay == 0 {
-		c.ComputeDelay = d.ComputeDelay
-	}
-	if c.InstallDelay == 0 {
-		c.InstallDelay = d.InstallDelay
-	}
-	return c
+	return Config{cmp.Or(c.ReportDelay, d.ReportDelay), cmp.Or(c.ComputeDelay, d.ComputeDelay), cmp.Or(c.InstallDelay, d.InstallDelay)}
 }
 
 // Controller is the central route computer.
 type Controller struct {
-	sim  *sim.Simulator
-	nw   *network.Network
-	topo *topo.Topology
-	cfg  Config
-
-	// view[link] is the controller's belief about link liveness, fed by
-	// switch reports.
-	view map[topo.LinkID]bool
-	// computePending coalesces reports that arrive while a recomputation
-	// is already scheduled.
-	computePending bool
-
+	nw             *network.Network
+	topo           *topo.Topology
+	cfg            Config
+	view           []bool        // view[link]: believed live, fed by switch reports
+	reports        []report      // reports[2·link+up]: the argument of a report in flight
+	switches, tors []topo.NodeID // live switches by NodeID; subnet ToRs by subnet address, then NodeID
+	graph          topo.Graph
+	search         topo.Search
+	computePending bool // a recomputation is scheduled; later reports join it
 	recomputations int
 }
 
-// New attaches a controller to the network: it subscribes to every
-// switch's failure detector (the "report" path).
+// report is one switch's report of a link's new state.
+type report struct {
+	c    *Controller
+	link topo.LinkID
+	up   bool
+}
+
+// New attaches a controller that hears every switch's failure detector (the "report" path).
 func New(nw *network.Network, cfg Config) *Controller {
-	c := &Controller{
-		sim:  nw.Sim(),
-		nw:   nw,
-		topo: nw.Topology(),
-		cfg:  cfg.withDefaults(),
-		view: make(map[topo.LinkID]bool),
+	t, n := nw.Topology(), len(nw.Topology().Nodes)
+	c := &Controller{nw: nw, topo: t, cfg: cfg.withDefaults(), view: make([]bool, len(t.Links)),
+		reports: make([]report, 2*len(t.Links)), search: topo.Search{Dist: make([]int, n), Mask: make([]uint64, n)}}
+	for k := range c.reports {
+		c.reports[k] = report{c: c, link: topo.LinkID(k / 2), up: k%2 == 1}
+		c.view[k/2] = !t.Links[k/2].Removed
 	}
-	for _, l := range c.topo.LiveLinks() {
-		c.view[l.ID] = true
-	}
+	c.switches = slices.DeleteFunc(t.LiveNodes(), func(id topo.NodeID) bool { return t.Node(id).Kind == topo.Host })
+	c.tors = slices.DeleteFunc(t.NodesOfKind(topo.ToR), func(id topo.NodeID) bool { return t.Node(id).Subnet.IsZero() })
+	slices.SortStableFunc(c.tors, func(a, b topo.NodeID) int { return cmp.Compare(t.Node(a).Subnet.Addr(), t.Node(b).Subnet.Addr()) })
 	nw.OnPortState(c.portReport)
 	return c
 }
@@ -97,160 +75,46 @@ func New(nw *network.Network, cfg Config) *Controller {
 func (c *Controller) Recomputations() int { return c.recomputations }
 
 // Bootstrap computes and installs the initial global routes synchronously.
+// It fails if a switch has more ports than a next-hop mask can name: routes
+// over the excess ports would silently vanish from every ECMP set.
 func (c *Controller) Bootstrap() error {
-	routes := c.computeAll()
-	// Sorted iteration keeps install order and any error deterministic.
-	for _, node := range detsort.Keys(routes) {
-		if err := c.nw.Table(node).ReplaceSource(fib.OSPF, routes[node]); err != nil {
-			return fmt.Errorf("controller: bootstrap %s: %w", c.topo.Node(node).Name, err)
+	for _, n := range c.switches {
+		if nd := c.topo.Node(n); nd.NumPorts > topo.MaskPorts {
+			return fmt.Errorf("controller: bootstrap %s: %d ports, next-hop sets name at most %d", nd.Name, nd.NumPorts, topo.MaskPorts)
 		}
 	}
-	return nil
+	return c.computeAll().install()
 }
 
-// portReport is invoked when a switch's detector notices a port change;
-// the switch sends a report that reaches the controller after ReportDelay.
+// portReport sends a switch's port change; it reaches the controller after ReportDelay.
 func (c *Controller) portReport(now sim.Time, node topo.NodeID, port int, up bool) {
-	if c.topo.Node(node).Kind == topo.Host {
-		return
-	}
-	l := c.topo.LinkOnPort(node, port)
-	if l == nil {
-		// Port currently has no live link in the static topology; find it
-		// among removed? Nothing to report.
-		return
-	}
-	linkID := l.ID
-	c.sim.After(c.cfg.ReportDelay, func(at sim.Time) {
-		if c.view[linkID] == up {
-			return // duplicate report from the other endpoint
+	if l := c.topo.LinkOnPort(node, port); l != nil && c.topo.Node(node).Kind != topo.Host {
+		r := &c.reports[2*l.ID]
+		if up {
+			r = &c.reports[2*l.ID+1]
 		}
-		c.view[linkID] = up
-		c.scheduleRecompute()
-	})
+		c.nw.Sim().AfterArg(c.cfg.ReportDelay, deliver, r)
+	}
 }
 
-// scheduleRecompute coalesces bursts of reports into one recomputation.
-func (c *Controller) scheduleRecompute() {
-	if c.computePending {
-		return
+// deliver lands a report in the view; bursts coalesce into one recomputation.
+func deliver(_ sim.Time, arg any) {
+	r := arg.(*report)
+	if c := r.c; c.view[r.link] != r.up { // else a duplicate from the other endpoint
+		c.view[r.link] = r.up
+		if !c.computePending {
+			c.computePending = true
+			c.nw.Sim().AfterArg(c.cfg.ComputeDelay, recompute, c)
+		}
 	}
-	c.computePending = true
-	c.sim.After(c.cfg.ComputeDelay, func(at sim.Time) {
-		c.computePending = false
-		c.recomputations++
-		routes := c.computeAll()
-		c.sim.After(c.cfg.InstallDelay, func(sim.Time) {
-			for _, node := range detsort.Keys(routes) {
-				// Install failures on a torn-down switch are tolerable.
-				_ = c.nw.Table(node).ReplaceSource(fib.OSPF, routes[node])
-			}
-		})
-	})
 }
 
-type edge struct {
-	to   topo.NodeID
-	link topo.LinkID
+func recompute(_ sim.Time, arg any) {
+	c := arg.(*Controller)
+	c.computePending, c.recomputations = false, c.recomputations+1
+	c.nw.Sim().AfterArg(c.cfg.InstallDelay, install, c.computeAll())
 }
 
-// computeAll runs BFS ECMP from every switch over the controller's current
-// view, producing routes to every ToR subnet.
-func (c *Controller) computeAll() map[topo.NodeID][]fib.Route {
-	// Build the believed-live switch graph once.
-	graph := make(map[topo.NodeID][]edge)
-	for _, l := range c.topo.LiveLinks() {
-		if !c.view[l.ID] {
-			continue
-		}
-		if c.topo.Node(l.A).Kind == topo.Host || c.topo.Node(l.B).Kind == topo.Host {
-			continue
-		}
-		graph[l.A] = append(graph[l.A], edge{to: l.B, link: l.ID})
-		graph[l.B] = append(graph[l.B], edge{to: l.A, link: l.ID})
-	}
-	//f2tree:unordered per-key in-place sort; no cross-key effects
-	for n := range graph {
-		es := graph[n]
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].to != es[j].to {
-				return es[i].to < es[j].to
-			}
-			return es[i].link < es[j].link
-		})
-	}
-
-	out := make(map[topo.NodeID][]fib.Route)
-	for _, src := range c.topo.LiveNodes() {
-		nd := c.topo.Node(src)
-		if nd.Kind == topo.Host {
-			continue
-		}
-		out[src] = c.routesFrom(src, graph)
-	}
-	return out
-}
-
-// routesFrom is BFS with ECMP next-hop merging from src.
-func (c *Controller) routesFrom(src topo.NodeID, graph map[topo.NodeID][]edge) []fib.Route {
-	dist := map[topo.NodeID]int{src: 0}
-	nh := map[topo.NodeID]map[fib.NextHop]bool{}
-	frontier := []topo.NodeID{src}
-	for len(frontier) > 0 {
-		var next []topo.NodeID
-		seen := map[topo.NodeID]bool{}
-		for _, u := range frontier {
-			for _, e := range graph[u] {
-				dv, known := dist[e.to]
-				du := dist[u]
-				if known && dv < du+1 {
-					continue
-				}
-				if !known {
-					dist[e.to] = du + 1
-					if !seen[e.to] {
-						seen[e.to] = true
-						next = append(next, e.to)
-					}
-				}
-				set := nh[e.to]
-				if set == nil {
-					set = make(map[fib.NextHop]bool, 2)
-					nh[e.to] = set
-				}
-				if u == src {
-					l := c.topo.Link(e.link)
-					port, ok := l.PortOf(src)
-					if !ok {
-						continue
-					}
-					set[fib.NextHop{Port: port, Via: c.topo.Node(e.to).Addr}] = true
-				} else {
-					//f2tree:unordered set union; content is order-independent
-					for h := range nh[u] {
-						set[h] = true
-					}
-				}
-			}
-		}
-		frontier = next
-	}
-	var routes []fib.Route
-	for _, tor := range c.topo.NodesOfKind(topo.ToR) {
-		if tor == src {
-			continue
-		}
-		set := nh[tor]
-		if len(set) == 0 {
-			continue
-		}
-		subnet := c.topo.Node(tor).Subnet
-		if subnet.IsZero() {
-			continue
-		}
-		hops := detsort.KeysFunc(set, fib.HopLess)
-		routes = append(routes, fib.Route{Prefix: subnet, Source: fib.OSPF, NextHops: hops})
-	}
-	sort.Slice(routes, func(i, j int) bool { return routes[i].Prefix.Addr() < routes[j].Prefix.Addr() })
-	return routes
+func install(_ sim.Time, arg any) {
+	_ = arg.(*batch).install() // Bootstrap enforced the mask width: 1..64 hops per route, nothing to reject
 }

@@ -116,8 +116,8 @@ func (k FlowKey) Hash() uint32 {
 const numSources = int(BGP)
 
 // maxHops bounds a route's ECMP set: a lookup holds the usable subset of a
-// set as a bitmask in one uint64 (the width rule ospf.hopSet and bgp's
-// session masks follow too), so a wider route is an Add error.
+// set as a bitmask in one uint64 (the width rule topo.Search's port masks
+// and bgp's session masks follow too), so a wider route is an Add error.
 const maxHops = 64
 
 // entry holds every route installed for one prefix, one slot per source.

@@ -39,9 +39,9 @@ import (
 // arrival order, possibly repeated).
 type spfState struct {
 	valid bool
-	graph [][]edge
+	graph [][]topo.Edge
 	dist  []int
-	nh    []hopSet
+	nh    []uint64
 	dirty []topo.NodeID
 
 	fullRuns int // full BFS (first run, fallback, or Config.FullSPF)
@@ -57,13 +57,13 @@ func (st *spfState) init(rowCap []int) {
 	for _, c := range rowCap {
 		total += c
 	}
-	arena := make([]edge, total)
-	st.graph = make([][]edge, n)
+	arena := make([]topo.Edge, total)
+	st.graph = make([][]topo.Edge, n)
 	for o, c := range rowCap {
 		st.graph[o], arena = arena[:0:c], arena[c:]
 	}
 	st.dist = make([]int, n)
-	st.nh = make([]hopSet, n)
+	st.nh = make([]uint64, n)
 }
 
 // spfScratch is the working memory of one SPF run. The Domain owns it and
@@ -73,12 +73,13 @@ type spfScratch struct {
 	// stamp marks nodes for the current pass: a pass draws a fresh base
 	// from mark() and treats stamp[n] == base and base+1 as its two marks,
 	// anything lower as unmarked, so no pass ever clears the array.
-	stamp []uint32
-	gen   uint32
-	cand  []int         // repairRemove: tentative distance per affected node
-	a, b  []topo.NodeID // frontiers, queues, member lists
-	rows  []edge        // computeIncremental: rebuilt rows, back to back
-	spans []rowSpan     // where each rebuilt row sits in rows
+	stamp  []uint32
+	gen    uint32
+	cand   []int         // repairRemove: tentative distance per affected node
+	a, b   []topo.NodeID // repair queues, levels and member lists
+	rows   []topo.Edge   // computeIncremental: rebuilt rows, back to back
+	spans  []rowSpan     // where each rebuilt row sits in rows
+	search topo.Search   // full searches: frontiers here, results in spfState
 
 	cands    []emitCand             // emitRoutes: one per prefix, first-seen order
 	byPrefix map[netaddr.Prefix]int // prefix → index in cands
@@ -127,15 +128,15 @@ type linkDiff struct {
 	multi bool
 }
 
-func (ld *linkDiff) record(from topo.NodeID, e edge, add bool) {
+func (ld *linkDiff) record(from topo.NodeID, e topo.Edge, add bool) {
 	switch {
 	case ld.dirs == 0:
-		*ld = linkDiff{dirs: 1, link: e.link, add: add, u: from, v: e.to, ok: true}
-	case e.link != ld.link:
+		*ld = linkDiff{dirs: 1, link: e.Link, add: add, u: from, v: e.To, ok: true}
+	case e.Link != ld.link:
 		ld.multi = true
 	default:
 		ld.dirs++
-		if ld.add != add || ld.u != e.to || ld.v != from {
+		if ld.add != add || ld.u != e.To || ld.v != from {
 			ld.ok = false
 		}
 	}
@@ -143,7 +144,7 @@ func (ld *linkDiff) record(from topo.NodeID, e edge, add bool) {
 
 // diffRow records every edge present in only one of from's two rows. Both
 // are sorted by (neighbor, link), so one merge walk finds them.
-func (ld *linkDiff) diffRow(from topo.NodeID, oldRow, newRow []edge) {
+func (ld *linkDiff) diffRow(from topo.NodeID, oldRow, newRow []topo.Edge) {
 	x, y := 0, 0
 	for x < len(oldRow) && y < len(newRow) {
 		o, n := oldRow[x], newRow[y]
@@ -151,7 +152,7 @@ func (ld *linkDiff) diffRow(from topo.NodeID, oldRow, newRow []edge) {
 		case o == n:
 			x++
 			y++
-		case o.to < n.to || (o.to == n.to && o.link < n.link):
+		case o.To < n.To || (o.To == n.To && o.Link < n.Link):
 			ld.record(from, o, false)
 			x++
 		default:
@@ -188,18 +189,18 @@ func (i *Instance) computeIncremental() bool {
 		sc.stamp[o] = isDirty
 	}
 	sc.rows, sc.spans = sc.rows[:0], sc.spans[:0]
-	rebuild := func(o topo.NodeID) []edge {
+	rebuild := func(o topo.NodeID) []topo.Edge {
 		lo := len(sc.rows)
 		sc.rows = i.buildRow(o, sc.rows)
 		sc.spans = append(sc.spans, rowSpan{origin: o, lo: lo, hi: len(sc.rows)})
 		return sc.rows[lo:]
 	}
 	peers := sc.a[:0]
-	addPeers := func(row []edge) {
+	addPeers := func(row []topo.Edge) {
 		for _, e := range row {
-			if sc.stamp[e.to] < isDirty {
-				sc.stamp[e.to] = isPeer
-				peers = append(peers, e.to)
+			if sc.stamp[e.To] < isDirty {
+				sc.stamp[e.To] = isPeer
+				peers = append(peers, e.To)
 			}
 		}
 	}
@@ -275,11 +276,11 @@ func (i *Instance) repairRemove(u, v topo.NodeID) bool {
 	for q := 0; q < len(members); q++ {
 		w := members[q]
 		for _, e := range st.graph[w] {
-			if sc.stamp[e.to] >= affected || !taut(st.dist[w], st.dist[e.to]) {
+			if sc.stamp[e.To] >= affected || !taut(st.dist[w], st.dist[e.To]) {
 				continue
 			}
-			sc.stamp[e.to] = affected
-			members = append(members, e.to)
+			sc.stamp[e.To] = affected
+			members = append(members, e.To)
 		}
 	}
 	sc.a = members
@@ -294,10 +295,10 @@ func (i *Instance) repairRemove(u, v topo.NodeID) bool {
 	for _, w := range members {
 		best := inf
 		for _, e := range st.graph[w] { // out-edges double as in-edges
-			if sc.stamp[e.to] >= affected {
+			if sc.stamp[e.To] >= affected {
 				continue
 			}
-			if dp := st.dist[e.to]; dp != inf && dp+1 < best {
+			if dp := st.dist[e.To]; dp != inf && dp+1 < best {
 				best = dp + 1
 			}
 		}
@@ -324,8 +325,8 @@ func (i *Instance) repairRemove(u, v topo.NodeID) bool {
 		for _, w := range order[from:] {
 			st.dist[w] = d
 			for _, e := range st.graph[w] {
-				if sc.stamp[e.to] == affected && d+1 < sc.cand[e.to] {
-					sc.cand[e.to] = d + 1
+				if sc.stamp[e.To] == affected && d+1 < sc.cand[e.To] {
+					sc.cand[e.To] = d + 1
 				}
 			}
 		}
@@ -401,17 +402,17 @@ sweep:
 				continue
 			}
 			for _, e := range st.graph[w] {
-				dz := st.dist[e.to]
+				dz := st.dist[e.To]
 				if d+1 > dz {
 					continue
 				}
-				if sc.stamp[e.to] < queued {
-					sc.stamp[e.to] = queued
-					next = append(next, e.to)
+				if sc.stamp[e.To] < queued {
+					sc.stamp[e.To] = queued
+					next = append(next, e.To)
 				}
 				if d+1 < dz {
-					st.dist[e.to] = d + 1
-					sc.stamp[e.to] = moved
+					st.dist[e.To] = d + 1
+					sc.stamp[e.To] = moved
 				}
 			}
 		}
@@ -423,17 +424,17 @@ sweep:
 
 // recomputeNH rebuilds a node's first-hop set from its taut in-edges (the
 // symmetric graph makes the out-edge list the in-edge list).
-func (i *Instance) recomputeNH(w topo.NodeID) hopSet {
+func (i *Instance) recomputeNH(w topo.NodeID) uint64 {
 	st := &i.spf
 	dw := st.dist[w]
-	var set hopSet
+	var set uint64
 	for _, e := range st.graph[w] {
-		p := e.to
+		p := e.To
 		if !taut(st.dist[p], dw) {
 			continue
 		}
 		if p == i.node {
-			set |= i.portSet(e.link)
+			set |= i.portSet(e.Link)
 		} else {
 			set |= st.nh[p]
 		}
@@ -448,9 +449,9 @@ func (i *Instance) recomputeNH(w topo.NodeID) hopSet {
 func (i *Instance) verifySPF() {
 	st := &i.spf
 	n := len(st.graph)
-	fresh := spfState{graph: make([][]edge, n), dist: make([]int, n), nh: make([]hopSet, n)}
+	fresh := spfState{graph: make([][]topo.Edge, n), dist: make([]int, n), nh: make([]uint64, n)}
 	i.buildGraph(fresh.graph)
-	i.runBFS(fresh.graph, fresh.dist, fresh.nh)
+	i.search(fresh.graph, fresh.dist, fresh.nh)
 	for o := range fresh.graph {
 		if !slices.Equal(st.graph[o], fresh.graph[o]) {
 			panic(fmt.Sprintf("ospf ispf: node %d graph row of %d diverged: have %v want %v", i.node, o, st.graph[o], fresh.graph[o]))

@@ -152,7 +152,7 @@ type Instance struct {
 	// adj lists the switch neighbors in port order (the order floods are
 	// scheduled in); hops[p] is the next hop out of local port p. A port
 	// carries one link, so the port names the next hop and an ECMP set is
-	// a bitmask over ports (hopSet).
+	// a bitmask over ports (a topo.Search port mask).
 	adj  []localAdj
 	hops []fib.NextHop
 
@@ -333,7 +333,7 @@ func (d *Domain) Config() Config { return d.cfg }
 // convergence before the experiment starts. Throttle state stays quiet, so
 // the first failure is handled with the initial SPF delay.
 //
-// It fails if a switch has more ports than a hopSet can name: routes over
+// It fails if a switch has more ports than a hop set can name: routes over
 // the excess ports would silently vanish from every ECMP set.
 func (d *Domain) Bootstrap() error {
 	// Ascending NodeID keeps install order and any error deterministic.

@@ -8,20 +8,10 @@ import (
 	"repro/internal/topo"
 )
 
-type edge struct {
-	to   topo.NodeID
-	link topo.LinkID
-}
-
-const inf = int(^uint(0) >> 1)
-
-// hopSet is an ECMP first-hop set: bit p set means "leave through local
-// port p". Union is |, equality is ==, and walking the bits upward yields
-// the hops in fib.HopLess order. Domain.Bootstrap rejects switches with
-// more than hopSetPorts ports, so no port is ever silently dropped.
-type hopSet uint64
-
-const hopSetPorts = 64
+const (
+	inf         = topo.Unreachable // distance of a node the last search did not reach
+	hopSetPorts = topo.MaskPorts   // ports a first-hop set can name; Domain.Bootstrap rejects wider switches
+)
 
 // computeRoutes runs the shortest-path computation over the LSDB and
 // returns the ECMP routes to every advertised prefix. Links have unit cost
@@ -70,14 +60,14 @@ func (i *Instance) adjOK(from, to topo.NodeID, link topo.LinkID) bool {
 
 // buildRow appends origin's adjacency row — its two-way-checked out-edges
 // — to row. LSAs are born sorted by (neighbor, link), so the row is too.
-func (i *Instance) buildRow(origin topo.NodeID, row []edge) []edge {
+func (i *Instance) buildRow(origin topo.NodeID, row []topo.Edge) []topo.Edge {
 	lsa := i.lsdb[origin]
 	if lsa == nil {
 		return row
 	}
 	for _, a := range lsa.Adjacencies {
 		if i.adjOK(origin, a.Neighbor, a.Link) {
-			row = append(row, edge{to: a.Neighbor, link: a.Link})
+			row = append(row, topo.Edge{To: a.Neighbor, Link: a.Link})
 		}
 	}
 	return row
@@ -85,49 +75,23 @@ func (i *Instance) buildRow(origin topo.NodeID, row []edge) []edge {
 
 // buildGraph rebuilds every adjacency row from the LSDB into graph, reusing
 // the rows' storage.
-func (i *Instance) buildGraph(graph [][]edge) {
+func (i *Instance) buildGraph(graph [][]topo.Edge) {
 	for o := range graph {
 		graph[o] = i.buildRow(topo.NodeID(o), graph[o][:0])
 	}
 }
 
-// runBFS computes distances and first-hop sets from self over the graph.
-// nh[v] is the set of local ports beginning some shortest path to v.
-func (i *Instance) runBFS(graph [][]edge, dist []int, nh []hopSet) {
-	for n := range dist {
-		dist[n] = inf
-	}
-	clear(nh)
-	sc := &i.d.scratch
-	dist[i.node] = 0
-	frontier, next := append(sc.a[:0], i.node), sc.b[:0]
-	for du := 0; len(frontier) > 0; du++ {
-		next = next[:0]
-		for _, u := range frontier {
-			for _, e := range graph[u] {
-				dv := dist[e.to]
-				if dv < du+1 {
-					continue
-				}
-				if dv > du+1 {
-					dist[e.to] = du + 1
-					next = append(next, e.to)
-				}
-				if u == i.node {
-					nh[e.to] |= i.portSet(e.link)
-				} else {
-					nh[e.to] |= nh[u]
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	sc.a, sc.b = frontier, next
+// search runs the graph kernel from this router over graph into dist and
+// nh: nh[v] is the set of local ports beginning some shortest path to v.
+func (i *Instance) search(graph [][]topo.Edge, dist []int, nh []uint64) {
+	s := &i.d.scratch.search
+	s.Dist, s.Mask = dist, nh
+	s.Run(i.d.topo, graph, i.node)
 }
 
 // portSet returns the one-port set of a directly attached link (empty if
 // the link does not touch this router).
-func (i *Instance) portSet(link topo.LinkID) hopSet {
+func (i *Instance) portSet(link topo.LinkID) uint64 {
 	port, ok := i.d.topo.Link(link).PortOf(i.node)
 	if !ok {
 		return 0
@@ -145,7 +109,7 @@ func (i *Instance) computeFull() {
 // rows and resets the incremental bookkeeping.
 func (i *Instance) searchFull() {
 	st := &i.spf
-	i.runBFS(st.graph, st.dist, st.nh)
+	i.search(st.graph, st.dist, st.nh)
 	st.dirty = st.dirty[:0]
 	st.valid = true
 	st.fullRuns++
@@ -155,7 +119,7 @@ func (i *Instance) searchFull() {
 type emitCand struct {
 	prefix netaddr.Prefix
 	dist   int
-	hops   hopSet
+	hops   uint64
 }
 
 // emitRoutes emits one route per advertised prefix of every other
@@ -199,14 +163,14 @@ func (i *Instance) emitRoutes() []fib.Route {
 	sc.cands = cands
 	total := 0
 	for _, c := range cands {
-		total += bits.OnesCount64(uint64(c.hops))
+		total += bits.OnesCount64(c.hops)
 	}
 	hops := make([]fib.NextHop, 0, total)
 	routes := make([]fib.Route, len(cands))
 	for k, c := range cands {
 		lo := len(hops)
 		for set := c.hops; set != 0; set &= set - 1 {
-			hops = append(hops, i.hops[bits.TrailingZeros64(uint64(set))])
+			hops = append(hops, i.hops[bits.TrailingZeros64(set)])
 		}
 		routes[k] = fib.Route{Prefix: c.prefix, Source: fib.OSPF, NextHops: hops[lo:len(hops):len(hops)]}
 	}

@@ -73,10 +73,11 @@ type Query struct {
 	FullSPF bool `json:"fullSPF,omitempty"`
 }
 
-// normalized validates the query and fills defaults, returning the
-// canonical form whose encoding is the cache key. Where a field has two
-// spellings of one value the canonical one is the shorter document: control
-// "ospf" becomes "", condition "c1" becomes "C1".
+// normalized fills defaults and checks the fields, returning the canonical
+// form whose encoding is the cache key. Where a field has two spellings of
+// one value the canonical one is the shorter document: control "ospf"
+// becomes "", condition "c1" becomes "C1". The checks that need the fabric
+// are validate's.
 func (q Query) normalized() (Query, error) {
 	switch q.Kind {
 	case "":
@@ -116,15 +117,6 @@ func (q Query) normalized() (Query, error) {
 		if q.RestoreAtMs != 0 && q.RestoreAtMs <= q.FailAtMs {
 			return q, fmt.Errorf("serve: restoreAtMs %d not after failAtMs %d", q.RestoreAtMs, q.FailAtMs)
 		}
-		if _, err := exp.BuildTopology(exp.Scheme(q.Scheme), q.Ports); err != nil {
-			return q, err
-		}
-		// Scenario validation owns the rest (scheme, control, flows,
-		// horizon); run it on the assembled scenario so serve and batch
-		// replay reject exactly the same inputs.
-		if err := q.scenario().Validate(); err != nil {
-			return q, err
-		}
 	case KindRecovery:
 		if q.Link != nil || q.Control != "" || q.RestoreAtMs != 0 || q.BudgetMs != 0 || len(q.Flows) != 0 {
 			return q, fmt.Errorf("serve: link, control, restoreAtMs, budgetMs and flows are whatif-query fields")
@@ -134,11 +126,23 @@ func (q Query) normalized() (Query, error) {
 			return q, fmt.Errorf("serve: %w", err)
 		}
 		q.Condition = cond.String()
-		if _, err := exp.BuildTopology(exp.Scheme(q.Scheme), q.Ports); err != nil {
-			return q, err
-		}
 	}
 	return q, nil
+}
+
+// validate runs the checks of a normalized query that need its fabric:
+// the topology must build and, for whatif, the assembled scenario must
+// pass chaos's validation (scheme, control, flows, horizon), so serve and
+// batch replay reject exactly the same inputs. It depends on nothing but
+// the canonical query, so one validation serves every query with its key.
+func (q Query) validate() error {
+	if _, err := exp.BuildTopology(exp.Scheme(q.Scheme), q.Ports); err != nil {
+		return err
+	}
+	if q.Kind == KindWhatIf {
+		return q.scenario().Validate()
+	}
+	return nil
 }
 
 // hash is the memoization key: sha256 of the canonical JSON, truncated to

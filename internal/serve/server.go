@@ -147,6 +147,13 @@ func (s *Server) Answer(q Query) (rep *Report, disp Disposition, err error) {
 		return nil, DispMiss, err
 	}
 	key := nq.hash()
+	// Only a miss pays for validation, which builds the fabric: a failed
+	// query is never stored, and validity depends on the key alone.
+	if _, known := s.cache.Completed(key); !known {
+		if err := nq.validate(); err != nil {
+			return nil, DispMiss, err
+		}
+	}
 
 	s.mu.Lock()
 	if r, ok := s.cache.Completed(key); ok {

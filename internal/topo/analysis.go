@@ -15,88 +15,29 @@ type Analysis struct {
 // two nodes over live links, and how many distinct shortest paths realize
 // it. Returns (0, 0) when unreachable.
 func (t *Topology) CountShortestPaths(a, b NodeID) (hops, count int) {
-	if a == b {
-		return 0, 1
-	}
-	dist := make(map[NodeID]int)
-	ways := make(map[NodeID]int)
-	dist[a] = 0
-	ways[a] = 1
-	frontier := []NodeID{a}
-	for len(frontier) > 0 {
-		var next []NodeID
-		for _, u := range frontier {
-			for _, l := range t.LinksOf(u) {
-				v, ok := l.Other(u)
-				if !ok {
-					continue
-				}
-				dv, seen := dist[v]
-				du := dist[u]
-				switch {
-				case !seen:
-					dist[v] = du + 1
-					ways[v] = ways[u]
-					next = append(next, v)
-				case dv == du+1:
-					ways[v] += ways[u]
-				}
-			}
-		}
-		// dedupe next
-		seen := make(map[NodeID]bool, len(next))
-		out := next[:0]
-		for _, v := range next {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-		frontier = out
-		if _, ok := dist[b]; ok {
-			break
-		}
-	}
-	d, ok := dist[b]
-	if !ok {
+	var g Graph
+	g.Build(t, nil, true)
+	s := Search{Dist: make([]int, len(t.Nodes)), Count: make([]int, len(t.Nodes))}
+	s.Run(t, g.Rows, a)
+	if s.Dist[b] == Unreachable {
 		return 0, 0
 	}
-	return d, ways[b]
+	return s.Dist[b], s.Count[b]
 }
 
 // Analyze computes the structural summary over switches.
 func (t *Topology) Analyze() Analysis {
 	var a Analysis
-	// Diameter over switches via BFS from each switch (fine at these
-	// scales).
-	switches := make([]NodeID, 0)
-	for _, id := range t.LiveNodes() {
-		if t.Node(id).Kind != Host {
-			switches = append(switches, id)
+	var g Graph
+	g.Build(t, nil, false)
+	s := Search{Dist: make([]int, len(t.Nodes))}
+	for _, src := range t.LiveNodes() {
+		if t.Nodes[src].Kind == Host {
+			continue
 		}
-	}
-	for _, s := range switches {
-		dist := map[NodeID]int{s: 0}
-		frontier := []NodeID{s}
-		for len(frontier) > 0 {
-			var next []NodeID
-			for _, u := range frontier {
-				for _, l := range t.LinksOf(u) {
-					v, ok := l.Other(u)
-					if !ok || t.Node(v).Kind == Host {
-						continue
-					}
-					if _, seen := dist[v]; !seen {
-						dist[v] = dist[u] + 1
-						next = append(next, v)
-					}
-				}
-			}
-			frontier = next
-		}
-		//f2tree:unordered maximum over distances; commutative
-		for _, d := range dist {
-			if d > a.Diameter {
+		s.Run(t, g.Rows, src)
+		for _, d := range s.Dist {
+			if d != Unreachable && d > a.Diameter {
 				a.Diameter = d
 			}
 		}

@@ -119,21 +119,12 @@ func (t *Topology) Validate() error {
 	if len(live) == 0 {
 		return fmt.Errorf("topo: no live nodes")
 	}
-	visited := make(map[NodeID]bool, len(live))
-	queue := []NodeID{live[0]}
-	visited[live[0]] = true
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, l := range t.LinksOf(n) {
-			if o, ok := l.Other(n); ok && !visited[o] {
-				visited[o] = true
-				queue = append(queue, o)
-			}
-		}
-	}
+	var g Graph
+	g.Build(t, nil, true)
+	s := Search{Dist: make([]int, len(t.Nodes))}
+	s.Run(t, g.Rows, live[0])
 	for _, n := range live {
-		if !visited[n] {
+		if s.Dist[n] == Unreachable {
 			return fmt.Errorf("topo: live node %s unreachable", t.Nodes[n].Name)
 		}
 	}
