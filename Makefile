@@ -87,8 +87,9 @@ bench:
 # N=8/12/16, by the path that serves it (full BFS, single-link repairs,
 # fallback). BenchmarkFlood: one link, or every link of a pod, failed and
 # restored through the simulator, each to quiescence, at N=8/16.
+# BenchmarkDomain: NewDomain + Bootstrap on a fresh network at N=8/12/16.
 bench-ospf:
-	$(GO) test -run '^$$' -bench 'BenchmarkSPF|BenchmarkFlood' -benchmem ./internal/ospf
+	$(GO) test -run '^$$' -bench 'BenchmarkSPF|BenchmarkFlood|BenchmarkDomain' -benchmem ./internal/ospf
 
 # BGP microbenchmarks: bootstrap, one link failed and restored, and a ToR
 # speaker crash and restart without GR, each to quiescence on F²Tree

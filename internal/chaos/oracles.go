@@ -148,7 +148,7 @@ func (rc *reach) apply(tr transition) {
 
 // hops returns the shortest src→dst hop count, topo.Unreachable if none.
 func (rc *reach) hops(src, dst topo.NodeID) int {
-	rc.search.Run(rc.tp, rc.graph.Rows, src)
+	rc.search.Run(rc.tp, rc.graph.Rows, src, src)
 	return rc.search.Dist[dst]
 }
 

@@ -31,7 +31,7 @@ func (c *Controller) computeAll() *batch {
 	c.graph.Build(c.topo, c.view, false)
 	b := &batch{c: c, routes: make([][]fib.Route, len(c.switches))}
 	for k, src := range c.switches {
-		c.search.Run(c.topo, c.graph.Rows, src)
+		c.search.Run(c.topo, c.graph.Rows, src, src)
 		total := 0
 		for _, tor := range c.tors {
 			total += bits.OnesCount64(c.search.Mask[tor]) // 0 for src itself

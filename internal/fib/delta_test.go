@@ -102,6 +102,59 @@ func TestReplaceSourceMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestReplaceSourceDoesNotRetain pins the contract a control plane reusing
+// its route lists rests on: ReplaceSource copies what it keeps, so
+// overwriting the prefixes and next hops of an installed list — both routes
+// with new hops and unchanged ones — changes neither SourceRoutes nor a
+// Lookup.
+func TestReplaceSourceDoesNotRetain(t *testing.T) {
+	tbl := New()
+	tbl.EnableFlowCache(0)
+	hops := []NextHop{{Port: 1, Via: 11}, {Port: 2, Via: 12}, {Port: 3, Via: 13}, {Port: 4, Via: 14}}
+	list := func() []Route {
+		return []Route{
+			{Prefix: netaddr.MustParsePrefix("10.1.0.0/24"), NextHops: hops[0:2:2]},
+			{Prefix: netaddr.MustParsePrefix("10.2.0.0/24"), NextHops: hops[2:4:4]},
+			{Prefix: netaddr.MustParsePrefix("10.0.0.0/15"), NextHops: hops[1:3:3]},
+		}
+	}
+	dsts := []netaddr.Addr{
+		netaddr.MustParseAddr("10.1.0.5"), netaddr.MustParseAddr("10.2.0.5"), netaddr.MustParseAddr("10.0.9.5"),
+	}
+	lookups := func() []Result {
+		var out []Result
+		for k, dst := range dsts {
+			for port := 0; port < 4; port++ { // port 0 fails no hop; port p > 0 fails hop p
+				res, _ := tbl.Lookup(dst, FlowKey{Dst: dst, SrcPort: uint16(k)}, func(nh NextHop) bool { return nh.Port != port })
+				out = append(out, res)
+			}
+		}
+		return out
+	}
+	for round, routes := range [][]Route{list(), list()} { // new routes, then an unchanged reinstall
+		if err := tbl.ReplaceSource(OSPF, routes); err != nil {
+			t.Fatal(err)
+		}
+		wantRoutes, wantLookups := tbl.SourceRoutes(OSPF), lookups()
+		for k := range routes {
+			routes[k].Prefix = netaddr.MustParsePrefix("10.9.0.0/24")
+		}
+		for k := range hops {
+			hops[k] = NextHop{Port: 9, Via: 99}
+		}
+		tbl.InvalidateFlowCache()
+		if got := tbl.SourceRoutes(OSPF); !routesEqual(got, wantRoutes) {
+			t.Fatalf("round %d: overwriting the installed list changed the table:\nhave %v\nwant %v", round, got, wantRoutes)
+		}
+		if got := lookups(); !slices.Equal(got, wantLookups) {
+			t.Fatalf("round %d: overwriting the installed list changed lookups:\nhave %v\nwant %v", round, got, wantLookups)
+		}
+		for k := range hops {
+			hops[k] = NextHop{Port: k + 1, Via: netaddr.Addr(11 + k)}
+		}
+	}
+}
+
 // TestReplaceSourceUnchangedStillInvalidates pins the epoch contract: an
 // install event must invalidate memoized lookups even when no route
 // changed.

@@ -140,9 +140,9 @@ func TestFloodOrderPinned(t *testing.T) {
 				if inst == nil {
 					continue
 				}
-				for o, lsa := range inst.lsdb {
+				for _, lsa := range inst.lsdb {
 					if lsa != nil {
-						put(uint64(id), uint64(o), lsa.Seq, uint64(len(lsa.Adjacencies)))
+						put(uint64(id), uint64(lsa.Origin), lsa.Seq, uint64(len(lsa.Adjacencies)))
 					}
 				}
 				full, inc, same := inst.SPFBreakdown()
@@ -191,8 +191,8 @@ func TestFloodAllocBudget(t *testing.T) {
 		t.Errorf("one flooded origination allocates %.0f objects, budget %d", got, budget)
 	}
 	for _, inst := range dom.instances {
-		if inst != nil && inst.lsdb[tor.node].Seq != tor.seq {
-			t.Fatalf("node %d holds seq %d of the ToR's LSA, want %d: the wave did not reach it", inst.node, inst.lsdb[tor.node].Seq, tor.seq)
+		if inst != nil && inst.lsaOf(tor.node).Seq != tor.seq {
+			t.Fatalf("node %d holds seq %d of the ToR's LSA, want %d: the wave did not reach it", inst.node, inst.lsaOf(tor.node).Seq, tor.seq)
 		}
 	}
 }

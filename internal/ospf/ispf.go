@@ -33,13 +33,18 @@ import (
 )
 
 // spfState is the memory the incremental SPF keeps between runs, all of it
-// indexed by NodeID: the two-way-checked adjacency rows (each sorted by
-// (neighbor, link)), BFS distances (inf = unreachable) and first-hop sets
-// of the last computation, and the origins whose LSAs changed since (in
-// arrival order, possibly repeated).
+// indexed by switch ordinal (rows hold ordinals too): the two-way-checked
+// adjacency rows (each sorted by (neighbor, link)), BFS distances (inf =
+// unreachable) and first-hop sets of the last computation, and the origins
+// whose LSAs changed since (in arrival order, possibly repeated).
+//
+// A row is its LSA's own row, shared by every instance, unless the two-way
+// check filtered it; then it lives in own, storage kept per origin that
+// ever had a filtered row here (setRow).
 type spfState struct {
 	valid bool
 	graph [][]topo.Edge
+	own   []ownRow
 	dist  []int
 	nh    []uint64
 	dirty []topo.NodeID
@@ -49,19 +54,15 @@ type spfState struct {
 	sameRuns int // adjacency-preserving runs (seq/prefix-only changes)
 }
 
-// init sizes the state for len(rowCap) nodes and cuts every adjacency row
-// from one array, rowCap[o] edges for origin o — as many as o has links, so
-// rebuilding a row in place never grows it.
-func (st *spfState) init(rowCap []int) {
-	n, total := len(rowCap), 0
-	for _, c := range rowCap {
-		total += c
-	}
-	arena := make([]topo.Edge, total)
+// ownRow is the storage an instance keeps for origin's filtered rows.
+type ownRow struct {
+	origin topo.NodeID
+	edges  []topo.Edge
+}
+
+// init sizes the state for n switches.
+func (st *spfState) init(n int) {
 	st.graph = make([][]topo.Edge, n)
-	for o, c := range rowCap {
-		st.graph[o], arena = arena[:0:c], arena[c:]
-	}
 	st.dist = make([]int, n)
 	st.nh = make([]uint64, n)
 }
@@ -70,25 +71,26 @@ func (st *spfState) init(rowCap []int) {
 // its instances share it: the simulation is single-threaded and no run
 // outlives the call that started it.
 type spfScratch struct {
-	// stamp marks nodes for the current pass: a pass draws a fresh base
-	// from mark() and treats stamp[n] == base and base+1 as its two marks,
+	// stamp marks switches for the current pass: a pass draws a fresh base
+	// from mark() and treats stamp[o] == base and base+1 as its two marks,
 	// anything lower as unmarked, so no pass ever clears the array.
 	stamp  []uint32
 	gen    uint32
-	cand   []int         // repairRemove: tentative distance per affected node
+	cand   []int         // repairRemove: tentative distance per affected switch
 	a, b   []topo.NodeID // repair queues, levels and member lists
-	rows   []topo.Edge   // computeIncremental: rebuilt rows, back to back
-	spans  []rowSpan     // where each rebuilt row sits in rows
+	rows   []topo.Edge   // filtered rows checkedRow builds, back to back
+	spans  []rowSpan     // computeIncremental: each rebuilt row
 	search topo.Search   // full searches: frontiers here, results in spfState
 
 	cands    []emitCand             // emitRoutes: one per prefix, first-seen order
 	byPrefix map[netaddr.Prefix]int // prefix → index in cands
 }
 
-// rowSpan locates origin's rebuilt row at rows[lo:hi].
+// rowSpan is origin's rebuilt row: its LSA's own row, or a filtered one in
+// spfScratch.rows (which, once cut, no later append writes over).
 type rowSpan struct {
 	origin topo.NodeID
-	lo, hi int
+	row    []topo.Edge
 }
 
 func (sc *spfScratch) init(n int) {
@@ -190,10 +192,9 @@ func (i *Instance) computeIncremental() bool {
 	}
 	sc.rows, sc.spans = sc.rows[:0], sc.spans[:0]
 	rebuild := func(o topo.NodeID) []topo.Edge {
-		lo := len(sc.rows)
-		sc.rows = i.buildRow(o, sc.rows)
-		sc.spans = append(sc.spans, rowSpan{origin: o, lo: lo, hi: len(sc.rows)})
-		return sc.rows[lo:]
+		row := i.checkedRow(o, &sc.rows)
+		sc.spans = append(sc.spans, rowSpan{origin: o, row: row})
+		return row
 	}
 	peers := sc.a[:0]
 	addPeers := func(row []topo.Edge) {
@@ -218,7 +219,7 @@ func (i *Instance) computeIncremental() bool {
 	// (symmetry of the two-way check); anything inconsistent bails.
 	var ld linkDiff
 	for _, sp := range sc.spans {
-		ld.diffRow(sp.origin, st.graph[sp.origin], sc.rows[sp.lo:sp.hi])
+		ld.diffRow(sp.origin, st.graph[sp.origin], sp.row)
 	}
 	if ld.multi {
 		return false // structural change: full recomputation
@@ -227,7 +228,7 @@ func (i *Instance) computeIncremental() bool {
 		return false
 	}
 	for _, sp := range sc.spans {
-		st.graph[sp.origin] = append(st.graph[sp.origin][:0], sc.rows[sp.lo:sp.hi]...)
+		i.setRow(sp.origin, sp.row)
 	}
 	st.dirty = st.dirty[:0]
 	if ld.dirs == 0 {
@@ -284,7 +285,7 @@ func (i *Instance) repairRemove(u, v topo.NodeID) bool {
 		}
 	}
 	sc.a = members
-	if sc.stamp[i.node] >= affected {
+	if sc.stamp[i.ord] >= affected {
 		return false // the root's distance is 0; reaching it means corrupt state
 	}
 
@@ -433,7 +434,7 @@ func (i *Instance) recomputeNH(w topo.NodeID) uint64 {
 		if !taut(st.dist[p], dw) {
 			continue
 		}
-		if p == i.node {
+		if p == i.ord {
 			set |= i.portSet(e.Link)
 		} else {
 			set |= st.nh[p]
@@ -448,19 +449,23 @@ func (i *Instance) recomputeNH(w topo.NodeID) uint64 {
 // suite runs every corpus and fuzz scenario under it.
 func (i *Instance) verifySPF() {
 	st := &i.spf
-	n := len(st.graph)
-	fresh := spfState{graph: make([][]topo.Edge, n), dist: make([]int, n), nh: make([]uint64, n)}
-	i.buildGraph(fresh.graph)
+	var fresh spfState
+	fresh.init(len(st.graph))
+	var buf []topo.Edge
+	for o := range fresh.graph {
+		fresh.graph[o] = i.checkedRow(topo.NodeID(o), &buf)
+	}
 	i.search(fresh.graph, fresh.dist, fresh.nh)
 	for o := range fresh.graph {
+		n := i.d.sw.Node(topo.NodeID(o))
 		if !slices.Equal(st.graph[o], fresh.graph[o]) {
-			panic(fmt.Sprintf("ospf ispf: node %d graph row of %d diverged: have %v want %v", i.node, o, st.graph[o], fresh.graph[o]))
+			panic(fmt.Sprintf("ospf ispf: node %d graph row of %d diverged: have %v want %v", i.node, n, st.graph[o], fresh.graph[o]))
 		}
 		if st.dist[o] != fresh.dist[o] {
-			panic(fmt.Sprintf("ospf ispf: node %d dist[%d] = %d, want %d", i.node, o, st.dist[o], fresh.dist[o]))
+			panic(fmt.Sprintf("ospf ispf: node %d dist[%d] = %d, want %d", i.node, n, st.dist[o], fresh.dist[o]))
 		}
 		if st.nh[o] != fresh.nh[o] {
-			panic(fmt.Sprintf("ospf ispf: node %d nh[%d] = %#x, want %#x", i.node, o, st.nh[o], fresh.nh[o]))
+			panic(fmt.Sprintf("ospf ispf: node %d nh[%d] = %#x, want %#x", i.node, n, st.nh[o], fresh.nh[o]))
 		}
 	}
 }

@@ -90,14 +90,34 @@ type Adjacency struct {
 	Link     topo.LinkID
 }
 
-// LSA is a router link-state advertisement. Adjacencies are sorted by
-// (Neighbor, Link) at origination, so adjacency rows built from them come
-// out sorted and two rows can be diffed by a merge walk (spf.go, ispf.go).
+// LSA is a router link-state advertisement. It is immutable once
+// originated: every LSDB it reaches holds the same pointer. Adjacencies are
+// sorted by (Neighbor, Link) at origination, so adjacency rows built from
+// them come out sorted and two rows can be diffed by a merge walk (spf.go,
+// ispf.go).
 type LSA struct {
 	Origin      topo.NodeID
 	Seq         uint64
 	Adjacencies []Adjacency
 	Prefixes    []netaddr.Prefix
+
+	// row is Adjacencies in switch-ordinal space, built once on first use
+	// (edges). Every instance whose two-way check passes all of them uses
+	// it as its adjacency row for Origin, so no instance copies it.
+	row []topo.Edge
+}
+
+// edges returns the LSA's adjacencies as an ordinal-space row (sorted like
+// Adjacencies, since ordinals ascend with NodeID), building it on first
+// use — so LSAs built by hand work too.
+func (l *LSA) edges(sw *topo.SwitchIndex) []topo.Edge {
+	if l.row == nil && len(l.Adjacencies) > 0 {
+		l.row = make([]topo.Edge, len(l.Adjacencies))
+		for k, a := range l.Adjacencies {
+			l.row[k] = topo.Edge{To: sw.Ordinal(a.Neighbor), Link: a.Link}
+		}
+	}
+	return l.row
 }
 
 // FloodFilter lets fault injectors interfere with LSA flooding on the
@@ -114,6 +134,7 @@ type Domain struct {
 	cfg  Config
 
 	instances   []*Instance // indexed by NodeID; nil for hosts and dead switches
+	sw          topo.SwitchIndex
 	scratch     spfScratch
 	onSPF       func(now sim.Time, node topo.NodeID)
 	floodFilter FloodFilter
@@ -144,10 +165,13 @@ type localAdj struct {
 	port     int
 }
 
-// Instance is the per-router protocol state.
+// Instance is the per-router protocol state. Everything it keeps per
+// origin is indexed by switch ordinal (Domain.sw), not NodeID: an instance
+// holds nothing per host.
 type Instance struct {
 	d    *Domain
 	node topo.NodeID
+	ord  topo.NodeID // node's switch ordinal
 
 	// adj lists the switch neighbors in port order (the order floods are
 	// scheduled in); hops[p] is the next hop out of local port p. A port
@@ -156,7 +180,7 @@ type Instance struct {
 	adj  []localAdj
 	hops []fib.NextHop
 
-	// lsdb holds the latest LSA per origin, indexed by NodeID (nil = none).
+	// lsdb holds the latest LSA per origin, indexed by ordinal (nil = none).
 	lsdb []*LSA
 	seq  uint64
 	// down marks a crashed router: it neither floods, receives nor
@@ -173,6 +197,12 @@ type Instance struct {
 
 	// Incremental SPF memory (ispf.go).
 	spf spfState
+	// out is the route list SPF runs emit into, reused run to run.
+	// installs holds the lists computed but not yet installed, oldest
+	// first; while it is non-empty a run emits into a fresh list instead,
+	// so no configuration of the delays can overwrite a pending install.
+	out      routeList
+	installs [][]fib.Route
 	// installedValid is false whenever the table contents cannot be
 	// assumed (before the first install, after a crash or restart); the
 	// next install counts as full.
@@ -195,23 +225,27 @@ func NewDomain(nw *network.Network, cfg Config) *Domain {
 		topo:      nw.Topology(),
 		cfg:       cfg.withDefaults(),
 		instances: make([]*Instance, len(nw.Topology().Nodes)),
+		sw:        topo.NewSwitchIndex(nw.Topology()),
 	}
-	n := len(d.topo.Nodes)
+	n := d.sw.Len()
 	d.scratch.init(n)
-	rowCap := make([]int, n) // switch-facing links per node: its longest adjacency row
 	for _, id := range d.topo.LiveNodes() {
 		nd := d.topo.Node(id)
 		if nd.Kind == topo.Host {
 			continue
 		}
+		links := d.topo.LinksOf(id)
 		inst := &Instance{
 			d:       d,
 			node:    id,
+			ord:     d.sw.Ordinal(id),
+			adj:     make([]localAdj, 0, len(links)),
 			hops:    make([]fib.NextHop, nd.NumPorts),
 			lsdb:    make([]*LSA, n),
 			curHold: d.cfg.SPFHoldInitial,
 		}
-		for _, l := range d.topo.LinksOf(id) {
+		inst.spf.init(n)
+		for _, l := range links {
 			other, _ := l.Other(id)
 			if d.topo.Node(other).Kind == topo.Host {
 				continue
@@ -220,13 +254,7 @@ func NewDomain(nw *network.Network, cfg Config) *Domain {
 			inst.adj = append(inst.adj, localAdj{neighbor: other, link: l.ID, port: port})
 			inst.hops[port] = fib.NextHop{Port: port, Via: d.topo.Node(other).Addr}
 		}
-		rowCap[id] = len(inst.adj)
 		d.instances[id] = inst
-	}
-	for _, inst := range d.instances {
-		if inst != nil {
-			inst.spf.init(rowCap)
-		}
 	}
 	nw.OnPortState(d.portStateChanged)
 	return d
@@ -353,20 +381,25 @@ func (d *Domain) Bootstrap() error {
 	// Copy every origin LSA into every LSDB.
 	for _, inst := range insts {
 		for _, src := range insts {
-			inst.lsdb[src.node] = src.lsdb[src.node]
+			inst.lsdb[src.ord] = src.lsdb[src.ord]
 		}
 	}
 	// Every LSDB now holds the same LSAs, so the two-way-checked adjacency
-	// rows are built once and copied; each instance runs its own search.
+	// rows are checked once and taken over by the rest (as the LSAs' own
+	// rows wherever every adjacency passed, which is everywhere unless a
+	// link is believed up at one end only). Installs are synchronous and
+	// ReplaceSource copies what it keeps, so one route list serves all.
+	var list routeList
 	for k, inst := range insts {
 		if k == 0 {
-			inst.buildGraph(inst.spf.graph)
-		}
-		for o, row := range insts[0].spf.graph { // onto itself for the first: a no-op
-			inst.spf.graph[o] = append(inst.spf.graph[o][:0], row...)
+			inst.buildGraph()
+		} else {
+			for o, row := range insts[0].spf.graph {
+				inst.setRow(topo.NodeID(o), row)
+			}
 		}
 		inst.searchFull()
-		routes := inst.emitRoutes()
+		routes := inst.emitRoutes(&list)
 		if err := d.nw.Table(inst.node).ReplaceSource(fib.OSPF, routes); err != nil {
 			return fmt.Errorf("bootstrap %s: %w", d.topo.Node(inst.node).Name, err)
 		}
@@ -409,8 +442,8 @@ func (i *Instance) originateLocked() *LSA {
 	if nd.Kind == topo.ToR && !nd.Subnet.IsZero() {
 		lsa.Prefixes = append(lsa.Prefixes, nd.Subnet)
 	}
-	i.lsdb[i.node] = lsa
-	i.markDirty(i.node)
+	i.lsdb[i.ord] = lsa
+	i.markDirty(i.ord)
 	return lsa
 }
 
@@ -489,12 +522,13 @@ func (i *Instance) receive(now sim.Time, lsa *LSA, from topo.NodeID) {
 	if i.down {
 		return // crashed: the LSA is lost on the floor
 	}
-	cur := i.lsdb[lsa.Origin]
+	o := i.d.sw.Ordinal(lsa.Origin)
+	cur := i.lsdb[o]
 	if cur != nil && cur.Seq >= lsa.Seq {
 		return // stale or duplicate
 	}
-	i.lsdb[lsa.Origin] = lsa
-	i.markDirty(lsa.Origin) //f2tree:alloc amortized dirty-list growth: every SPF run empties the list and keeps its storage
+	i.lsdb[o] = lsa
+	i.markDirty(o) //f2tree:alloc amortized dirty-list growth: every SPF run empties the list and keeps its storage
 	i.flood(now, lsa, from)
 	i.scheduleSPF(now)
 }
@@ -515,11 +549,13 @@ func (i *Instance) scheduleSPF(now sim.Time) {
 	}
 	i.pending = true
 	i.pendingAt = start
-	i.d.sim.At(start, i.runSPF)
+	i.d.sim.AtArg(start, runSPF, i)
 }
 
-// runSPF computes routes and schedules the FIB install.
-func (i *Instance) runSPF(now sim.Time) {
+// runSPF is the sim.ArgEvent of an instance's SPF timer: it computes routes
+// and schedules their FIB install.
+func runSPF(now sim.Time, arg any) {
+	i := arg.(*Instance)
 	i.pending = false
 	if i.down {
 		return // crashed between trigger and timer
@@ -541,20 +577,33 @@ func (i *Instance) runSPF(now sim.Time) {
 	}
 	i.spfRuns++
 	i.lastSPFAt = now
-	routes := i.computeRoutes()
-	i.d.sim.After(i.d.cfg.FIBUpdateDelay, func(at sim.Time) {
-		// Last-writer-wins is correct: installs are scheduled in SPF
-		// order, and each delta diffs against what actually landed last.
-		// A crash between SPF and install loses the update, as a real
-		// switch would.
-		if i.down {
-			return
-		}
-		i.install(routes)
-	})
+	list := &i.out
+	if len(i.installs) > 0 {
+		list = &routeList{} // i.out may still be waiting for its install
+	}
+	i.installs = append(i.installs, i.computeRoutes(list))
+	i.d.sim.AfterArg(i.d.cfg.FIBUpdateDelay, installPending, i)
 	if i.d.onSPF != nil {
 		i.d.onSPF(now, i.node)
 	}
+}
+
+// installPending is the sim.ArgEvent of a delayed FIB install: it lands the
+// instance's oldest pending route list. Last-writer-wins is correct:
+// installs are scheduled in SPF order, and each delta diffs against what
+// actually landed last. A crash between SPF and install loses the update,
+// as a real switch would.
+func installPending(at sim.Time, arg any) {
+	i := arg.(*Instance)
+	routes := i.installs[0]
+	last := len(i.installs) - 1
+	copy(i.installs, i.installs[1:])
+	i.installs[last] = nil
+	i.installs = i.installs[:last]
+	if i.down {
+		return
+	}
+	i.install(routes)
 }
 
 // SPFRuns returns how many SPF computations this instance performed.

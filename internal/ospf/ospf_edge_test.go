@@ -26,7 +26,7 @@ func TestF2TreeAcrossLinksAreAdjacencies(t *testing.T) {
 	}
 	for _, id := range tp.NodesOfKind(topo.Agg) {
 		inst := dom.Instance(id)
-		lsa := inst.lsdb[id]
+		lsa := inst.lsaOf(id)
 		across := 0
 		for _, a := range lsa.Adjacencies {
 			if tp.Link(a.Link).Class == topo.AcrossLink {
@@ -93,11 +93,11 @@ func TestLSALostOnDeadWireStillConvergesViaFlooding(t *testing.T) {
 	for _, id := range l.topo.NodesOfKind(topo.Agg) {
 		inst := l.dom.Instance(id)
 		got := map[topo.NodeID]uint64{}
-		for origin, lsa := range inst.lsdb {
+		for _, lsa := range inst.lsdb {
 			if lsa == nil {
 				continue
 			}
-			got[topo.NodeID(origin)] = lsa.Seq
+			got[lsa.Origin] = lsa.Seq
 		}
 		if wantSeq == nil {
 			wantSeq = got
@@ -126,7 +126,7 @@ func TestPortUpReformsAdjacency(t *testing.T) {
 			continue
 		}
 		inst := l.dom.Instance(p.A)
-		lsa := inst.lsdb[end]
+		lsa := inst.lsaOf(end)
 		found := false
 		for _, a := range lsa.Adjacencies {
 			if a.Link == p.ID {

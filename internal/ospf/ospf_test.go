@@ -36,6 +36,15 @@ func newFatTreeLab(t *testing.T, n int, cfg Config) *lab {
 	return &lab{sim: s, topo: tp, nw: nw, dom: dom}
 }
 
+// lsaOf returns the LSA an instance holds from origin n, nil for none (and
+// for hosts, which originate none).
+func (i *Instance) lsaOf(n topo.NodeID) *LSA {
+	if o := i.d.sw.Ordinal(n); o != topo.None {
+		return i.lsdb[o]
+	}
+	return nil
+}
+
 func (l *lab) flowBetween(a, b topo.NodeID) fib.FlowKey {
 	return fib.FlowKey{
 		Src: l.topo.Node(a).Addr, Dst: l.topo.Node(b).Addr,
@@ -281,7 +290,7 @@ func TestLSDBConvergesEverywhere(t *testing.T) {
 	for _, nid := range l.topo.NodesOfKind(topo.Agg) {
 		inst := l.dom.Instance(nid)
 		for _, end := range []topo.NodeID{p.A, p.B} {
-			lsa := inst.lsdb[end]
+			lsa := inst.lsaOf(end)
 			if lsa == nil {
 				// Host endpoints are not routers.
 				if l.topo.Node(end).Kind == topo.Host {

@@ -6,9 +6,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fib"
 	"repro/internal/netaddr"
+	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -168,17 +170,7 @@ func TestRoutesMatchReferenceBFS(t *testing.T) {
 				if err := s.RunUntilIdle(); err != nil {
 					t.Fatal(err)
 				}
-				want := referenceRoutes(tp, failed)
-				for n, wantRoutes := range want {
-					got := map[netaddr.Prefix][]fib.NextHop{}
-					for _, r := range nw.Table(n).SourceRoutes(fib.OSPF) {
-						got[r.Prefix] = r.NextHops
-					}
-					if g, w := renderRoutes(got), renderRoutes(wantRoutes); g != w {
-						t.Fatalf("%s: %s routes diverge from the reference\n--- installed ---\n%s--- reference ---\n%s",
-							when, tp.Node(n).Name, g, w)
-					}
-				}
+				checkReference(t, when, nw, failed)
 			}
 			check("after bootstrap")
 			rng := rand.New(rand.NewSource(20150629))
@@ -217,6 +209,106 @@ func TestRoutesMatchReferenceBFS(t *testing.T) {
 				t.Fatalf("sequence missed an SPF path: full=%d incremental=%d unchanged=%d", full, inc, same)
 			}
 		})
+	}
+}
+
+// checkReference fails the test unless every switch's installed OSPF
+// routes equal referenceRoutes with the failed links down.
+func checkReference(t *testing.T, when string, nw *network.Network, failed map[topo.LinkID]bool) {
+	t.Helper()
+	tp := nw.Topology()
+	for n, wantRoutes := range referenceRoutes(tp, failed) {
+		if g, w := renderRoutes(installedRoutes(nw, n)), renderRoutes(wantRoutes); g != w {
+			t.Fatalf("%s: %s routes diverge from the reference\n--- installed ---\n%s--- reference ---\n%s",
+				when, tp.Node(n).Name, g, w)
+		}
+	}
+}
+
+// installedRoutes returns a switch's installed OSPF routes by prefix.
+func installedRoutes(nw *network.Network, n topo.NodeID) map[netaddr.Prefix][]fib.NextHop {
+	got := map[netaddr.Prefix][]fib.NextHop{}
+	for _, r := range nw.Table(n).SourceRoutes(fib.OSPF) {
+		got[r.Prefix] = r.NextHops
+	}
+	return got
+}
+
+// TestSPFAheadOfPendingInstall runs SPF 1 ms after its trigger and installs
+// 10 ms after the run, with the throttle off, under seeded link churn on a
+// self-checking domain: each step fails or restores two links 3 ms apart,
+// so an instance's second SPF of a step runs while the first one's install
+// is still pending. Every install must land the list its own run computed:
+// right after it lands, the table equals the reference over the links the
+// instance's LSDB held two-way at the run, and at each quiescent point
+// every table equals the reference. The churn never cuts the switches
+// apart, so no LSDB goes stale.
+func TestSPFAheadOfPendingInstall(t *testing.T) {
+	const steps, maxDown = 60, 6
+	tp, err := topo.F2Tree(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(7)
+	nw := mustNetwork(t, s, tp)
+	cfg := Config{DisableThrottle: true, SPFDelay: time.Millisecond, FIBUpdateDelay: 10 * time.Millisecond}
+	dom := NewDomain(nw, cfg)
+	dom.EnableSelfCheck()
+	if err := dom.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	fabric := fabricLinksOf(tp, func(*topo.Node) bool { return true })
+	lastSPF, ahead := map[topo.NodeID]sim.Time{}, 0
+	dom.OnSPF(func(now sim.Time, node topo.NodeID) {
+		if at, ok := lastSPF[node]; ok && now.Sub(at) < cfg.FIBUpdateDelay {
+			ahead++
+		}
+		lastSPF[node] = now
+		advertised := map[topo.LinkID]int{} // ends advertising the link in node's LSDB
+		for _, lsa := range dom.Instance(node).lsdb {
+			if lsa == nil {
+				continue
+			}
+			for _, a := range lsa.Adjacencies {
+				advertised[a.Link]++
+			}
+		}
+		down := map[topo.LinkID]bool{}
+		for _, l := range fabric {
+			down[l] = advertised[l] < 2
+		}
+		want := renderRoutes(referenceRoutes(tp, down)[node])
+		// Scheduled after the run's install event, for the same instant.
+		s.After(cfg.FIBUpdateDelay, func(at sim.Time) {
+			if got := renderRoutes(installedRoutes(nw, node)); got != want {
+				t.Fatalf("%v: %s installed a list its SPF at %v did not compute\n--- installed ---\n%s--- computed ---\n%s",
+					at, tp.Node(node).Name, now, got, want)
+			}
+		})
+	})
+	failed := map[topo.LinkID]bool{}
+	rng := rand.New(rand.NewSource(20150629))
+	for step := 0; step < steps; step++ {
+		for k := 0; k < 2; k++ {
+			link := fabric[rng.Intn(len(fabric))]
+			up := failed[link]
+			if !up {
+				if failed[link] = true; len(failed) > maxDown || !switchGraphConnected(tp, failed) {
+					delete(failed, link)
+					continue
+				}
+			} else {
+				delete(failed, link)
+			}
+			s.After(time.Duration(k)*3*time.Millisecond, func(sim.Time) { nw.SetLinkState(link, up) })
+		}
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		checkReference(t, fmt.Sprintf("step %d (%d down)", step, len(failed)), nw, failed)
+	}
+	if ahead == 0 {
+		t.Fatal("no SPF ran while its instance's previous install was pending")
 	}
 }
 

@@ -2,6 +2,7 @@ package ospf
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/fib"
 	"repro/internal/netaddr"
@@ -14,17 +15,17 @@ const (
 )
 
 // computeRoutes runs the shortest-path computation over the LSDB and
-// returns the ECMP routes to every advertised prefix. Links have unit cost
-// (the paper's footnote 4), so Dijkstra reduces to BFS with equal-cost
-// predecessor merging. An adjacency is used only if both routers advertise
-// it over the same link (the OSPF two-way check), which keeps half-dead
-// links out of the graph while detections race.
+// returns the ECMP routes to every advertised prefix, emitted into list.
+// Links have unit cost (the paper's footnote 4), so Dijkstra reduces to BFS
+// with equal-cost predecessor merging. An adjacency is used only if both
+// routers advertise it over the same link (the OSPF two-way check), which
+// keeps half-dead links out of the graph while detections race.
 //
 // The steady state is incremental: a single-link LSA change repairs the
 // cached shortest-path DAG (ispf.go) instead of recomputing it. Full BFS
 // runs on the first computation, on structural changes the repair does not
 // cover, and always under Config.FullSPF (the equivalence baseline).
-func (i *Instance) computeRoutes() []fib.Route {
+func (i *Instance) computeRoutes(list *routeList) []fib.Route {
 	switch {
 	case i.d.cfg.FullSPF || !i.spf.valid:
 		i.computeFull()
@@ -35,49 +36,89 @@ func (i *Instance) computeRoutes() []fib.Route {
 	default:
 		i.computeFull()
 	}
-	return i.emitRoutes()
+	return i.emitRoutes(list)
 }
 
-// adjOK reports whether the peer advertises the same link back — the OSPF
-// two-way check. Edge presence is symmetric in the endpoint LSAs, which is
-// what lets the incremental path treat directed-edge changes as whole-link
-// changes.
-func (i *Instance) adjOK(from, to topo.NodeID, link topo.LinkID) bool {
-	peer := i.lsdb[to]
+// adjOK reports whether e's far end advertises the same link back to from
+// — the OSPF two-way check. Edge presence is symmetric in the endpoint
+// LSAs, which is what lets the incremental path treat directed-edge changes
+// as whole-link changes.
+func (i *Instance) adjOK(from topo.NodeID, e topo.Edge) bool {
+	peer := i.lsdb[e.To]
 	if peer == nil {
 		return false
 	}
-	for _, a := range peer.Adjacencies { // sorted by (Neighbor, Link)
-		if a.Neighbor > from {
+	for _, b := range peer.edges(&i.d.sw) { // sorted by (To, Link)
+		if b.To > from {
 			break
 		}
-		if a.Neighbor == from && a.Link == link {
+		if b.To == from && b.Link == e.Link {
 			return true
 		}
 	}
 	return false
 }
 
-// buildRow appends origin's adjacency row — its two-way-checked out-edges
-// — to row. LSAs are born sorted by (neighbor, link), so the row is too.
-func (i *Instance) buildRow(origin topo.NodeID, row []topo.Edge) []topo.Edge {
-	lsa := i.lsdb[origin]
+// checkedRow returns origin o's adjacency row: the edges of its LSA that
+// pass the two-way check. When all of them pass — always at bootstrap, and
+// whenever no link is advertised by one end only — that is the LSA's own
+// row; otherwise the passing edges are appended to *buf and the row is cut
+// from there. Either way it is sorted by (To, Link).
+func (i *Instance) checkedRow(o topo.NodeID, buf *[]topo.Edge) []topo.Edge {
+	lsa := i.lsdb[o]
 	if lsa == nil {
-		return row
+		return nil
 	}
-	for _, a := range lsa.Adjacencies {
-		if i.adjOK(origin, a.Neighbor, a.Link) {
-			row = append(row, topo.Edge{To: a.Neighbor, Link: a.Link})
+	edges := lsa.edges(&i.d.sw)
+	for k, e := range edges {
+		if i.adjOK(o, e) {
+			continue
 		}
+		lo := len(*buf)
+		*buf = append(*buf, edges[:k]...)
+		for _, e := range edges[k+1:] {
+			if i.adjOK(o, e) {
+				*buf = append(*buf, e)
+			}
+		}
+		return (*buf)[lo:]
 	}
-	return row
+	return edges
 }
 
-// buildGraph rebuilds every adjacency row from the LSDB into graph, reusing
-// the rows' storage.
-func (i *Instance) buildGraph(graph [][]topo.Edge) {
-	for o := range graph {
-		graph[o] = i.buildRow(topo.NodeID(o), graph[o][:0])
+// setRow makes row, a checkedRow result, the adjacency row of origin o. A
+// row holding every adjacency of o's LSA is shared as the LSA's own row; a
+// filtered one is copied into storage the instance keeps for o, sized by
+// the largest LSA of o it has filtered (never more than o's links).
+func (i *Instance) setRow(o topo.NodeID, row []topo.Edge) {
+	st := &i.spf
+	var whole []topo.Edge
+	if lsa := i.lsdb[o]; lsa != nil {
+		whole = lsa.row
+	}
+	if len(row) == len(whole) {
+		st.graph[o] = whole
+		return
+	}
+	k := slices.IndexFunc(st.own, func(r ownRow) bool { return r.origin == o })
+	if k < 0 {
+		k = len(st.own)
+		st.own = append(st.own, ownRow{origin: o})
+	}
+	r := &st.own[k]
+	if cap(r.edges) < len(whole) {
+		r.edges = make([]topo.Edge, 0, len(whole))
+	}
+	r.edges = append(r.edges[:0], row...)
+	st.graph[o] = r.edges
+}
+
+// buildGraph rebuilds every adjacency row from the LSDB.
+func (i *Instance) buildGraph() {
+	sc := &i.d.scratch
+	for o := range i.spf.graph {
+		sc.rows = sc.rows[:0]
+		i.setRow(topo.NodeID(o), i.checkedRow(topo.NodeID(o), &sc.rows))
 	}
 }
 
@@ -86,7 +127,7 @@ func (i *Instance) buildGraph(graph [][]topo.Edge) {
 func (i *Instance) search(graph [][]topo.Edge, dist []int, nh []uint64) {
 	s := &i.d.scratch.search
 	s.Dist, s.Mask = dist, nh
-	s.Run(i.d.topo, graph, i.node)
+	s.Run(i.d.topo, graph, i.ord, i.node)
 }
 
 // portSet returns the one-port set of a directly attached link (empty if
@@ -101,7 +142,7 @@ func (i *Instance) portSet(link topo.LinkID) uint64 {
 
 // computeFull rebuilds the shortest-path state from scratch.
 func (i *Instance) computeFull() {
-	i.buildGraph(i.spf.graph)
+	i.buildGraph()
 	i.searchFull()
 }
 
@@ -122,8 +163,17 @@ type emitCand struct {
 	hops   uint64
 }
 
+// routeList is a route list and the array its routes' next hops are cut
+// from, both reused from one emission to the next (fib.Table.ReplaceSource
+// copies what it keeps).
+type routeList struct {
+	routes []fib.Route
+	hops   []fib.NextHop
+}
+
 // emitRoutes emits one route per advertised prefix of every other
-// reachable router, from the current shortest-path state.
+// reachable router, from the current shortest-path state, into list, and
+// returns the routes. They stay valid until list is emitted into again.
 //
 // A prefix may be advertised by more than one origin (dual-ToR racks
 // anycast their shared subnet from both ToRs): the route keeps the
@@ -131,15 +181,12 @@ type emitCand struct {
 // so traffic prefers the nearer rack ToR and load-shares at equal cost.
 // With single-origin prefixes the emission is exactly the historical
 // per-origin list.
-//
-// Every route's NextHops is cut from one backing array (fib.Table.Add
-// copies what it keeps), so a run allocates the route list and that array.
-func (i *Instance) emitRoutes() []fib.Route {
+func (i *Instance) emitRoutes(list *routeList) []fib.Route {
 	sc := &i.d.scratch
 	cands := sc.cands[:0]
 	clear(sc.byPrefix)
 	for o, lsa := range i.lsdb {
-		if lsa == nil || topo.NodeID(o) == i.node {
+		if lsa == nil || topo.NodeID(o) == i.ord {
 			continue
 		}
 		set := i.spf.nh[o]
@@ -165,14 +212,15 @@ func (i *Instance) emitRoutes() []fib.Route {
 	for _, c := range cands {
 		total += bits.OnesCount64(c.hops)
 	}
-	hops := make([]fib.NextHop, 0, total)
-	routes := make([]fib.Route, len(cands))
-	for k, c := range cands {
+	hops := slices.Grow(list.hops[:0], total) // every route's hops fit: no append below moves it
+	routes := slices.Grow(list.routes[:0], len(cands))
+	for _, c := range cands {
 		lo := len(hops)
 		for set := c.hops; set != 0; set &= set - 1 {
 			hops = append(hops, i.hops[bits.TrailingZeros64(set)])
 		}
-		routes[k] = fib.Route{Prefix: c.prefix, Source: fib.OSPF, NextHops: hops[lo:len(hops):len(hops)]}
+		routes = append(routes, fib.Route{Prefix: c.prefix, Source: fib.OSPF, NextHops: hops[lo:len(hops):len(hops)]})
 	}
+	list.routes, list.hops = routes, hops
 	return routes
 }

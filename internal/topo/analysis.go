@@ -18,7 +18,7 @@ func (t *Topology) CountShortestPaths(a, b NodeID) (hops, count int) {
 	var g Graph
 	g.Build(t, nil, true)
 	s := Search{Dist: make([]int, len(t.Nodes)), Count: make([]int, len(t.Nodes))}
-	s.Run(t, g.Rows, a)
+	s.Run(t, g.Rows, a, a)
 	if s.Dist[b] == Unreachable {
 		return 0, 0
 	}
@@ -35,7 +35,7 @@ func (t *Topology) Analyze() Analysis {
 		if t.Nodes[src].Kind == Host {
 			continue
 		}
-		s.Run(t, g.Rows, src)
+		s.Run(t, g.Rows, src, src)
 		for _, d := range s.Dist {
 			if d != Unreachable && d > a.Diameter {
 				a.Diameter = d

@@ -56,7 +56,9 @@ func (g *Graph) Build(t *Topology, live []bool, hosts bool) {
 // Search is one single-source search's results and working memory, owned
 // and reused by the caller; a search allocates nothing once its frontiers
 // have grown. Dist is required, Mask and Count are filled when non-nil, and
-// each covers every node the rows name.
+// each covers every row. Rows and results share one index space: NodeIDs,
+// or any other numbering of the nodes the rows name (OSPF searches switch
+// ordinals, SwitchIndex).
 type Search struct {
 	Dist  []int    // hops from the source; Unreachable if none
 	Mask  []uint64 // source ports that begin some shortest path; walk bits upward for port order
@@ -65,21 +67,22 @@ type Search struct {
 	frontier, next []NodeID
 }
 
-// Run searches rows from src. t names the source's port of each first-hop
-// link; only Mask reads it.
+// Run searches rows from root, the row of node src of t. src names the
+// source's port of each first-hop link, which only Mask reads; over
+// NodeID-indexed rows root and src are the same.
 //
 //f2tree:hotpath
-func (s *Search) Run(t *Topology, rows [][]Edge, src NodeID) {
+func (s *Search) Run(t *Topology, rows [][]Edge, root, src NodeID) {
 	for n := range s.Dist {
 		s.Dist[n] = Unreachable
 	}
 	clear(s.Mask)
 	clear(s.Count)
-	s.Dist[src] = 0
+	s.Dist[root] = 0
 	if s.Count != nil {
-		s.Count[src] = 1
+		s.Count[root] = 1
 	}
-	frontier, next := append(s.frontier[:0], src), s.next[:0] //f2tree:alloc amortized frontier growth, zero once warm
+	frontier, next := append(s.frontier[:0], root), s.next[:0] //f2tree:alloc amortized frontier growth, zero once warm
 	for du := 0; len(frontier) > 0; du++ {
 		next = next[:0]
 		for _, u := range frontier {
@@ -98,7 +101,7 @@ func (s *Search) Run(t *Topology, rows [][]Edge, src NodeID) {
 				if s.Mask == nil {
 					continue
 				}
-				if u != src {
+				if u != root {
 					s.Mask[e.To] |= s.Mask[u]
 				} else if p, ok := t.Links[e.Link].PortOf(src); ok {
 					s.Mask[e.To] |= 1 << p // 0 for p ≥ MaskPorts

@@ -19,14 +19,14 @@ func TestSearchNoAlloc(t *testing.T) {
 	var g Graph
 	s := Search{Dist: make([]int, n), Mask: make([]uint64, n), Count: make([]int, n)}
 	g.Build(tp, live, false)
-	s.Run(tp, g.Rows, 0)
+	s.Run(tp, g.Rows, 0, 0)
 	flip := 0
 	got := testing.AllocsPerRun(20, func() {
 		live[flip] = !live[flip]
 		flip = (flip + 7) % len(live)
 		g.Build(tp, live, true)
 		for src := range tp.Nodes {
-			s.Run(tp, g.Rows, NodeID(src))
+			s.Run(tp, g.Rows, NodeID(src), NodeID(src))
 		}
 	})
 	if got != 0 {

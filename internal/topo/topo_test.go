@@ -494,3 +494,34 @@ func TestLinkOnPort(t *testing.T) {
 		t.Fatal("negative port returned a link")
 	}
 }
+
+// TestSwitchIndexAscendsWithNodeID pins the switch-ordinal contract:
+// switches numbered 0, 1, … in NodeID order, hosts left out, and the two
+// directions inverse to each other.
+func TestSwitchIndexAscendsWithNodeID(t *testing.T) {
+	tp, err := F2Tree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := NewSwitchIndex(tp)
+	if sw.Len() != tp.SwitchCount() {
+		t.Fatalf("%d ordinals for %d switches", sw.Len(), tp.SwitchCount())
+	}
+	next := NodeID(0)
+	for _, nd := range tp.Nodes {
+		o := sw.Ordinal(nd.ID)
+		if nd.Kind == Host {
+			if o != None {
+				t.Fatalf("host %s has ordinal %d", nd.Name, o)
+			}
+			continue
+		}
+		if o != next || sw.Node(o) != nd.ID {
+			t.Fatalf("%s: ordinal %d (node %d back), want %d", nd.Name, o, sw.Node(o), next)
+		}
+		next++
+	}
+	if o := sw.Ordinal(NodeID(len(tp.Nodes))); o != None {
+		t.Fatalf("a node outside the topology has ordinal %d", o)
+	}
+}

@@ -122,7 +122,7 @@ func (t *Topology) Validate() error {
 	var g Graph
 	g.Build(t, nil, true)
 	s := Search{Dist: make([]int, len(t.Nodes))}
-	s.Run(t, g.Rows, live[0])
+	s.Run(t, g.Rows, live[0], live[0])
 	for _, n := range live {
 		if s.Dist[n] == Unreachable {
 			return fmt.Errorf("topo: live node %s unreachable", t.Nodes[n].Name)
