@@ -52,13 +52,14 @@ chaos-smoke:
 	$(GO) run ./cmd/f2tree-chaos -n 10 -schemes f2tree -ports 8 \
 		-controls ospf,bgp,centralized -seed 42 -j 4 -artifacts chaos-artifacts
 
-# Detector study smoke: F²Tree fast reroute vs BGP graceful restart vs
-# plain reconvergence under both detector models on the dual-ToR fabric,
-# double-run (byte-identical traces required), all four oracles checked.
-# Any oracle violation or trace divergence fails the target; the result
-# list lands in detect-smoke.json (DESIGN.md §15).
+# Detector study smoke (`f2tree-lab detect`): F²Tree fast reroute vs BGP
+# graceful restart vs plain reconvergence under both detector models on the
+# dual-ToR fabric, run on the campaign worker pool and double-run
+# (byte-identical traces required), all four oracles checked. Any oracle
+# violation or trace divergence fails the target; the result list lands in
+# detect-smoke.json (DESIGN.md §15), byte-identical at any -j.
 detect-smoke:
-	$(GO) run ./cmd/f2tree-detect -ports 6 \
+	$(GO) run ./cmd/f2tree-lab detect -ports 6 \
 		-conditions C1,C4,flap-storm,ctrl-crash,false-detect,rand \
 		-double -out detect-smoke.json
 

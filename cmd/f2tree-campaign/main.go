@@ -171,7 +171,7 @@ func expandFlags(preset, kind, schemes, ports, conditions, controls, channels, m
 		}.Expand(), nil
 	case "":
 	default:
-		return nil, fmt.Errorf("unknown preset %q (want fig4, fig6 or smoke)", preset)
+		return nil, fmt.Errorf("unknown preset %q (want fig4, fig6, detectors or smoke)", preset)
 	}
 
 	m := campaign.Matrix{

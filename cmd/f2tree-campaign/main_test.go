@@ -54,13 +54,24 @@ func TestExpandFlagsMatrix(t *testing.T) {
 			t.Fatalf("%s: %v", s.Key(), err)
 		}
 	}
-	for _, preset := range []string{"fig4", "fig6", "smoke", "detectors"} {
+	presets := []string{"fig4", "fig6", "smoke", "detectors"}
+	for _, preset := range presets {
 		specs, err := expandFlags(preset, "", "", "", "", "", "", "", "", 0, 42, 0, 0, false)
 		if err != nil {
 			t.Fatalf("%s: %v", preset, err)
 		}
 		if len(specs) == 0 {
 			t.Fatalf("%s: empty", preset)
+		}
+	}
+	// A rejected preset's error names every accepted one.
+	_, err = expandFlags("fig5", "", "", "", "", "", "", "", "", 0, 42, 0, 0, false)
+	if err == nil {
+		t.Fatal("preset fig5 accepted")
+	}
+	for _, preset := range presets {
+		if !strings.Contains(err.Error(), preset) {
+			t.Errorf("error %q omits accepted preset %s", err, preset)
 		}
 	}
 }

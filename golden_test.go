@@ -21,7 +21,7 @@ import (
 	"repro/internal/scenario"
 )
 
-// goldenSimDoc is the example document of cmd/f2tree-sim's usage text.
+// goldenSimDoc is the example document of `f2tree-lab sim`'s usage text.
 const goldenSimDoc = `{
   "scheme": "f2tree", "ports": 8, "seed": 1,
   "flows": [{"src": "leftmost", "dst": "rightmost"}],

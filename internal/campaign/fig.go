@@ -24,10 +24,8 @@ func Fig4Matrix(seed int64) Matrix {
 // RunFig4 executes the Fig 4 sweep on the worker pool — byte-identical
 // output at any parallelism; one worker runs the cells in matrix order.
 func RunFig4(seed int64, o Options) (*exp.Fig4Results, error) {
-	if o.Store != nil {
-		return nil, fmt.Errorf("campaign: RunFig4 needs in-memory payloads; run without a store")
-	}
-	out, err := Run(Fig4Matrix(seed).Expand(), ExperimentRunner(), o)
+	specs := Fig4Matrix(seed).Expand()
+	runs, err := RunPayloads[*exp.RecoveryResult](specs, o)
 	if err != nil {
 		return nil, err
 	}
@@ -35,19 +33,12 @@ func RunFig4(seed int64, o Options) (*exp.Fig4Results, error) {
 		exp.SchemeFatTree: {},
 		exp.SchemeF2Tree:  {},
 	}}
-	for _, r := range out.Results {
-		if r.Status != StatusOK {
-			return nil, fmt.Errorf("campaign: %s %s: %s", r.Spec.Scheme, r.Spec.Condition, r.Error)
-		}
-		rec, ok := out.Payloads[r.Hash].(*exp.RecoveryResult)
-		if !ok {
-			return nil, fmt.Errorf("campaign: missing payload for %s", r.Spec.Key())
-		}
-		cond, err := failure.ParseCondition(r.Spec.Condition)
+	for i, s := range specs {
+		cond, err := failure.ParseCondition(s.Condition)
 		if err != nil {
 			return nil, err
 		}
-		res.ByCondition[exp.Scheme(r.Spec.Scheme)][cond] = rec
+		res.ByCondition[exp.Scheme(s.Scheme)][cond] = runs[i]
 	}
 	return res, nil
 }
@@ -85,28 +76,37 @@ func Fig6Matrix(seed int64, durationMS int, noBackground bool) Matrix {
 // runs are ordered scheme-major then channel, the matrix's expansion order.
 // durationMS 0 is the paper's 600 s window.
 func RunFig6(seed int64, durationMS int, noBackground bool, o Options) (*exp.Fig6Results, error) {
-	if o.Store != nil {
-		return nil, fmt.Errorf("campaign: RunFig6 needs in-memory payloads; run without a store")
+	runs, err := RunPayloads[*exp.PAResult](Fig6Matrix(seed, durationMS, noBackground).Expand(), o)
+	if err != nil {
+		return nil, err
 	}
-	specs := Fig6Matrix(seed, durationMS, noBackground).Expand()
+	return &exp.Fig6Results{Runs: runs}, nil
+}
+
+// RunPayloads executes specs on the worker pool and returns each run's
+// in-memory payload (see ExperimentRunner) in spec order, so the result is
+// byte-identical at any parallelism. Any failed run is an error. Options
+// must carry no store: a run resumed from one has no payload.
+func RunPayloads[T any](specs []Spec, o Options) ([]T, error) {
+	if o.Store != nil {
+		return nil, fmt.Errorf("campaign: payload runs are in-memory; run without a store")
+	}
 	out, err := Run(specs, ExperimentRunner(), o)
 	if err != nil {
 		return nil, err
 	}
-	byHash := make(map[string]*exp.PAResult, len(specs))
 	for _, r := range out.Results {
 		if r.Status != StatusOK {
-			return nil, fmt.Errorf("campaign: %s CF=%d: %s", r.Spec.Scheme, r.Spec.Channels, r.Error)
+			return nil, fmt.Errorf("campaign: %s: %s", r.Spec.Key(), r.Error)
 		}
-		pa, ok := out.Payloads[r.Hash].(*exp.PAResult)
+	}
+	runs := make([]T, len(specs))
+	for i, s := range specs {
+		p, ok := out.Payloads[s.Hash()].(T)
 		if !ok {
-			return nil, fmt.Errorf("campaign: missing payload for %s", r.Spec.Key())
+			return nil, fmt.Errorf("campaign: missing payload for %s", s.Key())
 		}
-		byHash[r.Hash] = pa
+		runs[i] = p
 	}
-	res := &exp.Fig6Results{}
-	for _, s := range specs {
-		res.Runs = append(res.Runs, byHash[s.Hash()])
-	}
-	return res, nil
+	return runs, nil
 }

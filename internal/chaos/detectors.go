@@ -275,67 +275,3 @@ func RunDetectorCell(cell DetectorCell) (*DetectorResult, error) {
 	}
 	return res, nil
 }
-
-// DetectorCompareOpts parameterizes a comparison sweep; zero-value
-// fields take the full default matrix on the dual-ToR F²Tree fabric.
-type DetectorCompareOpts struct {
-	Scheme     string
-	Ports      int
-	BaseSeed   int64
-	Mechanisms []string
-	Detectors  []string
-	Conditions []string
-	Reps       int
-}
-
-func (o DetectorCompareOpts) withDefaults() DetectorCompareOpts {
-	if o.Scheme == "" {
-		o.Scheme = string(exp.SchemeF2TreeDual)
-	}
-	if o.Ports == 0 {
-		o.Ports = 8
-	}
-	if o.BaseSeed == 0 {
-		o.BaseSeed = 42
-	}
-	if len(o.Mechanisms) == 0 {
-		o.Mechanisms = DetectorMechanisms()
-	}
-	if len(o.Detectors) == 0 {
-		o.Detectors = DetectorModes()
-	}
-	if len(o.Conditions) == 0 {
-		o.Conditions = DetectorConditions()
-	}
-	if o.Reps == 0 {
-		o.Reps = 1
-	}
-	return o
-}
-
-// RunDetectorCompare sweeps the mechanism × detector × condition matrix
-// sequentially in deterministic order. Each cell's result depends only
-// on its own coordinates, never on sweep order.
-func RunDetectorCompare(opts DetectorCompareOpts) ([]DetectorResult, error) {
-	o := opts.withDefaults()
-	var out []DetectorResult
-	for _, mech := range o.Mechanisms {
-		for _, det := range o.Detectors {
-			for _, cond := range o.Conditions {
-				for rep := 0; rep < o.Reps; rep++ {
-					cell := DetectorCell{
-						Scheme: o.Scheme, Ports: o.Ports, Mechanism: mech,
-						Detector: det, Condition: cond,
-						BaseSeed: o.BaseSeed, Rep: rep,
-					}
-					res, err := RunDetectorCell(cell)
-					if err != nil {
-						return nil, fmt.Errorf("chaos: cell %+v: %w", cell, err)
-					}
-					out = append(out, *res)
-				}
-			}
-		}
-	}
-	return out, nil
-}

@@ -42,30 +42,3 @@ func TestDetectorCellsCleanAndDeterministic(t *testing.T) {
 		})
 	}
 }
-
-// TestDetectorCompareSweepShape checks the sweep covers the requested
-// matrix in deterministic order.
-func TestDetectorCompareSweepShape(t *testing.T) {
-	res, err := RunDetectorCompare(DetectorCompareOpts{
-		Ports:      6,
-		Mechanisms: []string{MechF2Tree},
-		Detectors:  []string{detect.ModeFixed},
-		Conditions: []string{"C1", "C2"},
-		Reps:       2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 4 {
-		t.Fatalf("want 4 cells, got %d", len(res))
-	}
-	if res[0].Cell.Condition != "C1" || res[0].Cell.Rep != 0 ||
-		res[3].Cell.Condition != "C2" || res[3].Cell.Rep != 1 {
-		t.Fatalf("sweep order wrong: %+v", res)
-	}
-	for _, r := range res {
-		if r.RecoveryMs <= 0 {
-			t.Fatalf("cell %+v reports no recovery gap", r.Cell)
-		}
-	}
-}

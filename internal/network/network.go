@@ -43,14 +43,8 @@ type Config struct {
 	Detector detect.Spec
 	// TTL is the initial packet TTL.
 	TTL int
-	// ECMPPerPacket sprays packets across equal-cost next hops instead of
-	// hashing per flow (ablation: breaks TCP ordering assumptions the
-	// paper's ECMP analysis relies on).
-	ECMPPerPacket bool
 	// DisableFlowCache turns off the per-switch live-hop memo of the FIB
 	// lookup (ablation; results are identical either way, only slower).
-	// The memo is per prefix, so it also serves ECMPPerPacket, which
-	// perturbs the flow key and not the destination.
 	DisableFlowCache bool
 }
 
@@ -147,7 +141,6 @@ type Network struct {
 	onDrop      []DropFunc
 	lossFilter  LossFunc
 	detFilter   DetectionFilter
-	spraySeq    uint16
 
 	// Hot-path free lists: packets (NewPacket) and in-flight hop records
 	// (one per scheduled arrival/forward event) are recycled for the life
@@ -607,13 +600,7 @@ func (n *Network) drop(now sim.Time, at topo.NodeID, pkt *Packet, cause DropCaus
 //f2tree:hotpath
 func (n *Network) forward(now sim.Time, node topo.NodeID, pkt *Packet) {
 	st := &n.nodes[node]
-	key := pkt.Flow
-	if n.cfg.ECMPPerPacket {
-		// Spray: perturb the hash input per packet.
-		n.spraySeq++
-		key.SrcPort ^= n.spraySeq
-	}
-	res, ok := st.table.Lookup(pkt.Flow.Dst, key, st.usable)
+	res, ok := st.table.Lookup(pkt.Flow.Dst, pkt.Flow, st.usable)
 	if !ok {
 		n.drop(now, node, pkt, DropNoRoute)
 		return

@@ -1,6 +1,6 @@
 // Package scenario runs user-described experiments: a JSON document picks
 // a topology, control plane, probe flows and a timeline of failure events,
-// and the runner reports per-flow outage metrics — the cmd/f2tree-sim
+// and the runner reports per-flow outage metrics — the `f2tree-lab sim`
 // front end for custom what-if studies beyond the paper's own figures.
 package scenario
 
