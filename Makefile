@@ -20,10 +20,11 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
-# The determinism and contract gate: stock go vet plus the analyzers from
+# The determinism and pooling gate: stock go vet plus the analyzers from
 # internal/analysis (`go run ./cmd/f2tree-vet -list` prints them), run in
 # parallel dependency order with cross-package fact propagation (see README
-# "Determinism gate").
+# "Determinism and contract gate"). Mutable package-level state is not
+# checked here: the race target below carries that guarantee.
 f2tree-vet:
 	$(GO) run ./cmd/f2tree-vet ./...
 
@@ -34,6 +35,10 @@ f2tree-vet:
 vet-audit:
 	$(GO) run ./cmd/f2tree-vet -novet -audit ./...
 
+# The whole suite under the race detector. Besides the test assertions,
+# this is the no-shared-mutable-state guarantee: the campaign tests run
+# simulations on parallel workers, so a package-level variable written on
+# any simulation path is reported as a data race (DESIGN.md §7, §10).
 race:
 	$(GO) test -race ./...
 

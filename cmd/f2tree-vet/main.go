@@ -4,7 +4,7 @@
 // every non-test package in the module, and exits non-zero on any
 // finding. Packages are analyzed in parallel dependency order: each
 // package runs only after its dependencies, so the facts they export
-// (allocates-on-steady-path, reads-wall-clock, pooled, ...) are complete
+// (reads-wall-clock, pooled, retains-parameter) are complete
 // when its pass starts, making the analyzers transitive across package
 // boundaries. CI runs it between `go vet` and the race-enabled tests:
 //

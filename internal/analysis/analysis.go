@@ -1,6 +1,6 @@
 // Package analysis is a small static-analysis framework plus the custom
-// analyzers that turn this repository's determinism and lifecycle
-// invariants into machine-checked law. It deliberately mirrors the
+// analyzers that turn this repository's determinism and pooling invariants
+// into machine-checked law. It deliberately mirrors the
 // golang.org/x/tools go/analysis API (Analyzer, Pass, Diagnostic) so the
 // analyzers can be ported to the upstream multichecker verbatim if the
 // dependency ever becomes available; the module itself is dependency-free,
@@ -8,54 +8,34 @@
 // loaded with `go list -export` and type-checked against compiler export
 // data.
 //
-// The determinism suite (PR 1):
+// The gate holds only what the tests cannot see (DESIGN.md §10 sizes it by
+// a mutation matrix):
 //
-//   - mapiter:   flags `range` over a map in simulation/routing packages.
-//     Go randomizes map iteration per run, so any map range that feeds an
-//     order-sensitive sink (event scheduling, FIB install order, trace
-//     output) silently breaks bit-for-bit reproducibility. Iterate
-//     detsort.Keys/KeysFunc instead, or annotate the loop with
-//     `//f2tree:unordered <reason>` when its effect is provably
-//     order-insensitive.
+//   - mapiter:   flags `range` over a map. Go randomizes map iteration per
+//     run, so any map range that feeds an order-sensitive sink (event
+//     scheduling, FIB install order, trace output) silently breaks
+//     bit-for-bit reproducibility. Iterate detsort.Keys/KeysFunc instead,
+//     or annotate the loop with `//f2tree:unordered <reason>` when its
+//     effect is provably order-insensitive.
 //
 //   - simclock:  forbids wall-clock reads (time.Now, time.Since, ...) and
-//     global math/rand state in simulation packages. All time must come
-//     from the virtual clock (sim.Simulator.Now) and all randomness from
-//     the seeded per-run RNG (sim.Simulator.Rand).
+//     global math/rand state. All time must come from the virtual clock
+//     (sim.Simulator.Now) and all randomness from the seeded per-run RNG
+//     (sim.Simulator.Rand); `//f2tree:wallclock <reason>` marks the
+//     orchestration code that measures real time outside any simulation.
 //
-//   - lockcheck: flags mutable package-level state in simulation packages —
-//     anything written after initialization would race under a future
-//     parallel-replica runner. State belongs on the engine or instance;
-//     `//f2tree:sharedstate <reason>` is the audited escape hatch.
-//
-// The contract/lifecycle suite (this PR) machine-checks the object-pool,
-// hot-path and cache-epoch contracts the zero-allocation core introduced:
-//
-//   - poolcheck:    a pooled value (network.Packet, the netEvent in-flight
+//   - poolcheck: a pooled value (network.Packet, the netEvent in-flight
 //     records, sim's heap items — any type marked `//f2tree:pooled`)
 //     received by a callback must not be retained past the call. Stores
 //     into fields, slices, maps, closures or channels are flagged unless
 //     the line carries `//f2tree:retained <reason>` — the audited
 //     ownership-transfer points.
 //
-//   - hotpathalloc: functions marked `//f2tree:hotpath` must stay
-//     allocation-free in steady state: no closure creation, no interface
-//     boxing of non-pointer values, no append without a preallocated
-//     capacity, no string concatenation, no calls to same-package
-//     allocating helpers that are not themselves hotpath. The audited
-//     escape hatch (amortized growth, cold paths) is
-//     `//f2tree:alloc <reason>`.
-//
-//   - epochcheck:   every mutation of an `//f2tree:epochguarded` field
-//     (fib route state, network port-usability state) must be followed by
-//     an epoch bump — `//f2tree:epoch` field increment or an
-//     InvalidateFlowCache / `//f2tree:epochbump` call — on every return
-//     path, checked by intraprocedural dataflow. Escape hatch:
-//     `//f2tree:noepoch <reason>`.
-//
-//   - handlecheck:  a sim.Handle must not be used after it was passed to
-//     Cancel (reassignment revives it) and must not cross a goroutine
-//     boundary. Escape hatch: `//f2tree:handle <reason>`.
+// What the removed analyzers guarded is held by tests instead: mutable
+// package state by `go test -race` over the parallel campaign runs, the
+// zero-allocation hot paths by the allocs/op budgets, the FIB memo's epoch
+// by the reference-model test, and stale scheduler handles by sim's
+// generation tests.
 //
 // Suppression directives are themselves audited: the Audit entry point
 // inventories every `//f2tree:` directive and reports suppressions whose
@@ -108,14 +88,9 @@ type Pass struct {
 	ExportFact func(obj types.Object, kind string)
 }
 
-// fileFor returns the pass file whose source range contains pos, or nil.
-func (p *Pass) fileFor(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
+// Analyzers returns every analyzer in a stable order.
+func Analyzers() []*Analyzer {
+	return []*Analyzer{MapIter, PoolCheck, SimClock}
 }
 
 // Diagnostic is one finding.
@@ -180,7 +155,7 @@ func (p *Pass) marked(file *ast.File, pos token.Pos, verb string) bool {
 const directivePrefix = "f2tree:"
 
 // directiveLines collects, per line, the f2tree directives of a file
-// ("unordered", "sharedstate", ...) mapped from the line on which each
+// ("unordered", "wallclock", ...) mapped from the line on which each
 // comment ends. A line may carry more than one directive (a marker plus a
 // suppression, or two suppressions silencing different analyzers), so each
 // line maps to the list of its directives in source order. A directive
@@ -208,7 +183,7 @@ func directiveLines(fset *token.FileSet, file *ast.File) map[int][]string {
 }
 
 // suppressed reports whether a directive with the given verb ("unordered",
-// "sharedstate") covers the node starting at pos.
+// "wallclock") covers the node starting at pos.
 func suppressed(dirs map[int][]string, fset *token.FileSet, pos token.Pos, verb string) bool {
 	line := fset.Position(pos).Line
 	for _, l := range [2]int{line, line - 1} {

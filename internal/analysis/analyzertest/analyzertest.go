@@ -33,13 +33,9 @@ import (
 )
 
 // wantRE matches one quoted expectation after a `// want` marker.
-//
-//f2tree:sharedstate compiled regexp is immutable and safe for concurrent use; flagged only for its pointer-receiver method calls
 var wantRE = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")
 
 // exportCache memoizes `go list -export` runs across tests in a process.
-//
-//f2tree:sharedstate process-wide mutex-guarded memo for the test harness; never lives inside a simulation
 var exportCache struct {
 	sync.Mutex
 	m map[string]map[string]string

@@ -9,45 +9,23 @@ import (
 // Suppression verbs: each silences exactly one analyzer's finding on its
 // line or the line below, and must carry a reason a reviewer can audit.
 const (
-	VerbUnordered   = "unordered"   // mapiter
-	VerbWallClock   = "wallclock"   // simclock
-	VerbSharedState = "sharedstate" // lockcheck
-	VerbRetained    = "retained"    // poolcheck
-	VerbAlloc       = "alloc"       // hotpathalloc
-	VerbNoEpoch     = "noepoch"     // epochcheck
-	VerbHandle      = "handle"      // handlecheck
+	VerbUnordered = "unordered" // mapiter
+	VerbWallClock = "wallclock" // simclock
+	VerbRetained  = "retained"  // poolcheck
 )
 
-// Marker verbs: they declare a contract instead of suppressing a finding
-// (a hotpath function, a pooled type, the epoch counter and the state it
-// guards), so they are inventoried but can never be stale.
-const (
-	VerbHotPath      = "hotpath"
-	VerbPooled       = "pooled"
-	VerbEpoch        = "epoch"
-	VerbEpochGuarded = "epochguarded"
-	VerbEpochBump    = "epochbump"
-)
+// VerbPooled is the one marker verb: it declares a contract (a pooled type)
+// instead of suppressing a finding, so it is inventoried but can never be
+// stale.
+const VerbPooled = "pooled"
 
 // suppressionAnalyzer maps each suppression verb to the analyzer it
-// silences.
+// silences. Any other verb but VerbPooled is unknown, including those of
+// retired analyzers, so a marker left behind fails the audit.
 var suppressionAnalyzer = map[string]string{
-	VerbUnordered:   "mapiter",
-	VerbWallClock:   "simclock",
-	VerbSharedState: "lockcheck",
-	VerbRetained:    "poolcheck",
-	VerbAlloc:       "hotpathalloc",
-	VerbNoEpoch:     "epochcheck",
-	VerbHandle:      "handlecheck",
-}
-
-// markerVerbs is the set of non-suppressing directive verbs.
-var markerVerbs = map[string]bool{
-	VerbHotPath:      true,
-	VerbPooled:       true,
-	VerbEpoch:        true,
-	VerbEpochGuarded: true,
-	VerbEpochBump:    true,
+	VerbUnordered: "mapiter",
+	VerbWallClock: "simclock",
+	VerbRetained:  "poolcheck",
 }
 
 // DirectiveKind classifies a //f2tree: directive.
@@ -62,7 +40,7 @@ const (
 
 // Directive is one //f2tree: comment found in an analyzed package.
 type Directive struct {
-	// Verb is the word after "f2tree:" ("unordered", "hotpath", ...).
+	// Verb is the word after "f2tree:" ("unordered", "pooled", ...).
 	Verb string
 	// Reason is the rest of the comment — the text a reviewer audits.
 	Reason string
@@ -150,7 +128,7 @@ func Audit(pkgs []*Package, opt RunOptions) (*AuditResult, error) {
 						Line:    pos.Line,
 					}
 					switch {
-					case markerVerbs[verb]:
+					case verb == VerbPooled:
 						d.Kind = KindMarker
 					case suppressionAnalyzer[verb] != "":
 						d.Kind = KindSuppression

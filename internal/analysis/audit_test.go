@@ -71,7 +71,7 @@ func verbs(ds []analysis.Directive) []string {
 }
 
 // TestAuditDefects checks the audit fixture: one live suppression, one
-// unjustified one, one stale one, one typo'd verb, the four retired verbs
+// unjustified one, one stale one, one typo'd verb, the twelve retired verbs
 // and one marker.
 func TestAuditDefects(t *testing.T) {
 	pkg := loadFixturePkg(t, "audit")
@@ -82,13 +82,14 @@ func TestAuditDefects(t *testing.T) {
 	if res.Clean() {
 		t.Fatalf("audit fixture should not be clean; directives: %v", verbs(res.Directives))
 	}
-	if got := len(res.Directives); got != 9 {
-		t.Errorf("inventoried %d directives, want 9: %v", got, verbs(res.Directives))
+	if got := len(res.Directives); got != 17 {
+		t.Errorf("inventoried %d directives, want 17: %v", got, verbs(res.Directives))
 	}
 	if got := verbs(res.Stale); len(got) != 1 || got[0] != "wallclock" {
 		t.Errorf("stale = %v, want exactly [wallclock]", got)
 	}
-	wantUnknown := "wallclok shardlocal shardport blocking lockorder"
+	wantUnknown := "wallclok shardlocal shardport blocking lockorder " +
+		"sharedstate epochguarded epoch hotpath alloc noepoch handle epochbump"
 	if got := strings.Join(verbs(res.Unknown), " "); got != wantUnknown {
 		t.Errorf("unknown = [%s], want exactly [%s]", got, wantUnknown)
 	}
@@ -101,8 +102,8 @@ func TestAuditDefects(t *testing.T) {
 			marker = &res.Directives[i]
 		}
 	}
-	if marker == nil || marker.Verb != "hotpath" {
-		t.Errorf("expected one hotpath marker in the inventory, got %+v", marker)
+	if marker == nil || marker.Verb != "pooled" {
+		t.Errorf("expected one pooled marker in the inventory, got %+v", marker)
 	}
 	for _, d := range res.Stale {
 		if !d.Stale {

@@ -30,12 +30,12 @@ func posOf(t *testing.T, fset *token.FileSet, f *ast.File, line int) token.Pos {
 
 // TestDirectiveLinesKeepsEveryDirectiveOnALine is the regression test for
 // the map[int]string → map[int][]string fix: two directives whose
-// comments end on the same line must both be recorded — the pattern the
-// stacked /*f2tree:pooled*/ /*f2tree:epochguarded*/ markers rely on.
+// comments end on the same line must both be recorded — a marker stacked
+// with a suppression, /*f2tree:pooled*/ /*f2tree:retained ...*/.
 func TestDirectiveLinesKeepsEveryDirectiveOnALine(t *testing.T) {
 	src := `package p
 
-/*f2tree:pooled*/ /*f2tree:epochguarded*/
+/*f2tree:pooled*/ /*f2tree:retained the pool's own sentinel*/
 type T struct{}
 `
 	fset, f := parseOne(t, src)
@@ -44,7 +44,7 @@ type T struct{}
 		t.Fatalf("line 3 has %d directives, want 2: %v", got, dirs[3])
 	}
 	typePos := posOf(t, fset, f, 4)
-	for _, verb := range []string{VerbPooled, VerbEpochGuarded} {
+	for _, verb := range []string{VerbPooled, VerbRetained} {
 		if !suppressed(dirs, fset, typePos, verb) {
 			t.Errorf("verb %q on the stacked line does not cover the type declaration", verb)
 		}

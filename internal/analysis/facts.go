@@ -12,11 +12,6 @@ import (
 // consume, upgrading the intraprocedural analyzers to transitive,
 // whole-program checks — the stdlib-only mirror of go/analysis Facts:
 //
-//   - FactAllocates (hotpathalloc): the function allocates on its steady
-//     path, directly or through a callee. A hotpath function calling a
-//     fact-carrying function two packages away is a finding.
-//   - FactHotPath (hotpathalloc): the function is //f2tree:hotpath and its
-//     body is checked in its own package; callers trust it.
 //   - FactWallClock (simclock): the function transitively reads the wall
 //     clock through an unsuppressed call chain.
 //   - FactPooled (poolcheck): the type is //f2tree:pooled, so
@@ -26,8 +21,6 @@ import (
 // function stores its third parameter (a pooled pointer) somewhere that
 // outlives the call, so passing a tracked value there is a retention.
 const (
-	FactAllocates     = "allocates"
-	FactHotPath       = "hotpath"
 	FactWallClock     = "wallclock"
 	FactPooled        = "pooled"
 	FactRetainsPrefix = "retains:"

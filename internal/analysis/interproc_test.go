@@ -51,9 +51,8 @@ func appResult(t *testing.T, results []*analysis.PkgResult) *analysis.PkgResult 
 }
 
 // TestInterprocCatchesCrossPackageViolations is the acceptance test for
-// the fact layer: the graph run must flag all three cross-package
-// violations in app — the hot path calling a transitively-allocating
-// helper, the transitive wall-clock read, and the pooled argument handed
+// the fact layer: the graph run must flag both cross-package violations
+// in app — the transitive wall-clock read and the pooled argument handed
 // to a cross-package retainer — while a per-package run of the same
 // analyzers over app alone provably sees none of them.
 func TestInterprocCatchesCrossPackageViolations(t *testing.T) {
@@ -65,9 +64,8 @@ func TestInterprocCatchesCrossPackageViolations(t *testing.T) {
 	app := appResult(t, results)
 
 	wantByAnalyzer := map[string]string{
-		"hotpathalloc": "calls interproc/state.Wrap, which allocates on its steady path (exported fact)",
-		"simclock":     "call to interproc/state.WrapClock, which transitively reads the wall clock",
-		"poolcheck":    "passed to interproc/state.Keep, which retains this parameter (exported fact)",
+		"simclock":  "call to interproc/state.WrapClock, which transitively reads the wall clock",
+		"poolcheck": "passed to interproc/state.Keep, which retains this parameter (exported fact)",
 	}
 	got := make(map[string][]string)
 	for _, f := range app.Findings {
@@ -121,10 +119,8 @@ func TestInterprocFactExports(t *testing.T) {
 	}
 	for _, want := range []string{
 		"interproc/state.Rec pooled",
-		"interproc/state.Wrap allocates",
 		"interproc/state.WrapClock wallclock",
 		"interproc/state.Keep retains:0",
-		"interproc/app.Hot hotpath",
 		"interproc/app.Tick wallclock",
 		"interproc/app.Retain retains:0",
 	} {

@@ -51,7 +51,7 @@ type RunOptions struct {
 
 // RunGraph applies the analyzers to the packages in dependency order:
 // a package is analyzed only after all its in-graph dependencies, so the
-// facts they export (allocates, wallclock, pooled, retains:N, ...) are
+// facts they export (wallclock, pooled, retains:N) are
 // complete when its pass starts. Packages with no ordering constraint
 // between them run in parallel. Results come back sorted by import path,
 // one per package, so output is deterministic at any worker count — the

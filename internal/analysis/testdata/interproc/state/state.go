@@ -6,12 +6,6 @@ package state
 
 import "time"
 
-// Wrap allocates only through its helper, so a caller's package sees no
-// allocation syntactically — only the exported allocates fact.
-func Wrap(n int) []int { return allocHelper(n) }
-
-func allocHelper(n int) []int { return make([]int, n) }
-
 // WrapClock hides a wall-clock read behind one call level.
 func WrapClock() int64 { return readClock() }
 

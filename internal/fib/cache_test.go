@@ -84,7 +84,8 @@ func TestFlowCacheStaleWithoutInvalidate(t *testing.T) {
 
 // TestFlowCacheRouteMutationInvalidates checks the automatic half of the
 // epoch rule: Add/Remove/ReplaceSource must invalidate without any call
-// from the owner.
+// from the owner — including when the prefix stays and only its winning
+// source changes, so the memoized live set would index another hop list.
 func TestFlowCacheRouteMutationInvalidates(t *testing.T) {
 	tbl, dst, flow := cacheFixture(t)
 	tbl.EnableFlowCache(0)
@@ -103,6 +104,25 @@ func TestFlowCacheRouteMutationInvalidates(t *testing.T) {
 	res, ok = tbl.Lookup(dst, flow, nil)
 	if !ok || res.Prefix.Bits() != 24 || res.NextHop.Port != 2 {
 		t.Fatalf("after ReplaceSource = %+v, %v; want /24 via port 2", res, ok)
+	}
+
+	// Shadowed source: a static /24 takes the prefix over from OSPF's two
+	// hops and is withdrawn again. Port 0 is dead throughout, so OSPF's live
+	// set is {port 1}; a live set memoized for the other source's hop list
+	// would pick port 0 (or index past the static route's single hop).
+	tbl, dst, flow = cacheFixture(t)
+	tbl.EnableFlowCache(0)
+	usable := func(nh NextHop) bool { return nh.Port != 0 }
+	if res, ok := tbl.Lookup(dst, flow, usable); !ok || res.NextHop.Port != 1 {
+		t.Fatalf("OSPF warm-up = %+v, %v; want port 1", res, ok)
+	}
+	mustAdd(t, tbl, "10.11.5.0/24", Static, NextHop{Port: 5})
+	if res, ok := tbl.Lookup(dst, flow, usable); !ok || res.NextHop.Port != 5 {
+		t.Fatalf("after the static Add = %+v, %v; want the static /24 via port 5", res, ok)
+	}
+	tbl.Remove(netaddr.MustParsePrefix("10.11.5.0/24"), Static)
+	if res, ok := tbl.Lookup(dst, flow, usable); !ok || res.Prefix.Bits() != 24 || res.NextHop.Port != 1 {
+		t.Fatalf("after removing the static /24 = %+v, %v; want OSPF's /24 via port 1", res, ok)
 	}
 }
 

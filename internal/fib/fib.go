@@ -89,8 +89,6 @@ type FlowKey struct {
 
 // Hash returns a stable FNV-1a hash of the five-tuple. It runs once per
 // forwarded packet per hop (ECMP pick), so it is written closure-free.
-//
-//f2tree:hotpath
 func (k FlowKey) Hash() uint32 {
 	const (
 		offset = 2166136261
@@ -124,7 +122,6 @@ const maxHops = 64
 type entry struct {
 	// hops[s-1] is the next-hop list source s installed, sorted by port;
 	// nil when s has no route for the prefix.
-	//f2tree:epochguarded
 	hops [numSources][]NextHop
 	// stamp is the generation of the last ReplaceSource call that named the
 	// prefix; the call withdraws the slots of its source it did not stamp.
@@ -136,8 +133,6 @@ type entry struct {
 }
 
 // best returns the next hops of the lowest-distance source present.
-//
-//f2tree:hotpath
 func (e *entry) best() []NextHop {
 	for s := range e.hops {
 		if len(e.hops[s]) != 0 {
@@ -152,9 +147,7 @@ func (e *entry) best() []NextHop {
 type level struct {
 	bits int
 	mask netaddr.Addr
-	//f2tree:epochguarded
 	keys []netaddr.Addr
-	//f2tree:epochguarded
 	ents []entry
 	// index finds a key without a search: an open-addressed table of
 	// positions+1 into keys (0 = free slot), probed from the top bits of a
@@ -170,8 +163,6 @@ type level struct {
 const linearMax = 4
 
 // find returns the entry stored under key, or nil.
-//
-//f2tree:hotpath
 func (l *level) find(key netaddr.Addr) *entry {
 	if len(l.keys) <= linearMax {
 		for i, k := range l.keys {
@@ -182,7 +173,7 @@ func (l *level) find(key netaddr.Addr) *entry {
 		return nil
 	}
 	if len(l.index) == 0 {
-		l.reindex() //f2tree:alloc amortised: runs once after an install changed the key set, and reuses the array unless the level outgrew it
+		l.reindex()
 	}
 	for h := indexHash(key) >> l.shift; ; h = (h + 1) & uint32(len(l.index)-1) {
 		at := l.index[h]
@@ -221,8 +212,6 @@ func (l *level) reindex() {
 }
 
 // compact drops the entries that no longer hold a route of any source.
-//
-//f2tree:noepoch helper of Remove and ReplaceSource, which bump the epoch after it
 func (l *level) compact() {
 	n := 0
 	for i := range l.ents {
@@ -247,16 +236,13 @@ type Table struct {
 	// levels holds one level per prefix length that ever held a route, in
 	// descending length — the only lengths Lookup visits. A production
 	// table holds ~3 distinct lengths (/32, /24, /16, /15), not 33.
-	//f2tree:epochguarded
 	levels []level
 	// count[s-1] is the number of routes source s holds.
-	//f2tree:epochguarded
 	count [numSources]int
 
 	// epoch versions every state a Lookup result depends on. Route
 	// mutations bump it internally; link-usability transitions must bump
 	// it via InvalidateFlowCache (the usable predicate is external state).
-	//f2tree:epoch
 	epoch uint64
 	// memo says whether Lookup keeps each entry's live set (EnableFlowCache).
 	memo bool
@@ -312,8 +298,6 @@ func validate(src Source, r Route) error {
 // at the position, tried before searching: a caller walking a route list
 // passes one past its previous hit, which is right whenever the emitter
 // lists a length's prefixes in ascending order (all three do).
-//
-//f2tree:noepoch every caller that passes room > 0 bumps the epoch after its own writes
 func (t *Table) slot(p netaddr.Prefix, room, hint int) (*level, int) {
 	b, li := p.Bits(), 0
 	for li < len(t.levels) && t.levels[li].bits > b {
@@ -349,8 +333,6 @@ func (t *Table) slot(p netaddr.Prefix, room, hint int) (*level, int) {
 // grown buf is returned) and stably sorted by port for deterministic ECMP —
 // an insertion sort at these sizes, one comparison per hop for the emitters,
 // which list hops in HopLess order already.
-//
-//f2tree:noepoch helper of Add and ReplaceSource, which bump the epoch after it
 func (t *Table) put(e *entry, src Source, hops, buf []NextHop) []NextHop {
 	if e.hops[src-1] == nil {
 		t.count[src-1]++
@@ -428,8 +410,6 @@ type Result struct {
 // (flow.Hash() mod n)-th set bit — the element hashing into the filtered
 // list would select; with one usable hop (a host's default route, a
 // down-link, a ToR's host route) the flow is not hashed at all.
-//
-//f2tree:hotpath
 func (t *Table) Lookup(dst netaddr.Addr, flow FlowKey, usable func(NextHop) bool) (Result, bool) {
 	for li := range t.levels {
 		l := &t.levels[li]

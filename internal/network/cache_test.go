@@ -131,7 +131,9 @@ func TestFlowCacheFallbackAfterDetection(t *testing.T) {
 
 // TestForwardPacketNoAlloc locks the headline claim in as a test, not just
 // a benchmark: steady-state forwarding of a pooled packet through three
-// switch hops performs zero heap allocations.
+// switch hops performs zero heap allocations. The drop path is held to the
+// same budget: a packet that dies for want of a route, on a dead wire or in
+// a loss filter allocates nothing either, with or without a drop observer.
 func TestForwardPacketNoAlloc(t *testing.T) {
 	s, nw, a, dst := forwardChain(t)
 	flow := fib.FlowKey{Src: netaddr.MustParseAddr("10.11.0.2"), Dst: dst,
@@ -149,5 +151,64 @@ func TestForwardPacketNoAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, run); allocs > 0 {
 		t.Fatalf("steady-state forwarding allocates %.2f per packet, want 0", allocs)
+	}
+
+	drops := []struct {
+		name  string
+		cause DropCause
+		setup func(nw *Network, a topo.NodeID, flow *fib.FlowKey)
+	}{
+		{"no-route", DropNoRoute, func(nw *Network, a topo.NodeID, flow *fib.FlowKey) {
+			flow.Dst = netaddr.MustParseAddr("10.11.9.9") // no ToR holds a route for it
+		}},
+		{"dead-link", DropLinkDown, func(nw *Network, a topo.NodeID, flow *fib.FlowKey) {
+			// The host's wire dies and no detector ever tells it: every
+			// packet goes into the dead wire.
+			nw.SetDetectionFilter(func(sim.Time, topo.NodeID, int, bool) bool { return true })
+			nw.FailLink(nw.Topology().LinksOf(a)[0].ID)
+		}},
+		{"loss-filter", DropInjected, func(nw *Network, a topo.NodeID, flow *fib.FlowKey) {
+			nw.SetLossFilter(func(sim.Time, topo.NodeID, int, *Packet) bool { return true })
+		}},
+	}
+	for _, c := range drops {
+		for _, observed := range []bool{false, true} {
+			name := c.name
+			if observed {
+				name += "/observed"
+			}
+			t.Run(name, func(t *testing.T) {
+				s, nw, a, dst := forwardChain(t)
+				flow := fib.FlowKey{Src: netaddr.MustParseAddr("10.11.0.2"), Dst: dst,
+					Proto: ProtoUDP, SrcPort: 40000, DstPort: 9}
+				c.setup(nw, a, &flow)
+				seen := 0
+				if observed {
+					nw.OnDrop(func(sim.Time, topo.NodeID, *Packet, DropCause) { seen++ })
+				}
+				run := func() {
+					pkt := nw.NewPacket()
+					pkt.Flow, pkt.Size = flow, 1488
+					nw.SendFromHost(a, pkt)
+					if err := s.RunUntilIdle(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 10; i++ {
+					run()
+				}
+				if allocs := testing.AllocsPerRun(200, run); allocs > 0 {
+					t.Fatalf("steady-state drop allocates %.2f per packet, want 0", allocs)
+				}
+				st := nw.Stats()
+				if st.Delivered != 0 || st.Drops[c.cause] != st.Sent {
+					t.Fatalf("sent %d, delivered %d, %v drops %d: the case did not drop every packet on its path",
+						st.Sent, st.Delivered, c.cause, st.Drops[c.cause])
+				}
+				if observed && uint64(seen) != st.Sent {
+					t.Fatalf("observer saw %d drops of %d", seen, st.Sent)
+				}
+			})
+		}
 	}
 }

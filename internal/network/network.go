@@ -118,7 +118,6 @@ type nodeState struct {
 	// believedUp[p] is the port's detected state; lags actual by
 	// DetectionDelay. The table's live-hop memo holds what the usable
 	// predicate read from it, so every flip must invalidate the memo.
-	//f2tree:epochguarded
 	believedUp []bool
 	recv       ReceiveFunc
 	// usable is the node's next-hop liveness predicate, built once so the
@@ -174,8 +173,6 @@ const (
 )
 
 // runNetEvent is the static sim.ArgEvent all in-flight hops share.
-//
-//f2tree:hotpath
 func runNetEvent(now sim.Time, arg any) {
 	ev, ok := arg.(*netEvent)
 	if !ok {
@@ -202,8 +199,6 @@ func runNetEvent(now sim.Time, arg any) {
 }
 
 // getEvent returns a fresh or recycled in-flight record.
-//
-//f2tree:hotpath
 func (n *Network) getEvent() *netEvent {
 	if ln := len(n.freeEvents); ln > 0 {
 		ev := n.freeEvents[ln-1]
@@ -215,19 +210,15 @@ func (n *Network) getEvent() *netEvent {
 }
 
 // putEvent recycles an in-flight record.
-//
-//f2tree:hotpath
 func (n *Network) putEvent(ev *netEvent) {
 	ev.pkt = nil
 	//f2tree:retained the free list IS the pool; this append is the recycle step
-	n.freeEvents = append(n.freeEvents, ev) //f2tree:alloc amortized free-list growth, zero once warm
+	n.freeEvents = append(n.freeEvents, ev)
 }
 
 // NewPacket returns a zeroed packet from the network's free list. Packets
 // obtained here are recycled automatically when they die (delivered or
 // dropped); see the retention contract on Packet.
-//
-//f2tree:hotpath
 func (n *Network) NewPacket() *Packet {
 	if ln := len(n.freePkts); ln > 0 {
 		p := n.freePkts[ln-1]
@@ -240,15 +231,13 @@ func (n *Network) NewPacket() *Packet {
 
 // releasePacket recycles a pool-owned packet; direct &Packet{} values are
 // left alone.
-//
-//f2tree:hotpath
 func (n *Network) releasePacket(p *Packet) {
 	if !p.pooled {
 		return
 	}
 	*p = Packet{pooled: true}
 	//f2tree:retained the free list IS the pool; this append is the recycle step
-	n.freePkts = append(n.freePkts, p) //f2tree:alloc amortized free-list growth, zero once warm
+	n.freePkts = append(n.freePkts, p)
 }
 
 // LossFunc lets tests and fault injectors drop individual packets at a
@@ -284,7 +273,6 @@ func New(s *sim.Simulator, t *topo.Topology, cfg Config) (*Network, error) {
 		}
 		st := &n.nodes[i]
 		for p := range st.believedUp {
-			//f2tree:noepoch construction; the node's live-hop memo cannot hold anything yet
 			st.believedUp[p] = true
 		}
 		st.usable = func(nh fib.NextHop) bool { return st.believedUp[nh.Port] }
@@ -574,8 +562,6 @@ func (n *Network) RestoreLink(id topo.LinkID) { n.SetLinkState(id, true) }
 
 // SendFromHost injects a packet at a host at the current simulation time.
 // The packet's TTL and SentAt are stamped here.
-//
-//f2tree:hotpath
 func (n *Network) SendFromHost(host topo.NodeID, pkt *Packet) {
 	pkt.TTL = n.cfg.TTL
 	pkt.SentAt = n.sim.Now()
@@ -585,8 +571,6 @@ func (n *Network) SendFromHost(host topo.NodeID, pkt *Packet) {
 
 // drop records a packet loss. The packet dies here: once the observers
 // have run, pool-owned packets are recycled.
-//
-//f2tree:hotpath
 func (n *Network) drop(now sim.Time, at topo.NodeID, pkt *Packet, cause DropCause) {
 	n.stats.Drops[cause]++
 	for _, fn := range n.onDrop {
@@ -596,8 +580,6 @@ func (n *Network) drop(now sim.Time, at topo.NodeID, pkt *Packet, cause DropCaus
 }
 
 // forward routes pkt out of node (host or switch) at time now.
-//
-//f2tree:hotpath
 func (n *Network) forward(now sim.Time, node topo.NodeID, pkt *Packet) {
 	st := &n.nodes[node]
 	res, ok := st.table.Lookup(pkt.Flow.Dst, pkt.Flow, st.usable)
@@ -609,8 +591,6 @@ func (n *Network) forward(now sim.Time, node topo.NodeID, pkt *Packet) {
 }
 
 // transmit queues pkt on the given port of node.
-//
-//f2tree:hotpath
 func (n *Network) transmit(now sim.Time, node topo.NodeID, port int, pkt *Packet) {
 	if n.lossFilter != nil && n.lossFilter(now, node, port, pkt) {
 		n.drop(now, node, pkt, DropInjected)
@@ -664,8 +644,6 @@ func (n *Network) transmit(now sim.Time, node topo.NodeID, port int, pkt *Packet
 }
 
 // arrive handles pkt reaching node.
-//
-//f2tree:hotpath
 func (n *Network) arrive(now sim.Time, node topo.NodeID, pkt *Packet) {
 	nd := n.topo.Node(node)
 	if nd.Kind == topo.Host {

@@ -457,8 +457,6 @@ func (i *Instance) originateLocked() *LSA {
 // anyway, so only the event count changes (DESIGN.md §13). Hops a
 // FloodFilter spreads over several instants get one record per instant,
 // keyed on the delay as the simulator clamps it, scheduled when first seen.
-//
-//f2tree:hotpath
 func (i *Instance) flood(now sim.Time, lsa *LSA, from topo.NodeID) {
 	if i.down {
 		return
@@ -493,14 +491,12 @@ func (i *Instance) flood(now sim.Time, lsa *LSA, from topo.NodeID) {
 			open = append(open, rec)
 			d.sim.AfterArg(delay, deliverFlood, rec)
 		}
-		rec.hops = append(rec.hops, int32(k)) //f2tree:alloc amortized hop-list growth, zero once the record has carried a flood of this fan-out
+		rec.hops = append(rec.hops, int32(k))
 	}
 }
 
 // deliverFlood is the sim.ArgEvent of a flood record: it hands the LSA to
 // each hop's neighbor in order, unless the wire died in flight.
-//
-//f2tree:hotpath
 func deliverFlood(at sim.Time, arg any) {
 	rec := arg.(*floodRec)
 	i := rec.inst
@@ -512,12 +508,10 @@ func deliverFlood(at sim.Time, arg any) {
 	}
 	rec.inst, rec.lsa, rec.hops = nil, nil, rec.hops[:0]
 	//f2tree:retained the free list IS the pool; this append is the recycle step
-	i.d.freeFloods = append(i.d.freeFloods, rec) //f2tree:alloc amortized free-list growth, zero once warm
+	i.d.freeFloods = append(i.d.freeFloods, rec)
 }
 
 // receive processes a flooded LSA.
-//
-//f2tree:hotpath
 func (i *Instance) receive(now sim.Time, lsa *LSA, from topo.NodeID) {
 	if i.down {
 		return // crashed: the LSA is lost on the floor
@@ -528,7 +522,7 @@ func (i *Instance) receive(now sim.Time, lsa *LSA, from topo.NodeID) {
 		return // stale or duplicate
 	}
 	i.lsdb[o] = lsa
-	i.markDirty(o) //f2tree:alloc amortized dirty-list growth: every SPF run empties the list and keeps its storage
+	i.markDirty(o)
 	i.flood(now, lsa, from)
 	i.scheduleSPF(now)
 }

@@ -147,6 +147,30 @@ func TestAfterArgNoAlloc(t *testing.T) {
 	}
 }
 
+// TestTickerNoAlloc: a running Ticker re-arms itself through the pooled
+// AfterArg path, so steady-state ticks allocate nothing.
+func TestTickerNoAlloc(t *testing.T) {
+	s := New(1)
+	ticks := 0
+	stop := s.Ticker(time.Millisecond, func(Time) { ticks++ })
+	defer stop()
+	tick := func() {
+		if err := s.Run(s.Now().Add(time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ { // warm the item pool
+		tick()
+	}
+	allocs := testing.AllocsPerRun(100, tick)
+	if allocs > 0 {
+		t.Fatalf("Ticker steady state allocates %.1f per tick, want 0", allocs)
+	}
+	if ticks != 111 {
+		t.Fatalf("ticked %d times, want 111 (one per millisecond)", ticks)
+	}
+}
+
 // TestScheduleCancelNoAlloc: timer churn (schedule, then Cancel before it
 // fires — the TCP retransmit-restart pattern) reuses the pooled item.
 func TestScheduleCancelNoAlloc(t *testing.T) {

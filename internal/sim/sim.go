@@ -124,8 +124,6 @@ func (s *Simulator) EventsRun() uint64 { return s.ran }
 func (s *Simulator) Pending() int { return len(s.heap) }
 
 // get returns a fresh or recycled item.
-//
-//f2tree:hotpath
 func (s *Simulator) get() *item {
 	if n := len(s.free); n > 0 {
 		it := s.free[n-1]
@@ -138,20 +136,16 @@ func (s *Simulator) get() *item {
 
 // put releases an item to the free list. The generation bump here is what
 // deactivates every Handle issued for the item's previous life.
-//
-//f2tree:hotpath
 func (s *Simulator) put(it *item) {
 	it.gen++
 	it.fn, it.argFn, it.arg = nil, nil, nil
 	it.index = -1
 	//f2tree:retained the free list IS the pool; this append is the recycle step
-	s.free = append(s.free, it) //f2tree:alloc amortized free-list growth, zero once warm
+	s.free = append(s.free, it)
 }
 
 // schedule enqueues one event. Scheduling in the past is treated as "now"
 // (the event runs before time advances further).
-//
-//f2tree:hotpath
 func (s *Simulator) schedule(at Time, fn Event, argFn ArgEvent, arg any) Handle {
 	if at < s.now {
 		at = s.now
@@ -161,21 +155,17 @@ func (s *Simulator) schedule(at Time, fn Event, argFn ArgEvent, arg any) Handle 
 	it.fn, it.argFn, it.arg = fn, argFn, arg
 	s.seq++
 	it.index = int32(len(s.heap))
-	s.heap = append(s.heap, it) //f2tree:alloc amortized heap growth, zero once warm
+	s.heap = append(s.heap, it)
 	s.siftUp(len(s.heap) - 1)
 	return Handle{it: it, gen: it.gen}
 }
 
 // At schedules fn to run at the absolute virtual time at.
-//
-//f2tree:hotpath
 func (s *Simulator) At(at Time, fn Event) Handle {
 	return s.schedule(at, fn, nil, nil)
 }
 
 // After schedules fn to run d after the current time.
-//
-//f2tree:hotpath
 func (s *Simulator) After(d time.Duration, fn Event) Handle {
 	if d < 0 {
 		d = 0
@@ -186,15 +176,11 @@ func (s *Simulator) After(d time.Duration, fn Event) Handle {
 // AtArg schedules fn(now, arg) at the absolute virtual time at. fn should
 // be a package-level function; arg carries the per-event state (ideally a
 // pooled pointer) so the call allocates nothing.
-//
-//f2tree:hotpath
 func (s *Simulator) AtArg(at Time, fn ArgEvent, arg any) Handle {
 	return s.schedule(at, nil, fn, arg)
 }
 
 // AfterArg schedules fn(now, arg) to run d after the current time.
-//
-//f2tree:hotpath
 func (s *Simulator) AfterArg(d time.Duration, fn ArgEvent, arg any) Handle {
 	if d < 0 {
 		d = 0
@@ -205,8 +191,6 @@ func (s *Simulator) AfterArg(d time.Duration, fn ArgEvent, arg any) Handle {
 // Cancel removes a pending event. Canceling an already-run, already-
 // canceled or stale-generation event is a no-op. It reports whether the
 // event was pending.
-//
-//f2tree:hotpath
 func (s *Simulator) Cancel(h Handle) bool {
 	if !h.Active() {
 		return false
@@ -222,8 +206,6 @@ func (s *Simulator) Stop() { s.stopped = true }
 // Run executes events until the queue drains or the clock passes horizon.
 // A zero horizon means "run to exhaustion". Events scheduled exactly at the
 // horizon still run.
-//
-//f2tree:hotpath
 func (s *Simulator) Run(horizon Time) error {
 	for len(s.heap) > 0 {
 		if s.stopped {
@@ -257,8 +239,6 @@ func (s *Simulator) Run(horizon Time) error {
 func (s *Simulator) RunUntilIdle() error { return s.Run(0) }
 
 // siftUp restores the heap property from index i toward the root.
-//
-//f2tree:hotpath
 func (s *Simulator) siftUp(i int) {
 	it := s.heap[i]
 	for i > 0 {
@@ -275,8 +255,6 @@ func (s *Simulator) siftUp(i int) {
 }
 
 // siftDown restores the heap property from index i toward the leaves.
-//
-//f2tree:hotpath
 func (s *Simulator) siftDown(i int) {
 	n := len(s.heap)
 	it := s.heap[i]
@@ -308,8 +286,6 @@ func (s *Simulator) siftDown(i int) {
 
 // removeAt detaches the item at heap index i, preserving the heap order of
 // the rest, and returns it with index −1. The caller releases it via put.
-//
-//f2tree:hotpath
 func (s *Simulator) removeAt(i int) *item {
 	n := len(s.heap) - 1
 	it := s.heap[i]
@@ -339,8 +315,6 @@ type ticker struct {
 }
 
 // tickerFire is the static re-arming callback for Ticker.
-//
-//f2tree:hotpath
 func tickerFire(now Time, arg any) {
 	t := arg.(*ticker)
 	if t.stopped {

@@ -70,8 +70,6 @@ type Search struct {
 // Run searches rows from root, the row of node src of t. src names the
 // source's port of each first-hop link, which only Mask reads; over
 // NodeID-indexed rows root and src are the same.
-//
-//f2tree:hotpath
 func (s *Search) Run(t *Topology, rows [][]Edge, root, src NodeID) {
 	for n := range s.Dist {
 		s.Dist[n] = Unreachable
@@ -82,7 +80,7 @@ func (s *Search) Run(t *Topology, rows [][]Edge, root, src NodeID) {
 	if s.Count != nil {
 		s.Count[root] = 1
 	}
-	frontier, next := append(s.frontier[:0], root), s.next[:0] //f2tree:alloc amortized frontier growth, zero once warm
+	frontier, next := append(s.frontier[:0], root), s.next[:0]
 	for du := 0; len(frontier) > 0; du++ {
 		next = next[:0]
 		for _, u := range frontier {
@@ -93,7 +91,7 @@ func (s *Search) Run(t *Topology, rows [][]Edge, root, src NodeID) {
 				}
 				if dv > du+1 {
 					s.Dist[e.To] = du + 1
-					next = append(next, e.To) //f2tree:alloc amortized frontier growth, zero once warm
+					next = append(next, e.To)
 				}
 				if s.Count != nil {
 					s.Count[e.To] += s.Count[u]
