@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build test vet fmt-check f2tree-vet vet-audit race check \
 	campaign-smoke chaos-smoke detect-smoke serve-smoke smoke bench bench-ospf \
-	bench-bgp bench-fib bench-controller bench-smoke serve
+	bench-bgp bench-fib bench-controller bench-transport bench-smoke serve
 
 build:
 	$(GO) build ./...
@@ -116,12 +116,19 @@ bench-fib:
 bench-controller:
 	$(GO) test -run '^$$' -bench BenchmarkController -benchmem ./internal/controller
 
+# Transport microbenchmarks on two hosts behind one ToR: one full TCP data
+# segment and its ACK on a warmed connection, and one paced UDP datagram into
+# a reserved sink, per op. Both are 0 allocs/op.
+bench-transport:
+	$(GO) test -run '^$$' -bench 'BenchmarkTCPTransfer|BenchmarkUDPProbe' -benchmem ./internal/transport
+
 # One iteration of every N=8 control-plane and FIB microbenchmark (the
-# pattern is matched per name level), so the families keep compiling and
-# running.
+# pattern is matched per name level) and of the transport ones, so the
+# families keep compiling and running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '././N=8$$' -benchtime 1x ./internal/ospf ./internal/bgp ./internal/fib \
 		./internal/controller
+	$(GO) test -run '^$$' -bench 'BenchmarkTCPTransfer|BenchmarkUDPProbe' -benchtime 1x ./internal/transport
 
 # Run the what-if query service on localhost (see DESIGN.md §13).
 serve:

@@ -392,7 +392,7 @@ func (r *run) wireFlows() error {
 			{Src: "rightmost", Dst: "leftmost"},
 		}
 	}
-	probes, err := exp.AttachProbes(r.lab, flows, 256, time.Millisecond)
+	probes, err := exp.AttachProbes(r.lab, flows, 256, time.Millisecond, r.horizon)
 	if err != nil {
 		return fmt.Errorf("chaos: %w", err)
 	}

@@ -270,7 +270,7 @@ func runRecoveryUDP(o RecoveryOptions, res *RecoveryResult) error {
 	if err != nil {
 		return err
 	}
-	probes, err := AttachProbes(lab, []Flow{{Src: "leftmost", Dst: "rightmost"}}, o.SegmentBytes, o.SendInterval)
+	probes, err := AttachProbes(lab, []Flow{{Src: "leftmost", Dst: "rightmost"}}, o.SegmentBytes, o.SendInterval, o.Horizon)
 	if err != nil {
 		return err
 	}
@@ -285,18 +285,17 @@ func runRecoveryUDP(o RecoveryOptions, res *RecoveryResult) error {
 	}
 	source.Stop()
 
-	arrivalTimes := make([]sim.Time, 0, len(sink.Arrivals))
-	samples := make([]metrics.Sample, 0, len(sink.Arrivals))
-	res.Delays = make([]metrics.DelayPoint, 0, len(sink.Arrivals))
-	for _, a := range sink.Arrivals {
-		arrivalTimes = append(arrivalTimes, a.Arrived)
-		samples = append(samples, metrics.Sample{At: a.Arrived, Bytes: a.Size})
-		res.Delays = append(res.Delays, metrics.DelayPoint{SentAt: a.SentAt, Delay: a.Arrived.Sub(a.SentAt)})
+	arr := sink.Arrivals
+	bins := metrics.NewBinner(0, o.Horizon, o.BinWidth)
+	res.Delays = make([]metrics.DelayPoint, len(arr))
+	for i, a := range arr {
+		bins.Add(a.Arrived, a.Size)
+		res.Delays[i] = metrics.DelayPoint{SentAt: a.SentAt, Delay: a.Arrived.Sub(a.SentAt)}
 	}
-	res.ConnectivityLoss = metrics.ConnectivityLoss(arrivalTimes, o.FailAt, o.Horizon)
+	res.ConnectivityLoss = metrics.ConnectivityLossOf(len(arr), func(i int) sim.Time { return arr[i].Arrived }, o.FailAt, o.Horizon)
 	res.PacketsSent = source.Sent()
-	res.PacketsLost = source.Sent() - uint64(len(sink.Arrivals))
-	res.UDPBins = metrics.BinThroughput(samples, 0, o.Horizon, o.BinWidth)
+	res.PacketsLost = source.Sent() - uint64(len(arr))
+	res.UDPBins = bins.Bins
 	return nil
 }
 
@@ -314,11 +313,11 @@ func runRecoveryTCP(o RecoveryOptions, res *RecoveryResult) error {
 	if err != nil {
 		return err
 	}
-	var samples []metrics.Sample
+	bins := metrics.NewBinner(0, o.Horizon, o.BinWidth)
 	var prev int64
 	err = dstStack.Listen(80, func(_ sim.Time, c *transport.Conn) {
 		c.OnData(func(now sim.Time, total int64) {
-			samples = append(samples, metrics.Sample{At: now, Bytes: int(total - prev)})
+			bins.Add(now, int(total-prev))
 			prev = total
 		})
 	})
@@ -343,7 +342,7 @@ func runRecoveryTCP(o RecoveryOptions, res *RecoveryResult) error {
 	if condErr != nil {
 		return condErr
 	}
-	res.TCPBins = metrics.BinThroughput(samples, 0, o.Horizon, o.BinWidth)
+	res.TCPBins = bins.Bins
 	pre := metrics.PreFailureAverage(res.TCPBins, o.BinWidth, o.FailAt)
 	res.CollapseDuration = metrics.CollapseDuration(res.TCPBins, o.BinWidth, o.FailAt, pre, 2)
 	res.TCPTimeouts = conn.Timeouts()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/transport"
 )
@@ -46,10 +47,12 @@ func ResolveHost(lab *core.Lab, name string) (topo.NodeID, error) {
 }
 
 // AttachProbes starts the flows on lab, one transport stack per host. Flow i
-// sinks on UDP port 9+i; size and interval fill a flow's zero fields. The
-// construction order (per flow: source stack, destination stack, sink,
-// source) fixes event sequence numbers, so traces depend on it.
-func AttachProbes(lab *core.Lab, flows []Flow, size int, interval time.Duration) ([]*Probe, error) {
+// sinks on UDP port 9+i; size and interval fill a flow's zero fields. Each
+// sink is presized for every datagram its source can send by horizon, so
+// recording an arrival never grows it. The construction order (per flow:
+// source stack, destination stack, sink, source) fixes event sequence
+// numbers, so traces depend on it.
+func AttachProbes(lab *core.Lab, flows []Flow, size int, interval time.Duration, horizon sim.Time) ([]*Probe, error) {
 	stacks := make(map[topo.NodeID]*transport.Stack)
 	stackFor := func(h topo.NodeID) (*transport.Stack, error) {
 		if st, ok := stacks[h]; ok {
@@ -93,6 +96,7 @@ func AttachProbes(lab *core.Lab, flows []Flow, size int, interval time.Duration)
 			iv = time.Duration(f.IntervalUs) * time.Microsecond
 		}
 		source := srcStack.StartUDPSource(dstStack.Addr(), port, sz, iv)
+		sink.Reserve(int(horizon.Sub(lab.Sim.Now()) / iv))
 		probes = append(probes, &Probe{Flow: f, Src: src, Dst: dst, Source: source, Sink: sink})
 	}
 	return probes, nil

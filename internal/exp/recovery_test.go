@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"repro/internal/failure"
@@ -39,5 +40,27 @@ func TestRecoveryResultPinned(t *testing.T) {
 			t.Errorf("%s %v: RecoveryResult digest = %s, want %s (%d UDP bins, %d TCP bins, %d delays)",
 				p.scheme, p.cond, got, p.digest, len(res.UDPBins), len(res.TCPBins), len(res.Delays))
 		}
+	}
+}
+
+// TestRecoveryAllocBudget caps what one recovery run pair allocates: the
+// transport's segments and datagrams are pooled, the probe sink is presized
+// for its horizon and the TCP bins are summed as data arrives, so what is
+// left is mostly building the two labs.
+func TestRecoveryAllocBudget(t *testing.T) {
+	const ceiling = 5.5 * (1 << 20)
+	opts := RecoveryOptions{Scheme: SchemeFatTree, Ports: 8, Condition: failure.C1}
+	if _, err := RunRecovery(opts); err != nil { // warm lazily built tables
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunRecovery(opts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		t.Errorf("RunRecovery on fat-tree C1 at N=8 allocates %.1f MiB in %d objects, ceiling %.1f MiB",
+			float64(got)/(1<<20), after.Mallocs-before.Mallocs, float64(ceiling)/(1<<20))
 	}
 }

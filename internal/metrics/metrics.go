@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,53 +38,80 @@ func (b Bin) Mbps(width time.Duration) float64 {
 // BinThroughput buckets samples into fixed-width bins spanning [start, end).
 // Samples outside the span are ignored.
 func BinThroughput(samples []Sample, start, end sim.Time, width time.Duration) []Bin {
-	if end <= start || width <= 0 {
-		return nil
-	}
-	n := int(end.Sub(start)/width) + 1
-	bins := make([]Bin, n)
-	for i := range bins {
-		bins[i].Start = start.Add(time.Duration(i) * width)
-	}
+	b := NewBinner(start, end, width)
 	for _, s := range samples {
-		if s.At < start || s.At >= end {
-			continue
-		}
-		i := int(s.At.Sub(start) / width)
-		if i >= 0 && i < n {
-			bins[i].Bytes += s.Bytes
-		}
+		b.Add(s.At, s.Bytes)
 	}
-	return bins
+	return b.Bins
+}
+
+// Binner is BinThroughput one delivery at a time, for callers that would
+// otherwise keep every sample only to bin it at the end.
+type Binner struct {
+	// Bins are BinThroughput's bins of everything added so far; nil for an
+	// empty span or a non-positive width.
+	Bins       []Bin
+	start, end sim.Time
+	width      time.Duration
+}
+
+// NewBinner returns empty bins spanning [start, end).
+func NewBinner(start, end sim.Time, width time.Duration) Binner {
+	b := Binner{start: start, end: end, width: width}
+	if end <= start || width <= 0 {
+		return b
+	}
+	b.Bins = make([]Bin, int(end.Sub(start)/width)+1)
+	for i := range b.Bins {
+		b.Bins[i].Start = start.Add(time.Duration(i) * width)
+	}
+	return b
+}
+
+// Add counts bytes delivered at `at`; deliveries outside the span are
+// ignored.
+func (b *Binner) Add(at sim.Time, bytes int) {
+	if len(b.Bins) == 0 || at < b.start || at >= b.end {
+		return
+	}
+	if i := int(at.Sub(b.start) / b.width); i < len(b.Bins) {
+		b.Bins[i].Bytes += bytes
+	}
 }
 
 // ConnectivityLoss finds the outage the paper measures: the gap between the
 // last delivery before (or just after) failAt and the first delivery after
 // it. Returns 0 if deliveries never pause, and end−lastArrival if traffic
-// never resumes by end.
+// never resumes by end. Arrivals in ascending order (as every simulated
+// receiver records them) are read in place; others are sorted in a copy.
 func ConnectivityLoss(arrivals []sim.Time, failAt, end sim.Time) time.Duration {
-	if len(arrivals) == 0 {
+	times := arrivals
+	if !slices.IsSorted(times) {
+		times = slices.Clone(arrivals)
+		slices.Sort(times)
+	}
+	return ConnectivityLossOf(len(times), func(i int) sim.Time { return times[i] }, failAt, end)
+}
+
+// ConnectivityLossOf is ConnectivityLoss over n ascending arrival times
+// read through at(i), for callers whose times sit inside larger records.
+func ConnectivityLossOf(n int, at func(i int) sim.Time, failAt, end sim.Time) time.Duration {
+	if n == 0 {
 		return end.Sub(failAt)
 	}
-	times := append([]sim.Time(nil), arrivals...)
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	// Last arrival at or before the moment in-flight traffic drains
 	// (small grace for packets already past the failed hop).
 	const grace = 5 * time.Millisecond
-	lastBefore := -1
-	for i, t := range times {
-		if t <= failAt.Add(grace) {
-			lastBefore = i
-		}
-	}
+	cutoff := failAt.Add(grace)
+	lastBefore := sort.Search(n, func(i int) bool { return at(i) > cutoff }) - 1
 	if lastBefore == -1 {
 		// Nothing delivered before the failure; measure from failAt.
-		return times[0].Sub(failAt)
+		return at(0).Sub(failAt)
 	}
-	if lastBefore == len(times)-1 {
-		return end.Sub(times[lastBefore])
+	if lastBefore == n-1 {
+		return end.Sub(at(lastBefore))
 	}
-	return times[lastBefore+1].Sub(times[lastBefore])
+	return at(lastBefore + 1).Sub(at(lastBefore))
 }
 
 // CollapseDuration measures how long binned throughput stays below

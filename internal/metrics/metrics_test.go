@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -70,6 +72,75 @@ func TestConnectivityLossUnsortedInputAndGrace(t *testing.T) {
 	got := ConnectivityLoss(arrivals, ms(100), ms(400))
 	if got != 247*time.Millisecond {
 		t.Fatalf("loss = %v, want 247ms (103→350)", got)
+	}
+}
+
+// TestConnectivityLossUnsortedMatchesSorted: sorted input is read in place
+// without allocating and any other is sorted in a copy. Both give the same
+// answer, the caller's slice is left as it was, and ConnectivityLossOf over
+// the sorted times agrees.
+func TestConnectivityLossUnsortedMatchesSorted(t *testing.T) {
+	var sorted []sim.Time
+	for i := 1; i <= 100; i++ {
+		sorted = append(sorted, ms(i), ms(i)) // duplicates, as two flows would give
+	}
+	for i := 160; i <= 300; i += 3 {
+		sorted = append(sorted, ms(i))
+	}
+	if a := testing.AllocsPerRun(10, func() { ConnectivityLoss(sorted, ms(100), ms(400)) }); a != 0 {
+		t.Errorf("sorted input: %v allocations, want 0 (no copy)", a)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, failAt := range []sim.Time{0, ms(50), ms(97), ms(100), ms(158), ms(299), ms(400)} {
+		want := ConnectivityLoss(sorted, failAt, ms(400))
+		of := ConnectivityLossOf(len(sorted), func(i int) sim.Time { return sorted[i] }, failAt, ms(400))
+		if of != want {
+			t.Errorf("failAt %v: ConnectivityLossOf = %v, ConnectivityLoss = %v", failAt, of, want)
+		}
+		for k := 0; k < 5; k++ {
+			shuffled := slices.Clone(sorted)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			kept := slices.Clone(shuffled)
+			if got := ConnectivityLoss(shuffled, failAt, ms(400)); got != want {
+				t.Errorf("failAt %v, shuffle %d: loss = %v, sorted input gives %v", failAt, k, got, want)
+			}
+			if !slices.Equal(shuffled, kept) {
+				t.Fatalf("failAt %v: ConnectivityLoss reordered its input", failAt)
+			}
+		}
+	}
+}
+
+// TestBinnerStreams: deliveries added one at a time land in [start, end)
+// bins; those outside the span are dropped, and an empty span or a zero
+// width has no bins.
+func TestBinnerStreams(t *testing.T) {
+	samples := []Sample{{At: ms(1), Bytes: 100}, {At: ms(25), Bytes: 300}, {At: ms(59), Bytes: 7},
+		{At: ms(60), Bytes: 9}, {At: -ms(1), Bytes: 11}}
+	for _, c := range []struct {
+		end   sim.Time
+		width time.Duration
+		want  []int
+	}{
+		{ms(60), 20 * time.Millisecond, []int{100, 300, 7, 0}},
+		{ms(61), 20 * time.Millisecond, []int{100, 300, 7, 9}},
+		{0, 20 * time.Millisecond, nil},
+		{ms(60), 0, nil},
+	} {
+		b := NewBinner(0, c.end, c.width)
+		for _, s := range samples {
+			b.Add(s.At, s.Bytes)
+		}
+		var got []int
+		for i, bin := range b.Bins {
+			if bin.Start != sim.Time(i)*20*sim.Millisecond {
+				t.Fatalf("end %v: bin %d starts at %v", c.end, i, bin.Start)
+			}
+			got = append(got, bin.Bytes)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("end %v width %v: bytes %v, want %v", c.end, c.width, got, c.want)
+		}
 	}
 }
 

@@ -192,7 +192,7 @@ func Run(sc *Scenario) (*Report, error) {
 		}
 		return nd.ID, nil
 	}
-	runs, err := exp.AttachProbes(lab, sc.Flows, 1448, 100*time.Microsecond)
+	runs, err := exp.AttachProbes(lab, sc.Flows, 1448, 100*time.Microsecond, horizon)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
@@ -273,17 +273,14 @@ func Run(sc *Scenario) (*Report, error) {
 
 	rep := &Report{Topology: tp.Name, Drops: lab.Net.Stats().TotalDrops()}
 	for _, fr := range runs {
-		arrivals := make([]sim.Time, 0, len(fr.Sink.Arrivals))
-		for _, a := range fr.Sink.Arrivals {
-			arrivals = append(arrivals, a.Arrived)
-		}
+		arr := fr.Sink.Arrivals
 		loss := time.Duration(0)
 		if firstFailAt >= 0 {
-			loss = metrics.ConnectivityLoss(arrivals, firstFailAt, horizon)
+			loss = metrics.ConnectivityLossOf(len(arr), func(i int) sim.Time { return arr[i].Arrived }, firstFailAt, horizon)
 		}
 		rep.Flows = append(rep.Flows, FlowReport{
 			Src: tp.Node(fr.Src).Name, Dst: tp.Node(fr.Dst).Name,
-			Sent: fr.Source.Sent(), Delivered: len(fr.Sink.Arrivals),
+			Sent: fr.Source.Sent(), Delivered: len(arr),
 			ConnectivityLoss: loss, LossMs: float64(loss.Microseconds()) / 1000,
 		})
 	}

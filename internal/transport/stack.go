@@ -7,6 +7,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/fib"
@@ -22,10 +23,16 @@ const MSS = 1448
 // HeaderBytes is the IP+transport header overhead added to wire size.
 const HeaderBytes = 40
 
-// Datagram is a UDP payload.
+// Datagram is a UDP payload. The sending stack carries it in the packet
+// as a *Datagram from its free list and takes it back once the receiving
+// Stack.receive returns (a dropped datagram is left to the collector);
+// handlers get a copy.
+//
+//f2tree:pooled
 type Datagram struct {
-	Seq     uint64
-	AppData any
+	Seq uint64
+
+	owner *Stack // the stack whose free list it returns to; nil if unpooled
 }
 
 // UDPHandler receives datagrams addressed to a bound port.
@@ -53,6 +60,12 @@ type Stack struct {
 	conns       map[fourTuple]*Conn
 
 	nextEphemeral uint16
+
+	// Payload free lists: a segment or datagram returns here, to its
+	// sender, once the receiving stack has handled it. Data and ACKs
+	// flow in opposite directions, so a connection's two pools balance.
+	freeSegs []*Segment
+	freeDgs  []*Datagram
 }
 
 // NewStack attaches a stack to host.
@@ -102,33 +115,75 @@ func (st *Stack) BindUDP(port uint16, h UDPHandler) error {
 
 // SendUDP transmits one datagram of `size` payload bytes.
 func (st *Stack) SendUDP(dst netaddr.Addr, srcPort, dstPort uint16, size int, dg Datagram) {
+	var dp *Datagram
+	if n := len(st.freeDgs); n > 0 {
+		dp = st.freeDgs[n-1]
+		st.freeDgs = st.freeDgs[:n-1]
+	} else {
+		dp = new(Datagram)
+	}
+	dg.owner = st
+	*dp = dg
 	pkt := st.nw.NewPacket()
 	pkt.Flow = fib.FlowKey{
 		Src: st.addr, Dst: dst, Proto: network.ProtoUDP,
 		SrcPort: srcPort, DstPort: dstPort,
 	}
 	pkt.Size = size + HeaderBytes
-	pkt.Payload = dg
+	pkt.Payload = dp
 	st.nw.SendFromHost(st.host, pkt)
 }
 
-// receive demuxes an arriving packet.
+// newSegment returns a segment from the stack's free list, holding s.
+func (st *Stack) newSegment(s Segment) *Segment {
+	var seg *Segment
+	if n := len(st.freeSegs); n > 0 {
+		seg = st.freeSegs[n-1]
+		st.freeSegs = st.freeSegs[:n-1]
+	} else {
+		seg = new(Segment)
+	}
+	s.owner = st
+	*seg = s
+	return seg
+}
+
+// recycleSegment returns a handled segment to its sender's free list.
+func recycleSegment(seg *Segment) {
+	if st := seg.owner; st != nil {
+		//f2tree:retained the free list IS the pool; this append is the recycle step
+		st.freeSegs = append(st.freeSegs, seg)
+	}
+}
+
+// recycleDatagram returns a handled datagram to its sender's free list.
+func recycleDatagram(dg *Datagram) {
+	if st := dg.owner; st != nil {
+		//f2tree:retained the free list IS the pool; this append is the recycle step
+		st.freeDgs = append(st.freeDgs, dg)
+	}
+}
+
+// receive demuxes an arriving packet. Its payload is recycled when this
+// returns, so nothing below may keep the *Segment or *Datagram.
 func (st *Stack) receive(now sim.Time, pkt *network.Packet) {
 	switch pkt.Flow.Proto {
 	case network.ProtoUDP:
-		if h := st.udpHandlers[pkt.Flow.DstPort]; h != nil {
-			dg, ok := pkt.Payload.(Datagram)
-			if !ok {
-				return
-			}
-			h(now, pkt.Flow.Src, pkt.Flow.SrcPort, pkt.Size-HeaderBytes, dg, pkt.SentAt)
+		dg, ok := pkt.Payload.(*Datagram)
+		if !ok {
+			return
 		}
+		if h := st.udpHandlers[pkt.Flow.DstPort]; h != nil {
+			h(now, pkt.Flow.Src, pkt.Flow.SrcPort, pkt.Size-HeaderBytes, *dg, pkt.SentAt)
+		}
+		recycleDatagram(dg)
 	case network.ProtoTCP:
 		seg, ok := pkt.Payload.(*Segment)
 		if !ok {
 			return
 		}
 		st.receiveTCP(now, pkt, seg)
+		recycleSegment(seg)
 	}
 }
 
@@ -165,6 +220,9 @@ func (st *Stack) StartUDPSource(dst netaddr.Addr, dstPort uint16, size int, inte
 // Sent returns how many datagrams have been sent.
 func (u *UDPSource) Sent() uint64 { return u.seq }
 
+// Interval returns the gap between datagrams.
+func (u *UDPSource) Interval() time.Duration { return u.interval }
+
 // FlowKey returns the five-tuple the source's datagrams carry.
 func (u *UDPSource) FlowKey() fib.FlowKey {
 	return fib.FlowKey{
@@ -188,6 +246,14 @@ type UDPArrival struct {
 	SentAt  sim.Time
 	Arrived sim.Time
 	Size    int
+}
+
+// Reserve grows the sink to hold n arrivals in all without reallocating,
+// for callers that know how many datagrams their horizon can carry.
+func (s *UDPSink) Reserve(n int) {
+	if n > len(s.Arrivals) {
+		s.Arrivals = slices.Grow(s.Arrivals, n-len(s.Arrivals))
+	}
 }
 
 // NewUDPSink binds a recording sink on the port.

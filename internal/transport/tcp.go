@@ -11,11 +11,18 @@ import (
 )
 
 // Segment is a TCP segment. Payload bytes are modeled by length only.
+// Segments come from the sending stack's free list and go back to it once
+// the receiving Stack.receive returns; a dropped one is left to the
+// collector.
+//
+//f2tree:pooled
 type Segment struct {
 	SYN, ACK bool
 	Seq      int64 // first payload byte offset
 	AckNo    int64 // cumulative ack
 	Len      int   // payload length
+
+	owner *Stack // the stack whose free list it returns to; nil if unpooled
 }
 
 // ConnState tracks the connection lifecycle.
@@ -161,7 +168,7 @@ func (st *Stack) startConn(c *Conn) (*Conn, error) {
 		return nil, fmt.Errorf("transport: connection %v exists", key)
 	}
 	st.conns[key] = c
-	c.sendSegment(&Segment{SYN: true})
+	c.sendSegment(Segment{SYN: true})
 	c.armTimer()
 	return c, nil
 }
@@ -200,7 +207,7 @@ func (st *Stack) receiveTCP(now sim.Time, pkt *network.Packet, seg *Segment) {
 		c.rto = c.cfg.InitRTO
 		st.conns[key] = c
 		accept(now, c)
-		c.sendSegment(&Segment{SYN: true, ACK: true})
+		c.sendSegment(Segment{SYN: true, ACK: true})
 		return
 	}
 	c.handleSegment(now, seg)
@@ -260,8 +267,9 @@ func (c *Conn) Timeouts() int { return c.timeouts }
 // RTO returns the current retransmission timeout.
 func (c *Conn) RTO() time.Duration { return c.rto }
 
-// sendSegment transmits seg on the wire.
-func (c *Conn) sendSegment(seg *Segment) {
+// sendSegment transmits s on the wire in a pooled segment.
+func (c *Conn) sendSegment(s Segment) {
+	seg := c.stack.newSegment(s)
 	size := seg.Len + HeaderBytes
 	pkt := c.stack.nw.NewPacket()
 	pkt.Flow = fib.FlowKey{
@@ -293,8 +301,7 @@ func (c *Conn) trySend() {
 		if n <= 0 {
 			return
 		}
-		seg := &Segment{ACK: true, Seq: c.sndNxt, AckNo: c.rcvNxt, Len: int(n)}
-		c.sendSegment(seg)
+		c.sendSegment(Segment{ACK: true, Seq: c.sndNxt, AckNo: c.rcvNxt, Len: int(n)})
 		if c.sndNxt < c.maxSent {
 			c.retransmits++
 		} else if !c.sampleActive {
@@ -319,7 +326,15 @@ func (c *Conn) trySend() {
 // armTimer (re)starts the retransmission timer.
 func (c *Conn) armTimer() {
 	c.stack.s.Cancel(c.rtxTimer)
-	c.rtxTimer = c.stack.s.After(c.rto, c.onTimeout)
+	c.rtxTimer = c.stack.s.AfterArg(c.rto, connTimeout, c)
+}
+
+// connTimeout is the static sim.ArgEvent every connection's RTO timer
+// schedules, so re-arming allocates no method-value closure.
+func connTimeout(now sim.Time, arg any) {
+	if c, ok := arg.(*Conn); ok {
+		c.onTimeout(now)
+	}
 }
 
 // onTimeout handles RTO expiry.
@@ -330,7 +345,7 @@ func (c *Conn) onTimeout(now sim.Time) {
 	if c.state == StateSynSent {
 		c.timeouts++
 		c.rto = minDur(c.rto*2, c.cfg.MaxRTO)
-		c.sendSegment(&Segment{SYN: true})
+		c.sendSegment(Segment{SYN: true})
 		c.armTimer()
 		return
 	}
@@ -360,7 +375,7 @@ func (c *Conn) retransmitUna() {
 		return
 	}
 	c.retransmits++
-	c.sendSegment(&Segment{ACK: true, Seq: c.sndUna, AckNo: c.rcvNxt, Len: int(n)})
+	c.sendSegment(Segment{ACK: true, Seq: c.sndUna, AckNo: c.rcvNxt, Len: int(n)})
 }
 
 // handleSegment processes an arriving segment on an existing connection.
@@ -377,21 +392,21 @@ func (c *Conn) handleSegment(now sim.Time, seg *Segment) {
 			// Kill the SYN timer before any callback can send data, or
 			// that data would mistake it for its own retransmit timer.
 			c.stack.s.Cancel(c.rtxTimer)
-			c.sendSegment(&Segment{ACK: true, AckNo: 0})
+			c.sendSegment(Segment{ACK: true, AckNo: 0})
 			if c.onEstablished != nil {
 				c.onEstablished(now)
 			}
 			c.trySend()
 		} else {
 			// Duplicate SYNACK: re-ack.
-			c.sendSegment(&Segment{ACK: true, AckNo: c.rcvNxt})
+			c.sendSegment(Segment{ACK: true, AckNo: c.rcvNxt})
 		}
 		return
 	}
 	if seg.SYN {
 		// Duplicate SYN on a server conn (our SYNACK was lost): resend.
 		if c.server {
-			c.sendSegment(&Segment{SYN: true, ACK: true})
+			c.sendSegment(Segment{SYN: true, ACK: true})
 		}
 		return
 	}
@@ -431,7 +446,7 @@ func (c *Conn) handleSegment(now sim.Time, seg *Segment) {
 			}
 		}
 		// Cumulative (possibly duplicate) ack either way.
-		c.sendSegment(&Segment{ACK: true, AckNo: c.rcvNxt})
+		c.sendSegment(Segment{ACK: true, AckNo: c.rcvNxt})
 	}
 
 	// Ack processing.

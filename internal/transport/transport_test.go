@@ -18,7 +18,7 @@ type rig struct {
 	link topo.LinkID // host b's access link
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	tp := topo.NewTopology("rig")
 	tor := tp.AddNode(topo.Node{Name: "tor", Kind: topo.ToR, NumPorts: 4,
