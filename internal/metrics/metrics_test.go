@@ -77,8 +77,7 @@ func TestConnectivityLossUnsortedInputAndGrace(t *testing.T) {
 
 // TestConnectivityLossUnsortedMatchesSorted: sorted input is read in place
 // without allocating and any other is sorted in a copy. Both give the same
-// answer, the caller's slice is left as it was, and ConnectivityLossOf over
-// the sorted times agrees.
+// answer, and the caller's slice is left as it was.
 func TestConnectivityLossUnsortedMatchesSorted(t *testing.T) {
 	var sorted []sim.Time
 	for i := 1; i <= 100; i++ {
@@ -93,10 +92,6 @@ func TestConnectivityLossUnsortedMatchesSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, failAt := range []sim.Time{0, ms(50), ms(97), ms(100), ms(158), ms(299), ms(400)} {
 		want := ConnectivityLoss(sorted, failAt, ms(400))
-		of := ConnectivityLossOf(len(sorted), func(i int) sim.Time { return sorted[i] }, failAt, ms(400))
-		if of != want {
-			t.Errorf("failAt %v: ConnectivityLossOf = %v, ConnectivityLoss = %v", failAt, of, want)
-		}
 		for k := 0; k < 5; k++ {
 			shuffled := slices.Clone(sorted)
 			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })

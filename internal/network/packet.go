@@ -16,9 +16,11 @@ const (
 //
 // Packets obtained from Network.NewPacket are recycled the moment they die
 // (delivery or drop): receivers and drop observers may read them during the
-// callback but must not retain the *Packet afterwards (retaining the
-// Payload is fine — the pool never touches payload contents). Packets
-// constructed directly with &Packet{} are never recycled.
+// callback but must not retain the *Packet afterwards. The network never
+// touches payload contents, but the transport recycles its segments and
+// datagrams when the receiving stack returns, so neither may the Payload
+// be retained. Packets constructed directly with &Packet{} are never
+// recycled.
 //
 //f2tree:pooled
 type Packet struct {

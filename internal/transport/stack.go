@@ -32,7 +32,7 @@ const HeaderBytes = 40
 type Datagram struct {
 	Seq uint64
 
-	owner *Stack // the stack whose free list it returns to; nil if unpooled
+	owner *Stack // the sending stack, whose free list it returns to
 }
 
 // UDPHandler receives datagrams addressed to a bound port.
@@ -150,18 +150,14 @@ func (st *Stack) newSegment(s Segment) *Segment {
 
 // recycleSegment returns a handled segment to its sender's free list.
 func recycleSegment(seg *Segment) {
-	if st := seg.owner; st != nil {
-		//f2tree:retained the free list IS the pool; this append is the recycle step
-		st.freeSegs = append(st.freeSegs, seg)
-	}
+	//f2tree:retained the free list IS the pool; this append is the recycle step
+	seg.owner.freeSegs = append(seg.owner.freeSegs, seg)
 }
 
 // recycleDatagram returns a handled datagram to its sender's free list.
 func recycleDatagram(dg *Datagram) {
-	if st := dg.owner; st != nil {
-		//f2tree:retained the free list IS the pool; this append is the recycle step
-		st.freeDgs = append(st.freeDgs, dg)
-	}
+	//f2tree:retained the free list IS the pool; this append is the recycle step
+	dg.owner.freeDgs = append(dg.owner.freeDgs, dg)
 }
 
 // receive demuxes an arriving packet. Its payload is recycled when this
@@ -219,9 +215,6 @@ func (st *Stack) StartUDPSource(dst netaddr.Addr, dstPort uint16, size int, inte
 
 // Sent returns how many datagrams have been sent.
 func (u *UDPSource) Sent() uint64 { return u.seq }
-
-// Interval returns the gap between datagrams.
-func (u *UDPSource) Interval() time.Duration { return u.interval }
 
 // FlowKey returns the five-tuple the source's datagrams carry.
 func (u *UDPSource) FlowKey() fib.FlowKey {

@@ -22,7 +22,7 @@ type Segment struct {
 	AckNo    int64 // cumulative ack
 	Len      int   // payload length
 
-	owner *Stack // the stack whose free list it returns to; nil if unpooled
+	owner *Stack // the sending stack, whose free list it returns to
 }
 
 // ConnState tracks the connection lifecycle.
