@@ -124,11 +124,12 @@ bench-transport:
 
 # One iteration of every N=8 control-plane and FIB microbenchmark (the
 # pattern is matched per name level) and of the transport ones, so the
-# families keep compiling and running.
+# families keep compiling and running; -benchmem puts B/op and allocs/op in
+# the log next to ns/op.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '././N=8$$' -benchtime 1x ./internal/ospf ./internal/bgp ./internal/fib \
+	$(GO) test -run '^$$' -bench '././N=8$$' -benchtime 1x -benchmem ./internal/ospf ./internal/bgp ./internal/fib \
 		./internal/controller
-	$(GO) test -run '^$$' -bench 'BenchmarkTCPTransfer|BenchmarkUDPProbe' -benchtime 1x ./internal/transport
+	$(GO) test -run '^$$' -bench 'BenchmarkTCPTransfer|BenchmarkUDPProbe' -benchtime 1x -benchmem ./internal/transport
 
 # Run the what-if query service on localhost (see DESIGN.md §13).
 serve:

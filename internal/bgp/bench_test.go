@@ -42,6 +42,25 @@ func (bb *bgpBench) settle(tb testing.TB) {
 	}
 }
 
+// torUplink returns the first ToR's first link to an aggregation switch.
+func torUplink(tp *topo.Topology) topo.LinkID {
+	tor := tp.NodesOfKind(topo.ToR)[0]
+	for _, l := range tp.LinksOf(tor) {
+		if other, _ := l.Other(tor); tp.Node(other).Kind == topo.Agg {
+			return l.ID
+		}
+	}
+	return topo.None
+}
+
+// cycleLink fails the link and restores it, each to quiescence.
+func (bb *bgpBench) cycleLink(tb testing.TB, link topo.LinkID) {
+	bb.nw.FailLink(link)
+	bb.settle(tb)
+	bb.nw.RestoreLink(link)
+	bb.settle(tb)
+}
+
 // BenchmarkBGP measures the host cost of the three things a BGP lab does
 // on an F²Tree(N): converge from nothing (NewDomain + Bootstrap on a ready
 // network), reconverge around one ToR–agg link failing and coming back,
@@ -65,20 +84,10 @@ func BenchmarkBGP(b *testing.B) {
 		}},
 		{"linkdown", func(b *testing.B, tp *topo.Topology) {
 			bb := newBGPBench(b, tp)
-			tor := tp.NodesOfKind(topo.ToR)[0]
-			var link topo.LinkID = topo.None
-			for _, l := range tp.LinksOf(tor) {
-				if other, _ := l.Other(tor); tp.Node(other).Kind == topo.Agg {
-					link = l.ID
-					break
-				}
-			}
+			link := torUplink(tp)
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				bb.nw.FailLink(link)
-				bb.settle(b)
-				bb.nw.RestoreLink(link)
-				bb.settle(b)
+				bb.cycleLink(b, link)
 			}
 		}},
 		{"withdraw-storm", func(b *testing.B, tp *topo.Topology) {
@@ -111,8 +120,11 @@ func BenchmarkBGP(b *testing.B) {
 // F²Tree N=8 (54 speakers, 32 prefixes). Receiving an UPDATE that changes
 // no best path allocates nothing. One that changes a best path allocates
 // the path the speaker now offers and nothing else — nothing per prefix or
-// per session (the sessions' flush timers and the FIB timer, one closure
-// each, are already armed after the first change). Building the network
+// per session (the sessions' flush timers and the FIB timer are already
+// armed after the first change; arming one schedules a package-level
+// function with the session or instance as its argument, not a closure, so
+// a fresh arm costs nothing once the simulator's event pool is warm either).
+// Building the network
 // and bootstrapping the domain on it stays under 7,000 allocations (4,996
 // measured); the map-of-maps RIBs needed 163,865, and the map-of-maps FIB
 // under the dense RIBs still 12,342.
@@ -164,5 +176,55 @@ func TestBGPAllocBudget(t *testing.T) {
 	}
 	if got != 2 {
 		t.Errorf("two best-path changes: %.0f allocs, want 2 (one offered path each)", got)
+	}
+}
+
+// TestUpdateDeliveryAllocBudget: once the pools are warm, an UPDATE —
+// flush, the delivery event, the peer's receive — allocates nothing. The
+// record comes from the domain's free list and goes back when receive
+// returns.
+func TestUpdateDeliveryAllocBudget(t *testing.T) {
+	tp, err := topo.F2Tree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb := newBGPBench(t, tp)
+	inst := bb.dom.Instance(tp.FindNode("agg-p0-0").ID)
+	s := &inst.sessions[0]
+	p := bb.dom.ordinals[tp.FindNode("tor-p3-0").Subnet]
+	if inst.locRib[p].offer == nil {
+		t.Fatalf("agg-p0-0 offers nothing for the remote prefix: %+v", inst.locRib[p])
+	}
+	rx := s.peer.updatesRx
+	got := testing.AllocsPerRun(100, func() {
+		s.pending.add(p)
+		inst.flush(bb.s.Now(), s)
+		bb.settle(t)
+	})
+	if n := s.peer.updatesRx - rx; n != 101 {
+		t.Fatalf("peer received %d UPDATEs, want 101", n)
+	}
+	if got != 0 {
+		t.Errorf("flush → deliver → receive: %.0f allocs, want 0", got)
+	}
+}
+
+// TestLinkCycleAllocBudget caps a warmed ToR uplink failure and repair on
+// F²Tree N=8, each run to quiescence: UPDATE records, flush and FIB timers,
+// route lists and the bootstrap pump's queue are all reused, so what
+// remains is the paths speakers offer after a best-path change and the hop
+// arrays the FIB copies changed routes into (1,277 allocations when every
+// UPDATE, timer and route list was fresh).
+func TestLinkCycleAllocBudget(t *testing.T) {
+	const budget = 300
+	tp, err := topo.F2Tree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb := newBGPBench(t, tp)
+	link := torUplink(tp)
+	bb.cycleLink(t, link) // warm the pools and the domain's rendering buffers
+	if got := testing.AllocsPerRun(5, func() { bb.cycleLink(t, link) }); got > budget {
+		t.Errorf("link fail and restore: %.0f allocs, budget %d", got, budget)
 	}
 }

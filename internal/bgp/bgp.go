@@ -142,6 +142,29 @@ type advert struct {
 	path   *asPath
 }
 
+// update is one UPDATE in flight from a speaker over session s. Records
+// come from Domain.freeUpdates and return there when the peer's receive
+// returns (or at once if the wire died): receive copies the path pointers
+// it keeps and never retains routes.
+//
+//f2tree:pooled
+type update struct {
+	from   *Instance
+	s      *session
+	routes []advert
+	eor    bool
+}
+
+// grTimer is a session's GR or LLGR expiry: the epoch it was armed in,
+// which any later down/up cycle invalidates. Records come from
+// Domain.freeTimers and return there when the timer ends.
+//
+//f2tree:pooled
+type grTimer struct {
+	s     *session
+	epoch int
+}
+
 // session is per-link eBGP state.
 type session struct {
 	link topo.LinkID
@@ -164,8 +187,11 @@ type session struct {
 	// instead of being withdrawn; stale tracks which prefixes a
 	// re-established peer has not yet refreshed. grEpoch invalidates
 	// expiry timers across down/up cycles.
-	retained      bool
-	stale         prefixSet
+	retained bool
+	stale    prefixSet
+	// staleSet is stale's storage, kept across GR cycles: stale is either
+	// nil or staleSet.
+	staleSet      prefixSet
 	depreferenced bool
 	grEpoch       int
 	// eorPending makes the next flush carry the End-of-RIB marker (set
@@ -175,6 +201,9 @@ type session struct {
 
 // remote returns the far end's session for the same link.
 func (s *session) remote() *session { return &s.peer.sessions[s.peerIdx] }
+
+// speaker returns the instance the session belongs to.
+func (s *session) speaker() *Instance { return s.remote().peer }
 
 // best is a selected route for a prefix; the zero value means no route.
 type best struct {
@@ -240,12 +269,20 @@ type Domain struct {
 	ords []int32
 	seen []uint64
 	gen  uint64
+
+	// Pools and the FIB rendering every speaker writes into: routes()
+	// returns routeBuf cut from hopBuf, valid until its next call
+	// (fib.Table.ReplaceSource copies what it keeps).
+	freeUpdates []*update
+	freeTimers  []*grTimer
+	routeBuf    []fib.Route
+	hopBuf      []fib.NextHop
 }
 
-// announcement is a queued bootstrap best-path change: the speaker now
-// offers path (nil: withdraws) for the prefix.
+// announcement is a queued bootstrap best-path change: speaker from (a
+// NodeID) now offers path (nil: withdraws) for the prefix.
 type announcement struct {
-	from   *Instance
+	from   int32
 	prefix int32
 	path   *asPath
 }
@@ -344,16 +381,25 @@ func (d *Domain) Bootstrap() error {
 			inst.originate(nd.Subnet)
 		}
 	}
-	for head := 0; head < len(d.bootQueue); head++ {
-		a := d.bootQueue[head]
-		one := [1]advert{{prefix: a.prefix, path: a.path}}
-		for k := range a.from.sessions {
-			if s := &a.from.sessions[k]; s.up {
-				s.peer.receive(0, s.peerIdx, one[:], false)
-			} else {
-				s.pending.add(a.prefix) // owed when the session establishes
+	// The pump drains one generation while the announcements it causes
+	// queue in the other buffer: delivery stays FIFO, and memory follows
+	// the queue's length rather than every announcement of the run.
+	var spare []announcement
+	for len(d.bootQueue) > 0 {
+		queue := d.bootQueue
+		d.bootQueue = spare[:0]
+		for _, a := range queue {
+			from := d.instances[a.from]
+			one := [1]advert{{prefix: a.prefix, path: a.path}}
+			for k := range from.sessions {
+				if s := &from.sessions[k]; s.up {
+					s.peer.receive(0, s.peerIdx, one[:], false)
+				} else {
+					s.pending.add(a.prefix) // owed when the session establishes
+				}
 			}
 		}
+		spare = queue
 	}
 	d.bootQueue = nil
 	d.bootstrapping = false
@@ -453,41 +499,80 @@ func (i *Instance) sessionDown(now sim.Time, s *session) {
 // RestartTime the routes are flushed — or, under LLGR, depreferenced and
 // kept for LLGRStaleTime more.
 func (i *Instance) retainStale(now sim.Time, s *session) {
+	d := i.d
 	s.retained = true
 	s.depreferenced = false
 	s.grEpoch++
-	epoch := s.grEpoch
-	s.stale = make(prefixSet, len(s.pending))
-	for p := range i.d.prefixes {
+	if s.staleSet == nil {
+		s.staleSet = make(prefixSet, len(s.pending))
+	}
+	s.stale = s.staleSet
+	clear(s.stale)
+	for p := range d.prefixes {
 		if *i.learned(int32(p), s) != nil {
 			s.stale.add(int32(p))
 		}
 	}
-	i.d.sim.At(now.Add(i.d.cfg.RestartTime), func(t sim.Time) {
-		if s.grEpoch != epoch || !s.retained || i.down {
-			return
-		}
-		if !i.d.cfg.LongLived {
-			i.flushStale(t, s)
-			return
-		}
+	var t *grTimer
+	if n := len(d.freeTimers); n > 0 {
+		t, d.freeTimers = d.freeTimers[n-1], d.freeTimers[:n-1]
+	} else {
+		t = new(grTimer)
+	}
+	t.s, t.epoch = s, s.grEpoch
+	d.sim.AtArg(now.Add(d.cfg.RestartTime), grExpire, t)
+}
+
+// live reports whether the GR timer still guards the retention it was
+// armed for.
+func (t *grTimer) live() bool {
+	return t.s.grEpoch == t.epoch && t.s.retained && !t.s.speaker().down
+}
+
+// releaseTimer returns a timer record to the pool.
+func (d *Domain) releaseTimer(t *grTimer) {
+	t.s = nil
+	//f2tree:retained the free list IS the pool; this append is the recycle step
+	d.freeTimers = append(d.freeTimers, t)
+}
+
+// grExpire is the sim.ArgEvent of the RestartTime expiry: flush the stale
+// routes or, under LLGR, depreference them and arm the LLGR expiry.
+func grExpire(now sim.Time, arg any) {
+	t := arg.(*grTimer)
+	s := t.s
+	i := s.speaker()
+	switch {
+	case !t.live():
+		i.d.releaseTimer(t)
+	case !i.d.cfg.LongLived:
+		i.d.releaseTimer(t)
+		i.flushStale(now, s)
+	default:
 		// LLGR: keep the stale routes as a last resort.
 		s.depreferenced = true
-		i.reselectRetained(t, s)
-		i.d.sim.At(t.Add(i.d.cfg.LLGRStaleTime), func(t2 sim.Time) {
-			if s.grEpoch != epoch || !s.retained || i.down {
-				return
-			}
-			i.flushStale(t2, s)
-		})
-	})
+		i.reselectRetained(now, s)
+		i.d.sim.AtArg(now.Add(i.d.cfg.LLGRStaleTime), llgrExpire, t)
+	}
+}
+
+// llgrExpire is the sim.ArgEvent of the LLGR expiry: flush what is still
+// stale.
+func llgrExpire(now sim.Time, arg any) {
+	t := arg.(*grTimer)
+	s, live := t.s, t.live()
+	i := s.speaker()
+	i.d.releaseTimer(t)
+	if live {
+		i.flushStale(now, s)
+	}
 }
 
 // flushStale drops every route the session still holds stale and clears
 // the helper state (GR timer expiry, or the peer's EOR after re-sync).
 func (i *Instance) flushStale(now sim.Time, s *session) {
 	i.d.ords = s.stale.appendTo(i.d.ords[:0])
-	s.stale = nil
+	s.stale = nil // staleSet keeps the storage
 	s.retained = false
 	s.depreferenced = false
 	i.dropLearned(now, s, i.d.ords)
@@ -512,7 +597,7 @@ func (i *Instance) originate(p netaddr.Prefix) {
 // event-queue tie-break sequence.
 func (i *Instance) announce(now sim.Time, p int32) {
 	if i.d.bootstrapping {
-		i.d.bootQueue = append(i.d.bootQueue, announcement{from: i, prefix: p, path: i.locRib[p].offer})
+		i.d.bootQueue = append(i.d.bootQueue, announcement{from: int32(i.node), prefix: p, path: i.locRib[p].offer})
 		return
 	}
 	for k := range i.sessions {
@@ -522,7 +607,8 @@ func (i *Instance) announce(now sim.Time, p int32) {
 	}
 }
 
-// receive processes an UPDATE arriving over session `from`.
+// receive processes an UPDATE arriving over session `from`. It copies the
+// path pointers it keeps and never retains routes: the caller owns the list.
 func (i *Instance) receive(now sim.Time, from int, routes []advert, eor bool) {
 	if i.down {
 		return
@@ -630,10 +716,14 @@ func (i *Instance) kick(now sim.Time, s *session) {
 		at = s.mraiUntil
 	}
 	s.scheduled = true
-	i.d.sim.At(at, func(t sim.Time) {
-		s.scheduled = false
-		i.flush(t, s)
-	})
+	i.d.sim.AtArg(at, flushSession, s)
+}
+
+// flushSession is the sim.ArgEvent of a session's MRAI-gated flush.
+func flushSession(now sim.Time, arg any) {
+	s := arg.(*session)
+	s.scheduled = false
+	s.speaker().flush(now, s)
 }
 
 // flush sends one UPDATE carrying every pending prefix.
@@ -644,28 +734,44 @@ func (i *Instance) flush(now sim.Time, s *session) {
 	d := i.d
 	d.ords = s.pending.appendTo(d.ords[:0])
 	clear(s.pending)
-	routes := make([]advert, 0, len(d.ords))
+	var u *update
+	if n := len(d.freeUpdates); n > 0 {
+		u, d.freeUpdates = d.freeUpdates[n-1], d.freeUpdates[:n-1]
+	} else {
+		u = new(update)
+	}
+	u.from, u.s = i, s
+	u.routes = slices.Grow(u.routes, len(d.ords))
 	for _, p := range d.ords {
 		if offer := i.locRib[p].offer; offer != nil {
-			routes = append(routes, advert{prefix: p, path: offer})
+			u.routes = append(u.routes, advert{prefix: p, path: offer})
 		}
 	}
 	for _, p := range d.ords {
 		if i.locRib[p].offer == nil {
-			routes = append(routes, advert{prefix: p})
+			u.routes = append(u.routes, advert{prefix: p})
 		}
 	}
 	// The flush drained the full post-establishment advertisement; the
 	// End-of-RIB marker lets the helper flush unrefreshed stale routes.
-	eor := s.eorPending
+	u.eor = s.eorPending
 	s.eorPending = false
 	s.mraiUntil = now.Add(d.cfg.MRAI)
-	d.sim.After(d.cfg.ProcDelay, func(at sim.Time) {
-		if !d.nw.LinkDirUp(s.link, i.node) {
-			return // lost on a dead wire
-		}
-		s.peer.receive(at, s.peerIdx, routes, eor)
-	})
+	d.sim.AfterArg(d.cfg.ProcDelay, deliverUpdate, u)
+}
+
+// deliverUpdate is the sim.ArgEvent of an UPDATE: the peer receives it
+// unless the wire died in flight, then the record goes back to the pool.
+func deliverUpdate(at sim.Time, arg any) {
+	u := arg.(*update)
+	i, s := u.from, u.s
+	if i.d.nw.LinkDirUp(s.link, i.node) { // else lost on a dead wire
+		s.peer.receive(at, s.peerIdx, u.routes, u.eor)
+	}
+	clear(u.routes) // the pool must not pin paths nobody offers any more
+	u.from, u.s, u.routes = nil, nil, u.routes[:0]
+	//f2tree:retained the free list IS the pool; this append is the recycle step
+	i.d.freeUpdates = append(i.d.freeUpdates, u)
 }
 
 // scheduleFIB coalesces FIB rewrites.
@@ -674,28 +780,33 @@ func (i *Instance) scheduleFIB(now sim.Time) {
 		return
 	}
 	i.fibPending = true
-	i.d.sim.After(i.d.cfg.FIBUpdateDelay, func(sim.Time) {
-		i.fibPending = false
-		if i.down {
-			return // crashed: the last installed FIB persists untouched
-		}
-		_ = i.d.nw.Table(i.node).ReplaceSource(fib.BGP, i.routes())
-	})
+	i.d.sim.AfterArg(i.d.cfg.FIBUpdateDelay, installFIB, i)
+}
+
+// installFIB is the sim.ArgEvent of a coalesced FIB rewrite.
+func installFIB(_ sim.Time, arg any) {
+	i := arg.(*Instance)
+	i.fibPending = false
+	if i.down {
+		return // crashed: the last installed FIB persists untouched
+	}
+	_ = i.d.nw.Table(i.node).ReplaceSource(fib.BGP, i.routes())
 }
 
 // routes renders locRib as FIB routes (originated prefixes excluded: the
-// ToR reaches its own subnet via connected /32s). Every route's NextHops
-// is cut from one array.
+// ToR reaches its own subnet via connected /32s) into the domain's
+// rendering buffers: the list is valid until the next call. Every route's
+// NextHops is cut from one array.
 func (i *Instance) routes() []fib.Route {
-	nroutes, nhops := 0, 0
+	d := i.d
+	nhops := 0
 	for _, b := range i.locRib {
-		if b.hops != 0 {
-			nroutes++
-			nhops += bits.OnesCount64(b.hops)
-		}
+		nhops += bits.OnesCount64(b.hops)
 	}
-	out := make([]fib.Route, 0, nroutes)
-	hops := make([]fib.NextHop, 0, nhops)
+	if cap(d.hopBuf) < nhops {
+		d.hopBuf = make([]fib.NextHop, 0, nhops)
+	}
+	out, hops := d.routeBuf[:0], d.hopBuf[:0]
 	for p, b := range i.locRib {
 		if b.hops == 0 {
 			continue
@@ -704,8 +815,9 @@ func (i *Instance) routes() []fib.Route {
 		for m := b.hops; m != 0; m &= m - 1 {
 			hops = append(hops, i.sessions[bits.TrailingZeros64(m)].hop)
 		}
-		out = append(out, fib.Route{Prefix: i.d.prefixes[p], Source: fib.BGP, NextHops: hops[from:len(hops):len(hops)]})
+		out = append(out, fib.Route{Prefix: d.prefixes[p], Source: fib.BGP, NextHops: hops[from:len(hops):len(hops)]})
 	}
+	d.routeBuf = out
 	return out
 }
 

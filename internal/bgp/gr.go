@@ -43,12 +43,7 @@ func (d *Domain) SetNodeDown(now sim.Time, node topo.NodeID, down bool) {
 		}
 		// Peers notice after one processing delay, in link order.
 		for k := range inst.sessions {
-			ni, ps := inst.sessions[k].peer, inst.sessions[k].remote()
-			d.sim.After(d.cfg.ProcDelay, func(t sim.Time) {
-				if !ni.down && ps.up {
-					ni.sessionDown(t, ps)
-				}
-			})
+			d.sim.AfterArg(d.cfg.ProcDelay, crashNotice, inst.sessions[k].remote())
 		}
 		return
 	}
@@ -68,6 +63,15 @@ func (d *Domain) SetNodeDown(now sim.Time, node topo.NodeID, down bool) {
 		if ps := s.remote(); !ps.up {
 			s.peer.sessionUp(now, ps)
 		}
+	}
+}
+
+// crashNotice is the sim.ArgEvent of a peer noticing a crash over the
+// session: its side drops unless the peer crashed too or it already fell.
+func crashNotice(now sim.Time, arg any) {
+	ps := arg.(*session)
+	if ni := ps.speaker(); !ni.down && ps.up {
+		ni.sessionDown(now, ps)
 	}
 }
 

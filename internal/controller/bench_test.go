@@ -56,20 +56,47 @@ func BenchmarkController(b *testing.B) {
 	}
 }
 
-func benchLab(b *testing.B, n int) (*sim.Simulator, *network.Network, *Controller) {
-	b.Helper()
+func benchLab(tb testing.TB, n int) (*sim.Simulator, *network.Network, *Controller) {
+	tb.Helper()
 	tp, err := topo.F2Tree(n)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := sim.New(7)
 	nw, err := network.New(s, tp, network.Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctrl := New(nw, Config{})
 	if err := ctrl.Bootstrap(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s, nw, ctrl
+}
+
+// TestLinkCycleAllocBudget caps a warmed fabric link failure and repair at
+// N=8, each run to quiescence (two reports, two recomputations, two
+// installs): every recomputation refills the batch the last install handed
+// back, so what remains is the hop arrays the FIB copies changed routes
+// into (776 allocations with a fresh batch per recomputation).
+func TestLinkCycleAllocBudget(t *testing.T) {
+	const budget = 100
+	s, nw, ctrl := benchLab(t, 8)
+	link := fabricLinks(nw.Topology())[0]
+	cycle := func() {
+		for _, up := range []bool{false, true} {
+			nw.SetLinkState(link, up)
+			if err := s.RunUntilIdle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	recomp := ctrl.Recomputations()
+	got := testing.AllocsPerRun(5, cycle)
+	if n := ctrl.Recomputations() - recomp; n != 2*6 {
+		t.Fatalf("%d recomputations over 6 cycles, want 12", n)
+	}
+	if got > budget {
+		t.Errorf("link fail and restore: %.0f allocs, budget %d", got, budget)
+	}
 }

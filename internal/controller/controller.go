@@ -46,6 +46,7 @@ type Controller struct {
 	search         topo.Search
 	computePending bool // a recomputation is scheduled; later reports join it
 	recomputations int
+	spare          *batch // the last installed batch, refilled by the next computeAll
 }
 
 // report is one switch's report of a link's new state.

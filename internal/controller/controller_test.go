@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -157,5 +158,69 @@ func TestConfigDefaults(t *testing.T) {
 	custom := Config{ComputeDelay: time.Second}.withDefaults()
 	if custom.ComputeDelay != time.Second || custom.ReportDelay == 0 {
 		t.Fatal("partial defaults broken")
+	}
+}
+
+// TestOverlappingRecomputationsInstallTheirOwn: with ComputeDelay below
+// InstallDelay a second recomputation runs while the first one's batch
+// still waits for its install. computeAll refills only a batch that has
+// been installed, so the first install lands the routes of the first
+// recomputation, not the second's.
+func TestOverlappingRecomputationsInstallTheirOwn(t *testing.T) {
+	tp, err := topo.F2Tree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{ComputeDelay: time.Millisecond, InstallDelay: 20 * time.Millisecond}
+	routes := func(nw *network.Network, ctrl *Controller) string {
+		st := routeState(nw, ctrl)
+		return st[strings.IndexByte(st, '\n')+1:] // without the recomputation count
+	}
+	settled := func(failed ...topo.LinkID) string {
+		s, nw, ctrl := buildLab(t, tp, cfg)
+		for _, l := range failed {
+			nw.FailLink(l)
+		}
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		return routes(nw, ctrl)
+	}
+	fabric := fabricLinks(tp)
+	a, b := fabric[0], topo.LinkID(topo.None)
+	onlyA, both := settled(a), ""
+	for _, l := range fabric[1:] { // a second link whose failure changes routes
+		if both = settled(a, l); both != onlyA {
+			b = l
+			break
+		}
+	}
+	if b == topo.None {
+		t.Fatal("no second link changes a route")
+	}
+
+	s, nw, ctrl := buildLab(t, tp, cfg)
+	before := routes(nw, ctrl)
+	nw.FailLink(a)
+	s.At(5*sim.Millisecond, func(sim.Time) { nw.FailLink(b) })
+	for now := sim.Time(0); routes(nw, ctrl) == before; {
+		if now += sim.Millisecond; now > sim.Second {
+			t.Fatal("no install within 1 s")
+		}
+		if err := s.Run(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ctrl.Recomputations(); got != 2 {
+		t.Fatalf("%d recomputations by the first install, want 2 (the second in flight)", got)
+	}
+	if routes(nw, ctrl) != onlyA {
+		t.Error("the first install did not land its own recomputation's routes")
+	}
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if routes(nw, ctrl) != both {
+		t.Error("the second install did not land its own recomputation's routes")
 	}
 }

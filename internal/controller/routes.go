@@ -7,15 +7,20 @@ import (
 	"repro/internal/fib"
 )
 
-// batch is one recomputation's routes, by Controller.switches.
+// batch is one recomputation's routes, by Controller.switches: each
+// switch's route list and the hop array its routes are cut from. install
+// hands the batch back to the controller, and the next computeAll refills
+// it in place.
 type batch struct {
 	c      *Controller
 	routes [][]fib.Route
+	hops   [][]fib.NextHop
 }
 
 // install replaces every switch's routes in ascending NodeID order, so the
 // order and any error are deterministic.
 func (b *batch) install() error {
+	b.c.spare = b // ReplaceSource copies what it keeps: the next computeAll may refill b
 	for k, n := range b.c.switches {
 		if err := b.c.nw.Table(n).ReplaceSource(fib.OSPF, b.routes[k]); err != nil {
 			return fmt.Errorf("controller: bootstrap %s: %w", b.c.topo.Node(n).Name, err)
@@ -27,16 +32,24 @@ func (b *batch) install() error {
 // computeAll searches from every switch over the believed-live switch graph
 // and emits its routes to every other ToR subnet: a route's hops are its
 // first-hop mask's ports upward (fib.HopLess order), cut from one array.
+// It fills the batch the last install handed back, if there is one.
 func (c *Controller) computeAll() *batch {
 	c.graph.Build(c.topo, c.view, false)
-	b := &batch{c: c, routes: make([][]fib.Route, len(c.switches))}
+	b := c.spare
+	c.spare = nil // a batch still waiting for its install is never refilled
+	if b == nil {
+		b = &batch{c: c, routes: make([][]fib.Route, len(c.switches)), hops: make([][]fib.NextHop, len(c.switches))}
+	}
 	for k, src := range c.switches {
 		c.search.Run(c.topo, c.graph.Rows, src, src)
 		total := 0
 		for _, tor := range c.tors {
 			total += bits.OnesCount64(c.search.Mask[tor]) // 0 for src itself
 		}
-		hops := make([]fib.NextHop, 0, total)
+		if cap(b.hops[k]) < total {
+			b.hops[k] = make([]fib.NextHop, 0, total)
+		}
+		routes, hops := b.routes[k][:0], b.hops[k][:0]
 		for _, tor := range c.tors {
 			lo := len(hops)
 			for m := c.search.Mask[tor]; m != 0; m &= m - 1 {
@@ -44,9 +57,10 @@ func (c *Controller) computeAll() *batch {
 				hops = append(hops, fib.NextHop{Port: bits.TrailingZeros64(m), Via: c.topo.Node(via).Addr})
 			}
 			if len(hops) > lo {
-				b.routes[k] = append(b.routes[k], fib.Route{Prefix: c.topo.Node(tor).Subnet, Source: fib.OSPF, NextHops: hops[lo:len(hops):len(hops)]})
+				routes = append(routes, fib.Route{Prefix: c.topo.Node(tor).Subnet, Source: fib.OSPF, NextHops: hops[lo:len(hops):len(hops)]})
 			}
 		}
+		b.routes[k], b.hops[k] = routes, hops
 	}
 	return b
 }

@@ -11,7 +11,6 @@ package network
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"time"
 
@@ -264,7 +263,6 @@ func New(s *sim.Simulator, t *topo.Topology, cfg Config) (*Network, error) {
 		nodes: make([]nodeState, len(t.Nodes)),
 		links: make([]linkState, len(t.Links)),
 	}
-	n.stats.Drops = make(map[DropCause]uint64)
 	for i := range t.Nodes {
 		nd := &t.Nodes[i]
 		n.nodes[i] = nodeState{
@@ -442,11 +440,7 @@ func (n *Network) LinkStatsFor(id topo.LinkID, from topo.NodeID) LinkStats {
 }
 
 // Stats returns a copy of the forwarding counters.
-func (n *Network) Stats() Stats {
-	cp := n.stats
-	cp.Drops = maps.Clone(n.stats.Drops)
-	return cp
-}
+func (n *Network) Stats() Stats { return n.stats }
 
 // SetLinkState changes a link's actual state in both directions at the
 // current simulation time and schedules both endpoints' failure detectors

@@ -58,6 +58,9 @@ const (
 	DropInjected
 )
 
+// numDropCauses sizes Stats.Drops: one slot per cause, slot 0 unused.
+const numDropCauses = DropInjected + 1
+
 // String names the cause.
 func (c DropCause) String() string {
 	switch c {
@@ -82,7 +85,7 @@ func (c DropCause) String() string {
 type Stats struct {
 	Sent      uint64
 	Delivered uint64
-	Drops     map[DropCause]uint64
+	Drops     [numDropCauses]uint64 // by DropCause
 	// FalseDowns counts detector down verdicts applied against links that
 	// were actually healthy in both directions — adaptive-BFD congestion
 	// flaps and injected false-positive faults. Always zero under the
@@ -93,7 +96,6 @@ type Stats struct {
 // TotalDrops sums every drop cause.
 func (s Stats) TotalDrops() uint64 {
 	var n uint64
-	//f2tree:unordered commutative sum over drop counters
 	for _, v := range s.Drops {
 		n += v
 	}
