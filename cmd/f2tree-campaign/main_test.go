@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -115,16 +117,38 @@ func TestSmokeCampaignAndResume(t *testing.T) {
 	if lines != 4 {
 		t.Fatalf("store has %d records, want 4", lines)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "smoke.agg.jsonl")); err != nil {
+	checkSmokeAggregate(t, filepath.Join(dir, "smoke.agg.jsonl"))
+
+	// Re-invocation resumes: everything is skipped, nothing re-runs, and
+	// the aggregate is rewritten from the store's records. Go picks a new
+	// map iteration order each time, and with two groups a map-order
+	// emission swaps the lines only now and then, so resume repeatedly.
+	for i := 0; i < 20; i++ {
+		out.Reset()
+		if err := run(args, &out, &errw); err != nil {
+			t.Fatalf("resumed campaign: %v", err)
+		}
+		if !strings.Contains(out.String(), "(4 skipped via resume)") {
+			t.Fatalf("resume did not skip completed runs: %s", out.String())
+		}
+		checkSmokeAggregate(t, filepath.Join(dir, "smoke.agg.jsonl"))
+	}
+}
+
+// smokeAggDigest is the sha256 of the smoke preset's .agg.jsonl (seed 42).
+// Aggregates are a pure function of the specs and their metrics, so the
+// bytes, line order included, must not depend on map iteration order or
+// on which worker finished first.
+const smokeAggDigest = "572ca9afa9aca97214da85a74d68dc25fcfff4c702d8f50e77ea4d39047eca6d"
+
+func checkSmokeAggregate(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatalf("aggregate file missing: %v", err)
 	}
-
-	// Re-invocation resumes: everything is skipped, nothing re-runs.
-	out.Reset()
-	if err := run(args, &out, &errw); err != nil {
-		t.Fatalf("resumed campaign: %v", err)
-	}
-	if !strings.Contains(out.String(), "(4 skipped via resume)") {
-		t.Fatalf("resume did not skip completed runs: %s", out.String())
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); got != smokeAggDigest {
+		t.Errorf("smoke aggregate digest = %s, want %s\n%s", got, smokeAggDigest, raw)
 	}
 }

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +173,42 @@ func TestRunPartitionAggregateSmall(t *testing.T) {
 	}
 	if res.Fmt() == "" {
 		t.Fatal("empty Fmt")
+	}
+}
+
+// TestRunPartitionAggregateRepeatsInProcess runs one partition-aggregate
+// cell twice in the same process: the JSON reports, completion times
+// included, must be byte-equal. Every arrival, fan-out and failure draw
+// must come from the run's seeded RNG; one drawn from math/rand's global
+// source (seeded per process) makes the two runs differ. Requests arrive
+// every 2 ms on average and overlap, so completion times depend on the
+// arrival spacing: on an idle fabric they would not.
+func TestRunPartitionAggregateRepeatsInProcess(t *testing.T) {
+	report := func() []byte {
+		res, err := RunPartitionAggregate(PAOptions{
+			Scheme: SchemeF2Tree, Ports: 8, Channels: 1,
+			Duration: 2 * sim.Second, Seed: 5,
+			PA: workload.PartitionAggregateConfig{
+				Workers: 8, RequestBytes: 100, ResponseBytes: 20000,
+				MeanInterval: 2 * time.Millisecond, Requests: 300,
+			},
+			DisableBackground: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(struct {
+			*PAResult
+			CompletionS []float64
+		}{res, res.CompletionS.Values()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	first, second := report(), report()
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two runs with equal options differ:\n%s\n%s", first, second)
 	}
 }
 
