@@ -104,6 +104,7 @@ type Simulator struct {
 	rng     *rand.Rand
 	stopped bool
 	ran     uint64
+	peak    int // high-water mark of len(heap)
 }
 
 // New returns a simulator whose RNG is seeded with seed.
@@ -122,6 +123,10 @@ func (s *Simulator) EventsRun() uint64 { return s.ran }
 
 // Pending returns the number of events still queued.
 func (s *Simulator) Pending() int { return len(s.heap) }
+
+// PeakPending returns the most events that were ever queued at once: how
+// deep the heap got, which sampling Pending between phases cannot see.
+func (s *Simulator) PeakPending() int { return s.peak }
 
 // get returns a fresh or recycled item.
 func (s *Simulator) get() *item {
@@ -156,6 +161,9 @@ func (s *Simulator) schedule(at Time, fn Event, argFn ArgEvent, arg any) Handle 
 	s.seq++
 	it.index = int32(len(s.heap))
 	s.heap = append(s.heap, it)
+	if len(s.heap) > s.peak {
+		s.peak = len(s.heap)
+	}
 	s.siftUp(len(s.heap) - 1)
 	return Handle{it: it, gen: it.gen}
 }
