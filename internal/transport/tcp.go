@@ -281,7 +281,12 @@ func (c *Conn) sendSegment(s Segment) {
 	c.stack.nw.SendFromHost(c.stack.host, pkt)
 }
 
-// trySend transmits as much enqueued data as the window allows.
+// trySend transmits as much enqueued data as the window allows, avoiding
+// silly-window sends on the sender side (RFC 1122 §4.2.3.4): while data is
+// in flight, a segment the window would cut short waits until an ACK (or
+// the RTO) makes room for all of it. A segment the application made short
+// still goes out at once, and with nothing in flight even a sub-MSS window
+// sends, so a window smaller than MSS cannot stall the flow.
 func (c *Conn) trySend() {
 	if c.state != StateEstablished {
 		return
@@ -296,10 +301,10 @@ func (c *Conn) trySend() {
 			n = MSS
 		}
 		if room := wnd - (c.sndNxt - c.sndUna); n > room {
+			if c.sndNxt > c.sndUna {
+				return
+			}
 			n = room
-		}
-		if n <= 0 {
-			return
 		}
 		c.sendSegment(Segment{ACK: true, Seq: c.sndNxt, AckNo: c.rcvNxt, Len: int(n)})
 		if c.sndNxt < c.maxSent {

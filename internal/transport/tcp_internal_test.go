@@ -120,3 +120,114 @@ func TestDupAckThresholdIsThree(t *testing.T) {
 		t.Fatalf("timeouts = %d, want 1 (2 dupacks must not trigger fast rtx)", c.Timeouts())
 	}
 }
+
+// TestPacedFlowSendsNoSillySegments drives the recovery experiment's flow
+// shape (one MSS every 100 µs) through a 50 ms outage: the RTO sets
+// ssthresh, and the backlog then drains window-limited in congestion
+// avoidance, where every ACK grows cwnd by a few bytes. No data segment
+// the window cut below MSS may leave while earlier bytes are unacknowledged.
+func TestPacedFlowSendsNoSillySegments(t *testing.T) {
+	r := newRig(t)
+	var got int64
+	if err := r.b.Listen(80, func(_ sim.Time, c *Conn) {
+		c.OnData(func(_ sim.Time, n int64) { got = n })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := r.a.Dial(r.b.Addr(), 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
+	c.OnEstablished(func(sim.Time) {
+		r.sim.Ticker(100*time.Microsecond, func(now sim.Time) {
+			if now < 300*sim.Millisecond {
+				c.Send(MSS)
+				sent += MSS
+			}
+		})
+	})
+	full, silly := 0, 0
+	r.nw.SetLossFilter(func(now sim.Time, at topo.NodeID, _ int, pkt *network.Packet) bool {
+		if at != r.a.Host() {
+			return false
+		}
+		if seg, ok := pkt.Payload.(*Segment); ok && seg.Len > 0 {
+			switch {
+			case seg.Len == MSS:
+				full++
+			case seg.Seq > c.Acked():
+				silly++
+			}
+		}
+		return now >= 20*sim.Millisecond && now < 70*sim.Millisecond
+	})
+	if err := r.sim.Run(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if c.Timeouts() == 0 || c.cwnd < c.ssthresh {
+		t.Fatalf("flow never reached congestion avoidance: %d timeouts, cwnd %d, ssthresh %d",
+			c.Timeouts(), c.cwnd, c.ssthresh)
+	}
+	if got != int64(sent) {
+		t.Fatalf("received %d of %d", got, sent)
+	}
+	if silly != 0 {
+		t.Errorf("%d sub-MSS data segments sent with data in flight (%d full)", silly, full)
+	}
+}
+
+// TestWindowBelowMSSStillCompletes: with nothing in flight a window smaller
+// than MSS still sends, so the transfer cannot stall waiting for room that
+// never comes.
+func TestWindowBelowMSSStillCompletes(t *testing.T) {
+	r := newRig(t)
+	const total = 20 * MSS
+	var got int64
+	if err := r.b.Listen(80, func(_ sim.Time, c *Conn) {
+		c.OnData(func(_ sim.Time, n int64) { got = n })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := r.a.DialConfig(r.b.Addr(), 80, TCPConfig{MaxWindowBytes: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.OnEstablished(func(sim.Time) { c.Send(total) })
+	if err := r.sim.Run(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got != total || c.Acked() != total {
+		t.Fatalf("received %d, acked %d of %d", got, c.Acked(), total)
+	}
+	if c.Timeouts() != 0 {
+		t.Fatalf("%d timeouts: the flow stalled", c.Timeouts())
+	}
+}
+
+// TestShortSendGoesOutAtOnce: a segment the application made short is not
+// held back, on an idle connection or with data in flight.
+func TestShortSendGoesOutAtOnce(t *testing.T) {
+	r, c := bulkConn(t)
+	var lens []int
+	var at []sim.Time
+	r.nw.SetLossFilter(func(now sim.Time, node topo.NodeID, _ int, pkt *network.Packet) bool {
+		if seg, ok := pkt.Payload.(*Segment); ok && node == r.a.Host() && seg.Len > 0 {
+			lens = append(lens, seg.Len)
+			at = append(at, now)
+		}
+		return false
+	})
+	now := r.sim.Now()
+	c.Send(100)
+	c.Send(100)
+	if len(lens) != 2 || lens[0] != 100 || lens[1] != 100 || at[0] != now || at[1] != now {
+		t.Fatalf("sent %v at %v, want two 100-byte segments at %v", lens, at, now)
+	}
+	if err := r.sim.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(256*MSS + 200); c.Acked() != want {
+		t.Fatalf("acked %d, want %d", c.Acked(), want)
+	}
+}
