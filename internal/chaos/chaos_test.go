@@ -3,6 +3,8 @@ package chaos
 import (
 	"bytes"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/exp"
 	"repro/internal/fib"
+	"repro/internal/topo"
 )
 
 func TestScenarioRoundTrip(t *testing.T) {
@@ -200,14 +203,37 @@ func TestKnownBadLoopsAndShrinks(t *testing.T) {
 	if len(sc.Faults) != 4 {
 		t.Fatalf("demo should carry 2 C4 faults + 2 decoys, has %d", len(sc.Faults))
 	}
-	v, err := RunScenario(sc)
+	var lab *core.Lab
+	v, err := RunScenarioOpts(sc, RunOpts{OnFinish: func(l *core.Lab) { lab = l }})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every listed loop names the switch that expired the packet and the
+	// hops it made, read from the packet before it was recycled: a loop
+	// burns the whole TTL, and a recycled packet would read 0 hops.
+	ttl := lab.Net.Config().TTL
+	if ttl != 64 {
+		t.Fatalf("network TTL = %d, want 64", ttl)
+	}
+	listed := regexp.MustCompile(`^TTL expiry at \d+ ms on (\S+) after (\d+) hops, outside any disturbed window$`)
 	looped := false
 	for _, viol := range v.Violations {
-		if viol.Oracle == "loop" {
-			looped = true
+		if viol.Oracle != "loop" {
+			continue
+		}
+		looped = true
+		if viol.AtMs == 0 {
+			continue // the "N more" summary line
+		}
+		m := listed.FindStringSubmatch(viol.Detail)
+		if m == nil {
+			t.Fatalf("loop detail %q does not name a switch and a hop count", viol.Detail)
+		}
+		if nd := lab.Topo.FindNode(m[1]); nd == nil || nd.Kind == topo.Host {
+			t.Errorf("loop detail %q: %s is not a switch", viol.Detail, m[1])
+		}
+		if m[2] != strconv.Itoa(ttl) {
+			t.Errorf("loop detail %q: hops %s, want the TTL %d", viol.Detail, m[2], ttl)
 		}
 	}
 	if !looped {

@@ -248,7 +248,7 @@ func (r *run) verdict() *Verdict {
 			Sent:       fr.Source.Sent(),
 			Delivered:  uint64(len(fr.Sink.Arrivals)),
 			Dropped:    fr.dropped,
-			TTLExpired: uint64(len(fr.ttlTimes)),
+			TTLExpired: uint64(len(fr.expired)),
 		}
 		v.Flows = append(v.Flows, fs)
 
@@ -269,16 +269,17 @@ func (r *run) verdict() *Verdict {
 
 		// Loop oracle: TTL expiries outside disturbed windows.
 		loops := 0
-		for _, t := range fr.ttlTimes {
-			if covered(disturbed, t) {
+		for _, e := range fr.expired {
+			if covered(disturbed, e.at) {
 				v.TransientLoops++
 				continue
 			}
 			loops++
 			if loops <= maxListedPerOracle {
 				v.Violations = append(v.Violations, Violation{
-					Oracle: "loop", Flow: i, AtMs: ms(t),
-					Detail: fmt.Sprintf("TTL expiry at %d ms outside any disturbed window", ms(t)),
+					Oracle: "loop", Flow: i, AtMs: ms(e.at),
+					Detail: fmt.Sprintf("TTL expiry at %d ms on %s after %d hops, outside any disturbed window",
+						ms(e.at), r.tp.Node(e.node).Name, e.hops),
 				})
 			}
 		}

@@ -118,8 +118,17 @@ func (f *rtFault) active(now sim.Time) bool { return now >= f.at && now < f.end 
 
 type flowRun struct {
 	*exp.Probe
-	dropped  uint64
-	ttlTimes []sim.Time
+	dropped uint64
+	expired []ttlExpiry
+}
+
+// ttlExpiry is one of a flow's packets that died of TTL, copied out of
+// the packet: the drop observer must not keep the *network.Packet, which
+// is recycled when the observer returns.
+type ttlExpiry struct {
+	at   sim.Time
+	node topo.NodeID // the switch whose decrement expired it
+	hops int         // switch traversals, the network's TTL on a loop
 }
 
 // run carries one scenario's runtime state.
@@ -474,7 +483,7 @@ func (r *run) installFilters() {
 	}
 
 	// Observers: arrivals stream through the sink (hashed in verdict);
-	// drops are attributed to flows and TTL expiries timestamped.
+	// drops are attributed to flows and TTL expiries recorded by value.
 	nw.OnDrop(func(now sim.Time, at topo.NodeID, pkt *network.Packet, cause network.DropCause) {
 		r.hash.event('d', now, int64(cause), int64(at))
 		idx, ok := r.byKey[pkt.Flow]
@@ -484,7 +493,7 @@ func (r *run) installFilters() {
 		fr := r.flows[idx]
 		fr.dropped++
 		if cause == network.DropTTLExpired {
-			fr.ttlTimes = append(fr.ttlTimes, now)
+			fr.expired = append(fr.expired, ttlExpiry{at: now, node: at, hops: pkt.Hops})
 		}
 	})
 }
