@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,6 +157,26 @@ func TestAggregateDeterministicAndCorrect(t *testing.T) {
 	}
 	if SummaryTable(aggs) == "" || !strings.Contains(SummaryTable(aggs), "recovery/stub") {
 		t.Fatal("summary table malformed")
+	}
+}
+
+// TestAggregateRowsInGroupKeyOrder: rows come out sorted by group key.
+// Sixteen groups make an emission in map order show on practically every
+// run; the two groups of the smoke aggregate swap only now and then.
+func TestAggregateRowsInGroupKeyOrder(t *testing.T) {
+	var results []Result
+	for seed := int64(16); seed >= 1; seed-- {
+		s := stubSpec(0)
+		s.BaseSeed = seed
+		results = append(results, Result{Hash: s.Hash(), Spec: s, Status: StatusOK, Metrics: Metrics{"m": float64(seed)}})
+	}
+	aggs := AggregateResults(results)
+	keys := make([]string, len(aggs))
+	for i, a := range aggs {
+		keys[i] = a.Spec.Key()
+	}
+	if len(keys) != 16 || !slices.IsSorted(keys) {
+		t.Fatalf("aggregate rows not in group-key order:\n%s", strings.Join(keys, "\n"))
 	}
 }
 
