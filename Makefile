@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check f2tree-vet vet-audit race check \
+.PHONY: build test vet fmt-check race check \
 	campaign-smoke chaos-smoke detect-smoke serve-smoke smoke bench bench-ospf \
 	bench-bgp bench-fib bench-controller bench-transport bench-smoke serve
 
@@ -20,21 +20,6 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
-# The determinism and pooling gate: stock go vet plus the analyzers from
-# internal/analysis (`go run ./cmd/f2tree-vet -list` prints them), run in
-# parallel dependency order with cross-package fact propagation (see README
-# "Determinism and contract gate"). Mutable package-level state is not
-# checked here: the race target below carries that guarantee.
-f2tree-vet:
-	$(GO) run ./cmd/f2tree-vet ./...
-
-# Suppression audit: inventory every //f2tree: directive and fail on stale
-# suppressions, unknown verbs and missing justifications. Runs through the
-# same fact-propagating graph driver, so interprocedural findings keep
-# their suppressions live.
-vet-audit:
-	$(GO) run ./cmd/f2tree-vet -novet -audit ./...
-
 # The whole suite under the race detector. Besides the test assertions,
 # this is the no-shared-mutable-state guarantee: the campaign tests run
 # simulations on parallel workers, so a package-level variable written on
@@ -42,7 +27,7 @@ vet-audit:
 race:
 	$(GO) test -race ./...
 
-check: build fmt-check f2tree-vet vet-audit race bench-smoke
+check: build fmt-check vet race bench-smoke
 
 # Smoke campaign: the k=4 testbed matrix on two workers into a resumable
 # store (campaign-smoke.jsonl + campaign-smoke.agg.jsonl).

@@ -146,8 +146,6 @@ type advert struct {
 // come from Domain.freeUpdates and return there when the peer's receive
 // returns (or at once if the wire died): receive copies the path pointers
 // it keeps and never retains routes.
-//
-//f2tree:pooled
 type update struct {
 	from   *Instance
 	s      *session
@@ -158,8 +156,6 @@ type update struct {
 // grTimer is a session's GR or LLGR expiry: the epoch it was armed in,
 // which any later down/up cycle invalidates. Records come from
 // Domain.freeTimers and return there when the timer ends.
-//
-//f2tree:pooled
 type grTimer struct {
 	s     *session
 	epoch int
@@ -532,7 +528,6 @@ func (t *grTimer) live() bool {
 // releaseTimer returns a timer record to the pool.
 func (d *Domain) releaseTimer(t *grTimer) {
 	t.s = nil
-	//f2tree:retained the free list IS the pool; this append is the recycle step
 	d.freeTimers = append(d.freeTimers, t)
 }
 
@@ -770,7 +765,6 @@ func deliverUpdate(at sim.Time, arg any) {
 	}
 	clear(u.routes) // the pool must not pin paths nobody offers any more
 	u.from, u.s, u.routes = nil, nil, u.routes[:0]
-	//f2tree:retained the free list IS the pool; this append is the recycle step
 	i.d.freeUpdates = append(i.d.freeUpdates, u)
 }
 

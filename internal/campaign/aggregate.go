@@ -62,7 +62,8 @@ func AggregateResults(results []Result) []Aggregate {
 			g.agg.Failed++
 			continue
 		}
-		//f2tree:unordered per-metric appends to disjoint keys; samples are sorted before use
+		// Map order is harmless: each metric appends to its own key, and
+		// samples are sorted before use.
 		for name, v := range r.Metrics {
 			g.samples[name] = append(g.samples[name], v)
 		}

@@ -18,8 +18,7 @@
 //
 // Two-clock rule: inside a run, only virtual sim.Time exists; the
 // orchestration layer is the one place wall-clock time is legal (timeouts,
-// progress), and each use is annotated //f2tree:wallclock for the
-// simclock analyzer.
+// progress, per-attempt cost).
 package campaign
 
 import (

@@ -119,13 +119,11 @@ func Run(specs []Spec, fn RunFunc, o Options) (*Outcome, error) {
 	done := out.Skipped
 	pool := NewWorkerPool(o.Parallelism)
 	defer pool.Close()
-	//f2tree:wallclock progress reporting is orchestration-layer real time
 	start := time.Now()
 	report := func() {
 		if o.Progress == nil {
 			return
 		}
-		//f2tree:wallclock progress reporting
 		elapsed := time.Since(start).Round(100 * time.Millisecond)
 		fmt.Fprintf(o.Progress, "\rcampaign: %d/%d done (%d skipped, %d failed) j=%d %v ",
 			done, len(specs), out.Skipped, out.Failed, pool.Workers(), elapsed)

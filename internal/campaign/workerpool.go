@@ -143,10 +143,8 @@ func runAttempts(run Job, timeout time.Duration, retries int) Attempt {
 	attempts := retries + 1
 	for n := 1; n <= attempts; n++ {
 		a.Attempts = n
-		//f2tree:wallclock per-attempt cost measurement
 		begin := time.Now()
 		m, payload, err := attemptOnce(run, timeout)
-		//f2tree:wallclock per-attempt cost measurement
 		a.WallMS = float64(time.Since(begin)) / float64(time.Millisecond)
 		if err == nil {
 			a.Metrics, a.Payload = m, payload
@@ -197,7 +195,6 @@ func attemptOnce(run Job, timeout time.Duration) (m Metrics, payload any, err er
 		o := <-ch
 		return o.m, o.payload, o.err
 	}
-	//f2tree:wallclock per-run timeout is orchestration-layer real time
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {

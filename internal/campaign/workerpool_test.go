@@ -31,7 +31,7 @@ func TestWorkerPoolRunsJobsConcurrently(t *testing.T) {
 		}, 0, 0))
 	}
 	// All four jobs must occupy workers at once.
-	deadline := time.Now().Add(5 * time.Second) //f2tree:wallclock test deadline
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		mu.Lock()
 		n := started
@@ -39,11 +39,10 @@ func TestWorkerPoolRunsJobsConcurrently(t *testing.T) {
 		if n == 4 {
 			break
 		}
-		//f2tree:wallclock test deadline
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d/4 jobs started", n)
 		}
-		time.Sleep(time.Millisecond) //f2tree:wallclock polling in a concurrency test
+		time.Sleep(time.Millisecond)
 	}
 	if busy := p.Busy(); busy != 4 {
 		t.Fatalf("Busy() = %d, want 4", busy)

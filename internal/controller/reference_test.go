@@ -57,7 +57,6 @@ func (c *refController) computeAll() map[topo.NodeID][]fib.Route {
 		graph[l.A] = append(graph[l.A], edge{to: l.B, link: l.ID})
 		graph[l.B] = append(graph[l.B], edge{to: l.A, link: l.ID})
 	}
-	//f2tree:unordered per-key in-place sort; no cross-key effects
 	for n := range graph {
 		es := graph[n]
 		sort.Slice(es, func(i, j int) bool {
@@ -114,7 +113,6 @@ func (c *refController) routesFrom(src topo.NodeID, graph map[topo.NodeID][]edge
 					}
 					set[fib.NextHop{Port: port, Via: c.topo.Node(e.to).Addr}] = true
 				} else {
-					//f2tree:unordered set union; content is order-independent
 					for h := range nh[u] {
 						set[h] = true
 					}

@@ -153,8 +153,6 @@ type Network struct {
 // far end of a link direction or a packet leaving a switch after its
 // processing delay. Using a static dispatch function plus a pooled record
 // replaces the two closures the old per-hop path allocated.
-//
-//f2tree:pooled
 type netEvent struct {
 	n    *Network
 	pkt  *Packet
@@ -211,7 +209,6 @@ func (n *Network) getEvent() *netEvent {
 // putEvent recycles an in-flight record.
 func (n *Network) putEvent(ev *netEvent) {
 	ev.pkt = nil
-	//f2tree:retained the free list IS the pool; this append is the recycle step
 	n.freeEvents = append(n.freeEvents, ev)
 }
 
@@ -235,7 +232,6 @@ func (n *Network) releasePacket(p *Packet) {
 		return
 	}
 	*p = Packet{pooled: true}
-	//f2tree:retained the free list IS the pool; this append is the recycle step
 	n.freePkts = append(n.freePkts, p)
 }
 
@@ -632,7 +628,7 @@ func (n *Network) transmit(now sim.Time, node topo.NodeID, port int, pkt *Packet
 	other, _ := l.Other(node)
 	arrive := d.nextFree.Add(n.cfg.PropDelay)
 	ev := n.getEvent()
-	//f2tree:retained ownership transfers to the in-flight record until runNetEvent releases it
+	// ev owns pkt until runNetEvent releases it.
 	ev.kind, ev.pkt, ev.node, ev.from, ev.link, ev.dir = evArrive, pkt, other, node, l.ID, int8(dir)
 	n.sim.AtArg(arrive, runNetEvent, ev)
 }
@@ -660,7 +656,7 @@ func (n *Network) arrive(now sim.Time, node topo.NodeID, pkt *Packet) {
 		return
 	}
 	ev := n.getEvent()
-	//f2tree:retained ownership transfers to the in-flight record until runNetEvent releases it
+	// ev owns pkt until runNetEvent releases it.
 	ev.kind, ev.pkt, ev.node = evForward, pkt, node
 	n.sim.AfterArg(n.cfg.ProcDelay, runNetEvent, ev)
 }

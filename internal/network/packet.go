@@ -21,8 +21,6 @@ const (
 // datagrams when the receiving stack returns, so neither may the Payload
 // be retained. Packets constructed directly with &Packet{} are never
 // recycled.
-//
-//f2tree:pooled
 type Packet struct {
 	// Flow is the five-tuple; Flow.Dst drives forwarding.
 	Flow fib.FlowKey

@@ -148,8 +148,6 @@ type Domain struct {
 // floodRec is the pooled record of the hops of one flood call that share a
 // delivery instant (indices into the sender's adj, in port order): one event
 // delivers them. delay keys the record while the call still collects hops.
-//
-//f2tree:pooled
 type floodRec struct {
 	inst  *Instance
 	lsa   *LSA
@@ -507,7 +505,6 @@ func deliverFlood(at sim.Time, arg any) {
 		}
 	}
 	rec.inst, rec.lsa, rec.hops = nil, nil, rec.hops[:0]
-	//f2tree:retained the free list IS the pool; this append is the recycle step
 	i.d.freeFloods = append(i.d.freeFloods, rec)
 }
 

@@ -149,13 +149,12 @@ func TestAnswerCoalescesConcurrentIdenticalQueries(t *testing.T) {
 	// Release the run only once it is in flight and the other callers
 	// have joined it (Answer counts a join before it waits): a caller that
 	// arrives after the release would be a cache hit, not a coalesce.
-	deadline := time.Now().Add(5 * time.Second) //f2tree:wallclock test deadline
+	deadline := time.Now().Add(5 * time.Second)
 	for r.count() == 0 || s.Metrics().Coalesced != n-1 {
-		//f2tree:wallclock test deadline
 		if time.Now().After(deadline) {
 			t.Fatalf("run in flight: %v, joined: %d of %d", r.count() != 0, s.Metrics().Coalesced, n-1)
 		}
-		time.Sleep(time.Millisecond) //f2tree:wallclock polling in a concurrency test
+		time.Sleep(time.Millisecond)
 	}
 	close(r.block)
 	wg.Wait()
@@ -194,13 +193,12 @@ func TestPanicIsolation(t *testing.T) {
 		goodRep, _, goodErr = s.Answer(whatIfQuery(1))
 	}()
 	// Ensure the good query is mid-flight before the panic lands.
-	deadline := time.Now().Add(5 * time.Second) //f2tree:wallclock test deadline
+	deadline := time.Now().Add(5 * time.Second)
 	for good.count() == 0 {
-		//f2tree:wallclock test deadline
 		if time.Now().After(deadline) {
 			t.Fatal("good query never started")
 		}
-		time.Sleep(time.Millisecond) //f2tree:wallclock polling in a concurrency test
+		time.Sleep(time.Millisecond)
 	}
 	_, _, err := s.Answer(whatIfQuery(666))
 	if err == nil || !strings.Contains(err.Error(), "simulated oracle bug") {

@@ -129,10 +129,8 @@ const (
 // in-flight run, or by running it on the pool. Every path records
 // service latency for /metrics.
 func (s *Server) Answer(q Query) (rep *Report, disp Disposition, err error) {
-	//f2tree:wallclock service latency measurement, outside any simulation
 	begin := time.Now()
 	defer func() {
-		//f2tree:wallclock service latency measurement
 		ms := float64(time.Since(begin)) / float64(time.Millisecond)
 		s.mu.Lock()
 		s.latMs = append(s.latMs, ms)

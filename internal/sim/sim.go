@@ -58,8 +58,6 @@ type ArgEvent func(now Time, arg any)
 // item is a scheduled event in the priority queue. Items are pooled: gen
 // increments every time an item is released, invalidating outstanding
 // Handles before the item can be reused.
-//
-//f2tree:pooled
 type item struct {
 	at    Time
 	seq   uint64 // tie-break: FIFO among equal times
@@ -145,7 +143,6 @@ func (s *Simulator) put(it *item) {
 	it.gen++
 	it.fn, it.argFn, it.arg = nil, nil, nil
 	it.index = -1
-	//f2tree:retained the free list IS the pool; this append is the recycle step
 	s.free = append(s.free, it)
 }
 

@@ -52,15 +52,13 @@ type TB interface {
 // teardown race: Close has returned but a worker is still between its
 // last select and exiting.
 func awaitNoNewGoroutines(base map[string]bool, grace time.Duration) []string {
-	//f2tree:wallclock test-teardown grace period, outside any simulation
 	deadline := time.Now().Add(grace)
 	for {
 		leaked := diffGoroutines(base)
-		//f2tree:wallclock test-teardown grace period
 		if len(leaked) == 0 || time.Now().After(deadline) {
 			return leaked
 		}
-		time.Sleep(10 * time.Millisecond) //f2tree:wallclock polling toward the teardown grace deadline
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

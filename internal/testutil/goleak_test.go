@@ -42,7 +42,7 @@ func TestVerifyNoLeaksToleratesLateExit(t *testing.T) {
 	// Still running when cleanup starts, but exits within the grace
 	// period — the polling must absorb it.
 	go func() {
-		time.Sleep(50 * time.Millisecond) //f2tree:wallclock deliberate straggler inside the grace period
+		time.Sleep(50 * time.Millisecond)
 	}()
 	r.runCleanups()
 	if len(r.failures) != 0 {

@@ -27,8 +27,6 @@ const HeaderBytes = 40
 // as a *Datagram from its free list and takes it back once the receiving
 // Stack.receive returns (a dropped datagram is left to the collector);
 // handlers get a copy.
-//
-//f2tree:pooled
 type Datagram struct {
 	Seq uint64
 
@@ -150,13 +148,11 @@ func (st *Stack) newSegment(s Segment) *Segment {
 
 // recycleSegment returns a handled segment to its sender's free list.
 func recycleSegment(seg *Segment) {
-	//f2tree:retained the free list IS the pool; this append is the recycle step
 	seg.owner.freeSegs = append(seg.owner.freeSegs, seg)
 }
 
 // recycleDatagram returns a handled datagram to its sender's free list.
 func recycleDatagram(dg *Datagram) {
-	//f2tree:retained the free list IS the pool; this append is the recycle step
 	dg.owner.freeDgs = append(dg.owner.freeDgs, dg)
 }
 

@@ -14,8 +14,6 @@ import (
 // Segments come from the sending stack's free list and go back to it once
 // the receiving Stack.receive returns; a dropped one is left to the
 // collector.
-//
-//f2tree:pooled
 type Segment struct {
 	SYN, ACK bool
 	Seq      int64 // first payload byte offset
@@ -425,7 +423,8 @@ func (c *Conn) handleSegment(now sim.Time, seg *Segment) {
 			// Drain any buffered segments now contiguous.
 			for c.ooo != nil {
 				drained := false
-				//f2tree:unordered fixed-point drain: re-scans until no segment extends rcvNxt, so order cannot change the result
+				// Fixed-point drain: it re-scans until no segment extends
+				// rcvNxt, so map order cannot change the result.
 				for s, e := range c.ooo {
 					if s <= c.rcvNxt {
 						if e > c.rcvNxt {
