@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/detsort"
 	"repro/internal/netaddr"
 )
 
@@ -331,17 +330,6 @@ func (t *Topology) LinksBetween(a, b NodeID) []*Link {
 		}
 	}
 	return out
-}
-
-// Neighbors returns the distinct live neighbors of n, sorted.
-func (t *Topology) Neighbors(n NodeID) []NodeID {
-	seen := make(map[NodeID]bool)
-	for _, l := range t.LinksOf(n) {
-		if o, ok := l.Other(n); ok {
-			seen[o] = true
-		}
-	}
-	return detsort.Keys(seen)
 }
 
 // LiveLinks returns every non-removed link.
