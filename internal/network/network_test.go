@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -222,6 +223,81 @@ func TestQueueOverflowDropsTail(t *testing.T) {
 	}
 	if delivered+int(st.Drops[DropQueueOverflow]) != burst {
 		t.Fatalf("delivered %d + dropped %d != %d", delivered, st.Drops[DropQueueOverflow], burst)
+	}
+}
+
+// TestBurstOnFailingDirection queues a 50-packet burst on one link
+// direction, fails that direction mid-burst and restores it, then sends two
+// more bursts: one into the dead wire and one that joins the tail of the
+// queue after the restore. Every packet's fate and time is pinned: a packet
+// dies if the direction is down when it would arrive, whatever it was when
+// the packet was queued, and the survivors keep the serialization spacing.
+// The restore lands on the very instant a queued packet arrives; the packet
+// was sent first, so it goes first and is lost.
+func TestBurstOnFailingDirection(t *testing.T) {
+	s, nw, a, b := twoHostsOneToR(t)
+	cfg := nw.Config()
+	bAddr := nw.Topology().Node(b).Addr
+	link := nw.Topology().LinksOf(a)[0].ID
+	const size = 1488
+	tx := sim.Time(float64(size*8) / cfg.BandwidthBps * float64(sim.Second)) // 11.904 µs
+	prop, proc := sim.Time(cfg.PropDelay), sim.Time(cfg.ProcDelay)
+	failAt, restoreAt := 200*sim.Microsecond, 34*tx+prop // packet 33 reaches the ToR
+	deadSendAt, lateSendAt := 300*sim.Microsecond, 500*sim.Microsecond
+
+	got := make([]string, 70)
+	nw.SetHostReceiver(b, func(now sim.Time, pkt *Packet) {
+		got[pkt.Flow.SrcPort] = fmt.Sprintf("delivered at %v", now)
+	})
+	nw.OnDrop(func(now sim.Time, at topo.NodeID, pkt *Packet, cause DropCause) {
+		got[pkt.Flow.SrcPort] = fmt.Sprintf("%v at %v on %s", cause, now, nw.Topology().Node(at).Name)
+	})
+	send := func(from, to int) {
+		for i := from; i < to; i++ {
+			pkt := nw.NewPacket()
+			pkt.Flow, pkt.Size = flowTo(bAddr), size
+			pkt.Flow.SrcPort = uint16(i)
+			nw.SendFromHost(a, pkt)
+		}
+	}
+	s.At(failAt, func(sim.Time) { nw.SetLinkDirectionState(link, a, false) })
+	s.At(deadSendAt, func(sim.Time) {
+		send(50, 60)
+		s.At(restoreAt, func(sim.Time) { nw.SetLinkDirectionState(link, a, true) })
+	})
+	s.At(lateSendAt, func(sim.Time) { send(60, 70) })
+	send(0, 50)
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := make([]string, 70)
+	for i := range want {
+		var atToR sim.Time // when the packet reaches the ToR
+		switch {
+		case i < 50:
+			atToR = sim.Time(i+1)*tx + prop
+		case i < 60:
+			want[i] = fmt.Sprintf("%v at %v on a", DropLinkDown, deadSendAt)
+			continue
+		default: // behind the first burst's tail, which leaves a at 50·tx
+			atToR = sim.Time(i-60+51)*tx + prop
+		}
+		if atToR >= failAt && atToR <= restoreAt {
+			want[i] = fmt.Sprintf("%v at %v on a", DropLinkDown, atToR)
+		} else {
+			want[i] = fmt.Sprintf("delivered at %v", atToR+proc+tx+prop)
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("packet %d: %s, want %s", i, got[i], want[i])
+		}
+	}
+	st := nw.Stats()
+	if st.Sent != 70 || st.Delivered != 42 || st.Drops[DropLinkDown] != 28 || st.TotalDrops() != 28 {
+		t.Fatalf("sent %d, delivered %d, link-down drops %d of %d; want 70, 42, 28 of 28",
+			st.Sent, st.Delivered, st.Drops[DropLinkDown], st.TotalDrops())
 	}
 }
 
