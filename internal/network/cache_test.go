@@ -153,6 +153,28 @@ func TestForwardPacketNoAlloc(t *testing.T) {
 		t.Fatalf("steady-state forwarding allocates %.2f per packet, want 0", allocs)
 	}
 
+	// Arrivals queued behind a link direction's head: a burst of eight
+	// leaves the host at one instant, so seven wait in the direction's FIFO
+	// under reserved sequence numbers. Queuing and rescheduling them
+	// allocates nothing either.
+	burst := func() {
+		for i := 0; i < 8; i++ {
+			pkt := nw.NewPacket()
+			pkt.Flow, pkt.Size = flow, 1488
+			nw.SendFromHost(a, pkt)
+		}
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	if peak := s.PeakPending(); peak >= 8 {
+		t.Fatalf("a burst of 8 peaked at %d pending events: queued arrivals were scheduled, not held", peak)
+	}
+	if allocs := testing.AllocsPerRun(200, burst); allocs > 0 {
+		t.Fatalf("queued arrivals allocate %.2f per burst, want 0", allocs)
+	}
+
 	drops := []struct {
 		name  string
 		cause DropCause

@@ -97,6 +97,10 @@ type linkDir struct {
 	up bool
 	// nextFree is when the transmitter finishes the last accepted packet.
 	nextFree sim.Time
+	// tail is the last arrival in flight on this direction, nil when none
+	// is. Arrivals form a FIFO threaded through netEvent.next: only the
+	// head is a simulator event, and each schedules its successor.
+	tail *netEvent
 	// Telemetry.
 	packets      uint64
 	bytes        uint64
@@ -153,9 +157,19 @@ type Network struct {
 // far end of a link direction or a packet leaving a switch after its
 // processing delay. Using a static dispatch function plus a pooled record
 // replaces the two closures the old per-hop path allocated.
+//
+// An arrival queued behind its direction's head is not yet a simulator
+// event: it carries the time and the sequence number it reserved at
+// transmit, and the head schedules it with both when it runs. Arrival
+// times on a direction never decrease (each is nextFree plus a constant
+// propagation delay), so the FIFO is in (at, seq) order and every event
+// runs where a directly scheduled one would have.
 type netEvent struct {
 	n    *Network
 	pkt  *Packet
+	next *netEvent   // arrive only: the next arrival on the direction
+	at   sim.Time    // arrive only, while queued: the arrival time
+	seq  uint64      // arrive only, while queued: the reserved sequence number
 	node topo.NodeID // arrive: receiver; forward: forwarding switch
 	from topo.NodeID // arrive only: transmitter, for drop attribution
 	link topo.LinkID // arrive only
@@ -179,7 +193,14 @@ func runNetEvent(now sim.Time, arg any) {
 	pkt := ev.pkt
 	switch ev.kind {
 	case evArrive:
-		if !n.links[ev.link].dirs[ev.dir].up {
+		d := &n.links[ev.link].dirs[ev.dir]
+		if nx := ev.next; nx != nil {
+			ev.next = nil
+			n.sim.AtArgSeq(nx.at, nx.seq, runNetEvent, nx)
+		} else {
+			d.tail = nil
+		}
+		if !d.up {
 			// The direction died while the packet was in queue or flight.
 			n.putEvent(ev)
 			n.drop(now, ev.from, pkt, DropLinkDown)
@@ -630,7 +651,15 @@ func (n *Network) transmit(now sim.Time, node topo.NodeID, port int, pkt *Packet
 	ev := n.getEvent()
 	// ev owns pkt until runNetEvent releases it.
 	ev.kind, ev.pkt, ev.node, ev.from, ev.link, ev.dir = evArrive, pkt, other, node, l.ID, int8(dir)
-	n.sim.AtArg(arrive, runNetEvent, ev)
+	if d.tail != nil {
+		// An earlier arrival is in flight: queue behind it under the
+		// sequence number AtArg would have taken now.
+		ev.at, ev.seq = arrive, n.sim.ReserveSeq()
+		d.tail.next = ev
+	} else {
+		n.sim.AtArg(arrive, runNetEvent, ev)
+	}
+	d.tail = ev
 }
 
 // arrive handles pkt reaching node.

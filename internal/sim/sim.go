@@ -5,16 +5,22 @@
 // stable tie-break on (time, sequence) and by routing every source of
 // randomness through the simulator's seeded RNG.
 //
-// The event core is allocation-free in steady state: scheduled events live
-// in a concrete indexed 4-ary min-heap of *item, items are recycled through
-// a free list, and Handles carry a generation counter so a handle to an
-// already-run (and possibly recycled) event is safely inert. The AtArg/
-// AfterArg variants let hot paths schedule a static function plus a pooled
-// argument record instead of allocating a fresh closure per event.
+// The event core is allocation-free in steady state. Scheduled events live
+// in two indexed 4-ary min-heaps of *item: a near heap for events up to a
+// split instant and a far heap for the later ones, which moves one window
+// into the near heap whenever the near heap drains. Every near key is below
+// every far key, so the pop order is exactly (time, sequence). Items are
+// recycled through a free list, and Handles carry a generation counter so
+// a handle to an already-run (and possibly recycled) event is safely
+// inert. The AtArg/AfterArg variants let hot paths schedule a static
+// function plus a pooled argument record instead of allocating a fresh
+// closure per event; ReserveSeq/AtArgSeq let a model hold an event outside
+// the queue and insert it later at the place it would have had.
 package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -55,6 +61,13 @@ type Event func(now Time)
 // thread per-event state through arg, typically a pooled record.
 type ArgEvent func(now Time, arg any)
 
+// farWindow is how much simulated time one refill moves from the far heap
+// into the near heap. Too short and a workload whose events are spread out
+// refills all the time; too long and the near heap fills with the timers
+// the split exists to keep out of it (DESIGN.md §9 "Event core" has the
+// sweep).
+const farWindow = 20 * Millisecond
+
 // item is a scheduled event in the priority queue. Items are pooled: gen
 // increments every time an item is released, invalidating outstanding
 // Handles before the item can be reused.
@@ -64,7 +77,8 @@ type item struct {
 	fn    Event
 	argFn ArgEvent
 	arg   any
-	index int32 // heap index; -1 once popped or canceled
+	index int32 // index in its heap; -1 once popped or canceled
+	far   bool  // which heap holds it
 	gen   uint64
 }
 
@@ -95,14 +109,18 @@ var ErrStopped = errors.New("sim: stopped")
 // Simulator owns the virtual clock and event queue. It is single-threaded:
 // every event of a run executes on the goroutine that called Run.
 type Simulator struct {
-	now     Time
-	heap    []*item // indexed 4-ary min-heap ordered by itemLess
+	now Time
+	// near holds the events at or before split, far the later ones, so
+	// every near key is below every far key.
+	near    eventHeap
+	far     eventHeap
+	split   Time
 	free    []*item // recycled items
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
 	ran     uint64
-	peak    int // high-water mark of len(heap)
+	peak    int // high-water mark of Pending
 }
 
 // New returns a simulator whose RNG is seeded with seed.
@@ -119,11 +137,15 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // EventsRun returns the number of events executed so far.
 func (s *Simulator) EventsRun() uint64 { return s.ran }
 
-// Pending returns the number of events still queued.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// Pending returns the number of events still queued, in both heaps. An
+// event a model holds outside the queue under a reserved sequence number
+// (ReserveSeq) is not pending until AtArgSeq schedules it: the network's
+// arrivals queued behind a link direction's head are not counted.
+func (s *Simulator) Pending() int { return len(s.near) + len(s.far) }
 
-// PeakPending returns the most events that were ever queued at once: how
-// deep the heap got, which sampling Pending between phases cannot see.
+// PeakPending returns the most events that were ever queued at once (the
+// high-water mark of Pending): how deep the queue got, which sampling
+// Pending between phases cannot see.
 func (s *Simulator) PeakPending() int { return s.peak }
 
 // get returns a fresh or recycled item.
@@ -146,28 +168,37 @@ func (s *Simulator) put(it *item) {
 	s.free = append(s.free, it)
 }
 
-// schedule enqueues one event. Scheduling in the past is treated as "now"
-// (the event runs before time advances further).
-func (s *Simulator) schedule(at Time, fn Event, argFn ArgEvent, arg any) Handle {
+// schedule enqueues one event under sequence number seq. Scheduling in the
+// past is treated as "now" (the event runs before time advances further).
+func (s *Simulator) schedule(at Time, seq uint64, fn Event, argFn ArgEvent, arg any) Handle {
 	if at < s.now {
 		at = s.now
 	}
 	it := s.get()
-	it.at, it.seq = at, s.seq
+	it.at, it.seq = at, seq
 	it.fn, it.argFn, it.arg = fn, argFn, arg
-	s.seq++
-	it.index = int32(len(s.heap))
-	s.heap = append(s.heap, it)
-	if len(s.heap) > s.peak {
-		s.peak = len(s.heap)
+	it.far = at > s.split
+	if it.far {
+		s.far.push(it)
+	} else {
+		s.near.push(it)
 	}
-	s.siftUp(len(s.heap) - 1)
+	if p := s.Pending(); p > s.peak {
+		s.peak = p
+	}
 	return Handle{it: it, gen: it.gen}
+}
+
+// next consumes one sequence number.
+func (s *Simulator) next() uint64 {
+	seq := s.seq
+	s.seq++
+	return seq
 }
 
 // At schedules fn to run at the absolute virtual time at.
 func (s *Simulator) At(at Time, fn Event) Handle {
-	return s.schedule(at, fn, nil, nil)
+	return s.schedule(at, s.next(), fn, nil, nil)
 }
 
 // After schedules fn to run d after the current time.
@@ -175,14 +206,14 @@ func (s *Simulator) After(d time.Duration, fn Event) Handle {
 	if d < 0 {
 		d = 0
 	}
-	return s.schedule(s.now.Add(d), fn, nil, nil)
+	return s.schedule(s.now.Add(d), s.next(), fn, nil, nil)
 }
 
 // AtArg schedules fn(now, arg) at the absolute virtual time at. fn should
 // be a package-level function; arg carries the per-event state (ideally a
 // pooled pointer) so the call allocates nothing.
 func (s *Simulator) AtArg(at Time, fn ArgEvent, arg any) Handle {
-	return s.schedule(at, nil, fn, arg)
+	return s.schedule(at, s.next(), nil, fn, arg)
 }
 
 // AfterArg schedules fn(now, arg) to run d after the current time.
@@ -190,7 +221,23 @@ func (s *Simulator) AfterArg(d time.Duration, fn ArgEvent, arg any) Handle {
 	if d < 0 {
 		d = 0
 	}
-	return s.schedule(s.now.Add(d), nil, fn, arg)
+	return s.schedule(s.now.Add(d), s.next(), nil, fn, arg)
+}
+
+// ReserveSeq consumes the sequence number the next scheduling call would
+// take, for an event the caller holds outside the queue and schedules later
+// with AtArgSeq. Reserving and then scheduling is indistinguishable from
+// AtArg at the time of the reservation, provided the event enters the queue
+// before anything ordered after it runs: a FIFO of events with
+// non-decreasing times whose head is scheduled, and whose head schedules
+// the next one when it runs, meets that.
+func (s *Simulator) ReserveSeq() uint64 { return s.next() }
+
+// AtArgSeq schedules fn(now, arg) at the absolute virtual time at under seq,
+// a number from ReserveSeq that has not been scheduled yet. It consumes no
+// sequence number.
+func (s *Simulator) AtArgSeq(at Time, seq uint64, fn ArgEvent, arg any) Handle {
+	return s.schedule(at, seq, nil, fn, arg)
 }
 
 // Cancel removes a pending event. Canceling an already-run, already-
@@ -200,7 +247,11 @@ func (s *Simulator) Cancel(h Handle) bool {
 	if !h.Active() {
 		return false
 	}
-	s.removeAt(int(h.it.index))
+	if h.it.far {
+		s.far.removeAt(int(h.it.index))
+	} else {
+		s.near.removeAt(int(h.it.index))
+	}
 	s.put(h.it)
 	return true
 }
@@ -208,20 +259,42 @@ func (s *Simulator) Cancel(h Handle) bool {
 // Stop makes Run return ErrStopped after the current event completes.
 func (s *Simulator) Stop() { s.stopped = true }
 
+// refill moves the far heap's first window into the empty near heap: the
+// split advances to farWindow past the earliest far event (saturating at
+// the end of time), and every far event up to the new split changes heaps.
+func (s *Simulator) refill() {
+	if first := s.far[0].at; first > math.MaxInt64-farWindow {
+		s.split = math.MaxInt64
+	} else {
+		s.split = first + farWindow
+	}
+	for len(s.far) > 0 && s.far[0].at <= s.split {
+		it := s.far.removeAt(0)
+		it.far = false
+		s.near.push(it)
+	}
+}
+
 // Run executes events until the queue drains or the clock passes horizon.
 // A zero horizon means "run to exhaustion". Events scheduled exactly at the
 // horizon still run.
 func (s *Simulator) Run(horizon Time) error {
-	for len(s.heap) > 0 {
+	for {
+		if len(s.near) == 0 {
+			if len(s.far) == 0 {
+				break
+			}
+			s.refill()
+		}
 		if s.stopped {
 			return ErrStopped
 		}
-		next := s.heap[0]
+		next := s.near[0]
 		if horizon > 0 && next.at > horizon {
 			s.now = horizon
 			return nil
 		}
-		it := s.removeAt(0)
+		it := s.near.removeAt(0)
 		s.now = it.at
 		s.ran++
 		fn, argFn, arg := it.fn, it.argFn, it.arg
@@ -243,26 +316,37 @@ func (s *Simulator) Run(horizon Time) error {
 // RunUntilIdle is Run with no horizon.
 func (s *Simulator) RunUntilIdle() error { return s.Run(0) }
 
+// eventHeap is an indexed 4-ary min-heap ordered by itemLess: every item
+// records its position, so Cancel removes it without a search.
+type eventHeap []*item
+
+// push adds it to the heap.
+func (h *eventHeap) push(it *item) {
+	it.index = int32(len(*h))
+	*h = append(*h, it)
+	h.siftUp(len(*h) - 1)
+}
+
 // siftUp restores the heap property from index i toward the root.
-func (s *Simulator) siftUp(i int) {
-	it := s.heap[i]
+func (h eventHeap) siftUp(i int) {
+	it := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !itemLess(it, s.heap[p]) {
+		if !itemLess(it, h[p]) {
 			break
 		}
-		s.heap[i] = s.heap[p]
-		s.heap[i].index = int32(i)
+		h[i] = h[p]
+		h[i].index = int32(i)
 		i = p
 	}
-	s.heap[i] = it
+	h[i] = it
 	it.index = int32(i)
 }
 
 // siftDown restores the heap property from index i toward the leaves.
-func (s *Simulator) siftDown(i int) {
-	n := len(s.heap)
-	it := s.heap[i]
+func (h eventHeap) siftDown(i int) {
+	n := len(h)
+	it := h[i]
 	for {
 		c := i*4 + 1
 		if c >= n {
@@ -274,35 +358,36 @@ func (s *Simulator) siftDown(i int) {
 			end = n
 		}
 		for k := c + 1; k < end; k++ {
-			if itemLess(s.heap[k], s.heap[m]) {
+			if itemLess(h[k], h[m]) {
 				m = k
 			}
 		}
-		if !itemLess(s.heap[m], it) {
+		if !itemLess(h[m], it) {
 			break
 		}
-		s.heap[i] = s.heap[m]
-		s.heap[i].index = int32(i)
+		h[i] = h[m]
+		h[i].index = int32(i)
 		i = m
 	}
-	s.heap[i] = it
+	h[i] = it
 	it.index = int32(i)
 }
 
-// removeAt detaches the item at heap index i, preserving the heap order of
-// the rest, and returns it with index −1. The caller releases it via put.
-func (s *Simulator) removeAt(i int) *item {
-	n := len(s.heap) - 1
-	it := s.heap[i]
-	last := s.heap[n]
-	s.heap[n] = nil
-	s.heap = s.heap[:n]
+// removeAt detaches the item at index i, preserving the heap order of the
+// rest, and returns it with index −1. The caller releases it via put.
+func (h *eventHeap) removeAt(i int) *item {
+	old := *h
+	n := len(old) - 1
+	it := old[i]
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
 	if i < n {
-		s.heap[i] = last
+		old[i] = last
 		last.index = int32(i)
-		s.siftDown(i)
+		h.siftDown(i)
 		if int(last.index) == i {
-			s.siftUp(i)
+			h.siftUp(i)
 		}
 	}
 	it.index = -1

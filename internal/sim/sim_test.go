@@ -205,6 +205,27 @@ func TestPeakPendingIsHighWaterMark(t *testing.T) {
 	if s.PeakPending() != 7 {
 		t.Fatalf("PeakPending = %d, want 7", s.PeakPending())
 	}
+
+	// Both heaps count. Running the first event refills the near heap with
+	// the events inside farWindow of it; the one a second out stays far.
+	s = New(1)
+	s.After(time.Microsecond, func(Time) {})
+	s.After(2*time.Microsecond, func(Time) {})
+	s.After(time.Second, func(Time) {})
+	if err := s.Run(Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.near) != 1 || len(s.far) != 1 || s.Pending() != 2 || s.PeakPending() != 3 {
+		t.Fatalf("near %d, far %d, Pending %d, PeakPending %d; want 1, 1, 2 and 3",
+			len(s.near), len(s.far), s.Pending(), s.PeakPending())
+	}
+	// Four more far timers raise the mark to the sum of the two heaps.
+	for i := 0; i < 4; i++ {
+		s.After(2*time.Second, func(Time) {})
+	}
+	if len(s.far) != 5 || s.Pending() != 6 || s.PeakPending() != 6 {
+		t.Fatalf("far %d, Pending %d, PeakPending %d; want 5, 6 and 6", len(s.far), s.Pending(), s.PeakPending())
+	}
 }
 
 func TestTimeArithmetic(t *testing.T) {
@@ -296,5 +317,20 @@ func TestNormQuantileRoundTrip(t *testing.T) {
 	}
 	if !math.IsInf(normQuantile(0), -1) || !math.IsInf(normQuantile(1), 1) {
 		t.Fatal("extremes should be infinite")
+	}
+}
+
+// TestEventAtEndOfTimeRuns schedules at the last representable instant,
+// where the far heap's refill window would overflow.
+func TestEventAtEndOfTimeRuns(t *testing.T) {
+	s := New(1)
+	var got []Time
+	s.At(Time(math.MaxInt64), func(now Time) { got = append(got, now) })
+	s.At(Time(math.MaxInt64)-Millisecond, func(now Time) { got = append(got, now) })
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != Time(math.MaxInt64)-Millisecond || got[1] != Time(math.MaxInt64) {
+		t.Fatalf("ran at %v, want the instant before the end of time, then the end", got)
 	}
 }
