@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build test vet fmt-check race check \
 	campaign-smoke chaos-smoke detect-smoke serve-smoke smoke bench bench-ospf \
-	bench-bgp bench-fib bench-controller bench-transport bench-smoke serve
+	bench-bgp bench-fib bench-controller bench-transport bench-sim bench-smoke serve
 
 build:
 	$(GO) build ./...
@@ -107,14 +107,26 @@ bench-controller:
 bench-transport:
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPTransfer|BenchmarkUDPProbe' -benchmem ./internal/transport
 
+# Event-core and forwarding microbenchmarks. BenchmarkRunChurnShape: one
+# event per op on a queue shaped like pa_churn_n8's (10 near events, 100 far
+# timers, 80 arrivals on one link direction), with every arrival scheduled
+# and with only the direction's head scheduled. BenchmarkScheduleAndRun,
+# BenchmarkScheduleFanOut, BenchmarkCancel: a one-deep queue, a 1,024-event
+# burst, timer churn. BenchmarkForwardPacket: one packet over three switch
+# hops.
+bench-sim:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim
+	$(GO) test -run '^$$' -bench BenchmarkForwardPacket -benchmem ./internal/network
+
 # One iteration of every N=8 control-plane and FIB microbenchmark (the
-# pattern is matched per name level) and of the transport ones, so the
-# families keep compiling and running; -benchmem puts B/op and allocs/op in
-# the log next to ns/op.
+# pattern is matched per name level) and of the transport, event-core and
+# forwarding ones, so the families keep compiling and running; -benchmem
+# puts B/op and allocs/op in the log next to ns/op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '././N=8$$' -benchtime 1x -benchmem ./internal/ospf ./internal/bgp ./internal/fib \
 		./internal/controller
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPTransfer|BenchmarkUDPProbe' -benchtime 1x -benchmem ./internal/transport
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/sim ./internal/network
 
 # Run the what-if query service on localhost (see DESIGN.md §13).
 serve:
