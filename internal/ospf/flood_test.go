@@ -196,3 +196,39 @@ func TestFloodAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestFloodStormStaysShallow fails every fabric link of the last pod of
+// F²Tree(16) at one instant under OSPF, restores them, and runs each to
+// quiescence: the flood storm of BenchmarkFlood/podburst/N=16. The event
+// count pins what runs; how flood records are held outside the simulator's
+// queue may change the queue's depth but never the events.
+func TestFloodStormStaysShallow(t *testing.T) {
+	const wantEvents = 65631
+	tp, err := topo.F2Tree(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New(7)
+	nw := mustNetwork(t, s, tp)
+	if err := NewDomain(nw, Config{}).Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	last := tp.Node(tp.NodesOfKind(topo.ToR)[len(tp.NodesOfKind(topo.ToR))-1]).Pod
+	links := fabricLinksOf(tp, func(nd *topo.Node) bool {
+		return nd.Pod == last && (nd.Kind == topo.ToR || nd.Kind == topo.Agg)
+	})
+	for _, up := range []bool{false, true} {
+		s.After(0, func(sim.Time) {
+			for _, l := range links {
+				nw.SetLinkState(l, up)
+			}
+		})
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d events, peak pending %d", s.EventsRun(), s.PeakPending())
+	if got := s.EventsRun(); got != wantEvents {
+		t.Errorf("pod burst ran %d events, pinned %d", got, wantEvents)
+	}
+}
