@@ -258,8 +258,10 @@ func New() *Table {
 // EnableFlowCache turns on the live-hop memo: Lookup keeps, per prefix, the
 // set of next hops the usable predicate accepted, and reuses it until the
 // epoch moves. capEntries is unused — a per-prefix memo lives in the
-// entries and cannot outgrow the table; the parameter (and the name, from
-// the per-flow cache this replaced) stay because bench/ calls them.
+// entries and cannot outgrow the table. The parameter and the name, from
+// the per-flow cache this replaced, stay while the repo benchmark's FIB
+// kernel calls EnableFlowCache(0) (bench/kernels.go); they go with its
+// next change.
 //
 // Correctness contract: the memo is invalidated by epoch comparison, and
 // the epoch advances automatically on every Add/Remove/ReplaceSource/Clear.

@@ -320,7 +320,8 @@ func fabricLinksOf(tp *topo.Topology, pick func(*topo.Node) bool) []topo.LinkID 
 // uplink; podburst is every fabric link touching the ToRs and aggregation
 // switches of the last pod, failed at one instant — the flood-heavy case
 // (hundreds of LSAs cross the domain at once and most hops are duplicates).
-// events/op is the simulator events one op executes.
+// events/op is the simulator events one op executes; peak-pending is the
+// deepest the simulator's queue got (sim.PeakPending).
 func BenchmarkFlood(b *testing.B) {
 	for _, k := range []struct {
 		name  string
@@ -371,6 +372,7 @@ func BenchmarkFlood(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(s.EventsRun()-events)/float64(b.N), "events/op")
+				b.ReportMetric(float64(s.PeakPending()), "peak-pending")
 			})
 		}
 	}

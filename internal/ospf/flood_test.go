@@ -202,8 +202,14 @@ func TestFloodAllocBudget(t *testing.T) {
 // quiescence: the flood storm of BenchmarkFlood/podburst/N=16. The event
 // count pins what runs; how flood records are held outside the simulator's
 // queue may change the queue's depth but never the events.
+//
+// The queue stays shallow because only the flood FIFO's head is an event:
+// with every flood record scheduled it peaked at 24,711 pending, 24,445 of
+// them flood records. It now peaks at 267: a held SPF timer on each of the
+// 266 switches, plus the FIFO's head.
 func TestFloodStormStaysShallow(t *testing.T) {
 	const wantEvents = 65631
+	const maxPending = 1000
 	tp, err := topo.F2Tree(16)
 	if err != nil {
 		t.Fatal(err)
@@ -230,5 +236,8 @@ func TestFloodStormStaysShallow(t *testing.T) {
 	t.Logf("%d events, peak pending %d", s.EventsRun(), s.PeakPending())
 	if got := s.EventsRun(); got != wantEvents {
 		t.Errorf("pod burst ran %d events, pinned %d", got, wantEvents)
+	}
+	if got := s.PeakPending(); got > maxPending {
+		t.Errorf("pod burst peaked at %d pending events, bound %d", got, maxPending)
 	}
 }

@@ -105,14 +105,18 @@ type LSA struct {
 	// (edges). Every instance whose two-way check passes all of them uses
 	// it as its adjacency row for Origin, so no instance copies it.
 	row []topo.Edge
+	// peer, parallel to row, memoizes the two-way check: peer[k] is a far
+	// end LSA that row[k] passed against (adjOK), nil until one did.
+	peer []*LSA
 }
 
 // edges returns the LSA's adjacencies as an ordinal-space row (sorted like
-// Adjacencies, since ordinals ascend with NodeID), building it on first
-// use — so LSAs built by hand work too.
+// Adjacencies, since ordinals ascend with NodeID), building it and its
+// two-way-check memo on first use — so LSAs built by hand work too.
 func (l *LSA) edges(sw *topo.SwitchIndex) []topo.Edge {
 	if l.row == nil && len(l.Adjacencies) > 0 {
 		l.row = make([]topo.Edge, len(l.Adjacencies))
+		l.peer = make([]*LSA, len(l.Adjacencies))
 		for k, a := range l.Adjacencies {
 			l.row[k] = topo.Edge{To: sw.Ordinal(a.Neighbor), Link: a.Link}
 		}
@@ -139,6 +143,9 @@ type Domain struct {
 	onSPF       func(now sim.Time, node topo.NodeID)
 	floodFilter FloodFilter
 	freeFloods  []*floodRec // recycled flood records
+	// floodTail is the last record of the flood FIFO (nil when empty):
+	// only its head is a simulator event (queueFlood, deliverFlood).
+	floodTail *floodRec
 	// selfCheck compares every incremental SPF result and every delta FIB
 	// install against a from-scratch recomputation, panicking on any
 	// divergence. Tests and the chaos equivalence suite enable it.
@@ -148,11 +155,20 @@ type Domain struct {
 // floodRec is the pooled record of the hops of one flood call that share a
 // delivery instant (indices into the sender's adj, in port order): one event
 // delivers them. delay keys the record while the call still collects hops.
+//
+// A record queued behind the flood FIFO's head is not yet a simulator event:
+// it carries its delivery time and the sequence number it reserved when the
+// flood call made it, and its predecessor schedules it with both when it
+// runs. Times along the FIFO never decrease, so it is in (at, seq) order and
+// every record runs where a directly scheduled one would have.
 type floodRec struct {
 	inst  *Instance
 	lsa   *LSA
 	delay time.Duration
 	hops  []int32
+	next  *floodRec // the next record of the FIFO
+	at    sim.Time  // delivery time
+	seq   uint64    // while queued: the reserved sequence number
 }
 
 // localAdj is one switch-facing link of a router: the neighbor, the link
@@ -487,25 +503,50 @@ func (i *Instance) flood(now sim.Time, lsa *LSA, from topo.NodeID) {
 			}
 			rec.inst, rec.lsa, rec.delay = i, lsa, delay
 			open = append(open, rec)
-			d.sim.AfterArg(delay, deliverFlood, rec)
+			d.queueFlood(rec)
 		}
 		rec.hops = append(rec.hops, int32(k))
 	}
 }
 
-// deliverFlood is the sim.ArgEvent of a flood record: it hands the LSA to
-// each hop's neighbor in order, unless the wire died in flight.
+// queueFlood schedules rec to deliver rec.delay from now, as AfterArg would.
+// A record due no earlier than the FIFO's tail waits behind it under the
+// sequence number AfterArg would have taken now. One due earlier — only a
+// delaying FloodFilter makes one — is scheduled directly and stays off the
+// FIFO.
+func (d *Domain) queueFlood(rec *floodRec) {
+	rec.at = d.sim.Now().Add(rec.delay)
+	if t := d.floodTail; t != nil && rec.at >= t.at {
+		rec.seq = d.sim.ReserveSeq()
+		t.next, d.floodTail = rec, rec
+		return
+	}
+	d.sim.AtArg(rec.at, deliverFlood, rec)
+	if d.floodTail == nil {
+		d.floodTail = rec
+	}
+}
+
+// deliverFlood is the sim.ArgEvent of a flood record: it schedules the
+// record's FIFO successor, then hands the LSA to each hop's neighbor in
+// order, unless the wire died in flight.
 func deliverFlood(at sim.Time, arg any) {
 	rec := arg.(*floodRec)
 	i := rec.inst
+	d := i.d
+	if nx := rec.next; nx != nil {
+		d.sim.AtArgSeq(nx.at, nx.seq, deliverFlood, nx)
+	} else if d.floodTail == rec {
+		d.floodTail = nil
+	}
 	for _, k := range rec.hops {
 		a := &i.adj[k]
-		if ni := i.d.instances[a.neighbor]; ni != nil && i.d.nw.LinkDirUp(a.link, i.node) { // else lost on a dead wire
+		if ni := d.instances[a.neighbor]; ni != nil && d.nw.LinkDirUp(a.link, i.node) { // else lost on a dead wire
 			ni.receive(at, rec.lsa, i.node)
 		}
 	}
-	rec.inst, rec.lsa, rec.hops = nil, nil, rec.hops[:0]
-	i.d.freeFloods = append(i.d.freeFloods, rec)
+	rec.inst, rec.lsa, rec.hops, rec.next = nil, nil, rec.hops[:0], nil
+	d.freeFloods = append(d.freeFloods, rec)
 }
 
 // receive processes a flooded LSA.

@@ -39,20 +39,31 @@ func (i *Instance) computeRoutes(list *routeList) []fib.Route {
 	return i.emitRoutes(list)
 }
 
-// adjOK reports whether e's far end advertises the same link back to from
-// — the OSPF two-way check. Edge presence is symmetric in the endpoint
-// LSAs, which is what lets the incremental path treat directed-edge changes
-// as whole-link changes.
-func (i *Instance) adjOK(from topo.NodeID, e topo.Edge) bool {
+// adjOK reports whether edge k of lsa, the LSA of origin from, passes the
+// OSPF two-way check: whether the edge's far end advertises the same link
+// back to from. Edge presence is symmetric in the endpoint LSAs, which is
+// what lets the incremental path treat directed-edge changes as whole-link
+// changes.
+//
+// The answer is a function of lsa and the far end's LSA alone, and neither
+// changes once originated, so a pass is memoized in lsa.peer[k] under the
+// far end's LSA pointer: every instance holding the same pair reuses the
+// first one's scan. A failure is not memoized and scans every time.
+func (i *Instance) adjOK(lsa *LSA, k int, from topo.NodeID) bool {
+	e := lsa.row[k]
 	peer := i.lsdb[e.To]
 	if peer == nil {
 		return false
+	}
+	if lsa.peer[k] == peer {
+		return true
 	}
 	for _, b := range peer.edges(&i.d.sw) { // sorted by (To, Link)
 		if b.To > from {
 			break
 		}
 		if b.To == from && b.Link == e.Link {
+			lsa.peer[k] = peer
 			return true
 		}
 	}
@@ -70,15 +81,15 @@ func (i *Instance) checkedRow(o topo.NodeID, buf *[]topo.Edge) []topo.Edge {
 		return nil
 	}
 	edges := lsa.edges(&i.d.sw)
-	for k, e := range edges {
-		if i.adjOK(o, e) {
+	for k := range edges {
+		if i.adjOK(lsa, k, o) {
 			continue
 		}
 		lo := len(*buf)
 		*buf = append(*buf, edges[:k]...)
-		for _, e := range edges[k+1:] {
-			if i.adjOK(o, e) {
-				*buf = append(*buf, e)
+		for j := k + 1; j < len(edges); j++ {
+			if i.adjOK(lsa, j, o) {
+				*buf = append(*buf, edges[j])
 			}
 		}
 		return (*buf)[lo:]

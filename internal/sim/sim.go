@@ -140,7 +140,8 @@ func (s *Simulator) EventsRun() uint64 { return s.ran }
 // Pending returns the number of events still queued, in both heaps. An
 // event a model holds outside the queue under a reserved sequence number
 // (ReserveSeq) is not pending until AtArgSeq schedules it: the network's
-// arrivals queued behind a link direction's head are not counted.
+// arrivals queued behind a link direction's head and OSPF's flood records
+// queued behind the flood FIFO's head are not counted.
 func (s *Simulator) Pending() int { return len(s.near) + len(s.far) }
 
 // PeakPending returns the most events that were ever queued at once (the
