@@ -29,17 +29,19 @@ race:
 
 check: build fmt-check vet race bench-smoke
 
-# Smoke campaign: the k=4 testbed matrix on two workers into a resumable
-# store (campaign-smoke.jsonl + campaign-smoke.agg.jsonl).
+# Smoke campaign (`f2tree-lab campaign`): the k=4 testbed matrix on two
+# workers into a resumable store (campaign-smoke.jsonl +
+# campaign-smoke.agg.jsonl).
 campaign-smoke:
-	$(GO) run ./cmd/f2tree-campaign -preset smoke -j 2 -out campaign-smoke.jsonl
+	$(GO) run ./cmd/f2tree-lab campaign -preset smoke -j 2 -out campaign-smoke.jsonl
 
-# Fixed-seed chaos fuzz across all three control planes, checked by the
-# invariant oracles (internal/chaos). Any violation is shrunk to a minimal
-# replayable scenario under chaos-artifacts/ and fails the target.
+# Fixed-seed chaos fuzz (`f2tree-lab chaos`) across all three control
+# planes, checked by the invariant oracles (internal/chaos). Any violation is
+# shrunk to a minimal replayable scenario under chaos-artifacts/ and fails
+# the target.
 chaos-smoke:
 	mkdir -p chaos-artifacts
-	$(GO) run ./cmd/f2tree-chaos -n 10 -schemes f2tree -ports 8 \
+	$(GO) run ./cmd/f2tree-lab chaos -n 10 -schemes f2tree -ports 8 \
 		-controls ospf,bgp,centralized -seed 42 -j 4 -artifacts chaos-artifacts
 
 # Detector study smoke (`f2tree-lab detect`): F²Tree fast reroute vs BGP

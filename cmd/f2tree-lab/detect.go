@@ -30,7 +30,7 @@ import (
 //
 // It fails if any cell violates an oracle, or if -double finds a trace
 // divergence between the two sweeps.
-func runDetect(args []string, stdout, stderr io.Writer) error {
+func runDetect(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("f2tree-lab detect", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (

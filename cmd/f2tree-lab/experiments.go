@@ -162,8 +162,8 @@ func runExperiments(args []string, stdout, stderr io.Writer) error {
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: f2tree-lab [flags] <experiment>\n"+
-			"       f2tree-lab report|plan|sim|detect [flags]\n"+
-			"experiments: %s\nflags:\n", experimentIDs())
+			"       f2tree-lab %s [flags]\n"+
+			"experiments: %s\nflags:\n", verbNames(), experimentIDs())
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -203,7 +203,7 @@ func runExperiments(args []string, stdout, stderr io.Writer) error {
 
 // runReport regenerates the complete evaluation — every row of the
 // experiment table — as one markdown document (RESULTS.md is one run).
-func runReport(args []string, stdout, stderr io.Writer) error {
+func runReport(args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("f2tree-lab report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (

@@ -15,7 +15,7 @@ import (
 // summary and the backup-route configuration the scheme installs — the
 // operational artifact an operator would review before rewiring a
 // production pod (paper Table II).
-func runPlan(args []string, w, stderr io.Writer) error {
+func runPlan(args []string, _ io.Reader, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("f2tree-lab plan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (

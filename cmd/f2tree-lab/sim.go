@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/profile"
 	"repro/internal/scenario"
 )
 
@@ -50,7 +49,7 @@ func runSim(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	stopProfiles, err := profile.Start(*cpuprofile, *memprofile)
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		return err
 	}

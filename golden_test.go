@@ -138,7 +138,7 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 
-	// The `f2tree-campaign -preset smoke` matrix.
+	// The `f2tree-lab campaign -preset smoke` matrix.
 	smoke := campaign.Matrix{
 		Kind:       campaign.KindRecovery,
 		Schemes:    []exp.Scheme{exp.SchemeFatTree, exp.SchemeF2Proto},
