@@ -125,6 +125,7 @@ func TestProtocolStatePinned(t *testing.T) {
 		{"f2tree", topo.F2Tree, 6, "b860077d9ee8"},
 		{"f2tree", topo.F2Tree, 8, "4b9d3018ae98"},
 		{"f2tree", topo.F2Tree, 12, "87b6fc72e4d2"},
+		{"f2tree", topo.F2Tree, 16, "92b14be95d58"},
 		{"f2tree-wide4", wide, 10, "3750b766213b"},
 		{"f2tree-wide4", wide, 12, "252b596048cb"},
 		{"prototype", topo.RewireFatTreePrototype, 4, "d5c40ac28a74"},
