@@ -25,8 +25,15 @@ func TestCampaignRejectsBadInput(t *testing.T) {
 		{"-kind", "detect", "-detectors", "oracle"},
 		{"-kind", "detect", "-conditions", "C99"},
 	} {
-		if err := run(append([]string{"campaign"}, args...), nil, &out, &errw); err == nil {
+		err := run(append([]string{"campaign"}, args...), nil, &out, &errw)
+		if err == nil {
 			t.Errorf("run(%v) accepted", args)
+			continue
+		}
+		// Were the verb not dispatched, the experiment runner would refuse
+		// "campaign" as an unknown experiment: name the verb's own check.
+		if args[0] == "extra-arg" && !strings.Contains(err.Error(), "unexpected arguments") {
+			t.Errorf("run(%v): error %q does not come from the campaign verb's argument check", args, err)
 		}
 	}
 }

@@ -95,10 +95,17 @@ func TestDemoMode(t *testing.T) {
 	}
 }
 
+// TestRejectsUnknownArgs: the chaos verb itself refuses a positional
+// argument. Checking the message matters: were the verb not dispatched,
+// the experiment runner would refuse "chaos" as an unknown experiment.
 func TestRejectsUnknownArgs(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{"chaos", "positional"}, nil, &out, &errb); err == nil {
+	err := run([]string{"chaos", "positional"}, nil, &out, &errb)
+	if err == nil {
 		t.Fatal("positional argument accepted")
+	}
+	if !strings.Contains(err.Error(), "unexpected arguments") {
+		t.Errorf("error %q does not come from the chaos verb's argument check", err)
 	}
 }
 

@@ -627,7 +627,9 @@ func (i *Instance) receive(now sim.Time, from int, routes []advert, eor bool) {
 		}
 		if slot := i.learned(a.prefix, s); path != nil || *slot != nil {
 			*slot = path
-			affected = append(affected, a.prefix)
+			if !i.keepsBest(a.prefix, from, path) {
+				affected = append(affected, a.prefix)
+			}
 		}
 	}
 	i.d.ords = affected
@@ -638,11 +640,26 @@ func (i *Instance) receive(now sim.Time, from int, routes []advert, eor bool) {
 	}
 }
 
+// keepsBest reports, while bootstrapping, that session k now holding path
+// (nil: nothing) for p cannot move p's best path: p has a route, k is not
+// one of its hops, and path is absent or longer. selectBest would return
+// the same length, hop set and representative, so reselect would change
+// nothing. Live, GR's stale and depreferenced tiers make selection depend
+// on more than the slot, and the answer is always false.
+func (i *Instance) keepsBest(p int32, k int, path *asPath) bool {
+	b := &i.locRib[p]
+	return i.d.bootstrapping && b.hops != 0 && b.hops&(1<<k) == 0 && (path == nil || path.n > b.pathLen)
+}
+
 // reselect recomputes best paths for the prefixes (a repeated prefix counts
 // once, where it first appears) and floods changes. A best path whose
 // length and hop set are unchanged keeps its representative path, and so
 // the path it offers, even if the session that supplied it now holds
-// another: the comparison is blind to the representative path.
+// another: the comparison is blind to the representative path. While
+// bootstrapping, a change that keeps the length and the representative
+// path (the same *asPath) alters only the hop set: the speaker keeps the
+// path it offers, a neighbour would receive one with the same content, and
+// nothing is announced. Only the FIB sees it.
 func (i *Instance) reselect(now sim.Time, prefixes []int32) {
 	d := i.d
 	d.gen++
@@ -662,6 +679,12 @@ func (i *Instance) reselect(now sim.Time, prefixes []int32) {
 			continue
 		}
 		changed = true
+		// Equal lengths are nonzero here (two missing routes compare equal
+		// above), so old has an offer.
+		if d.bootstrapping && old.pathLen == nb.pathLen && old.offer.next == repr {
+			old.hops = hops
+			continue
+		}
 		if repr != nil {
 			nb.offer = &asPath{node: i.node, n: repr.n + 1, next: repr}
 		}
