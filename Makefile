@@ -86,7 +86,8 @@ bench-ospf:
 
 # BGP microbenchmarks: bootstrap, one link failed and restored, and a ToR
 # speaker crash and restart without GR, each to quiescence on F²Tree
-# N=8/12/16 (N=16 withdraw-storm takes seconds per op).
+# N=8/12/16, bootstrap also at N=20/22 (N=16 withdraw-storm takes seconds
+# per op).
 bench-bgp:
 	$(GO) test -run '^$$' -bench BenchmarkBGP -benchmem ./internal/bgp
 

@@ -3,104 +3,19 @@ package bgp
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/fib"
-	"repro/internal/netaddr"
 	"repro/internal/network"
+	"repro/internal/refroute"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
-// referenceRoutes is the oracle of TestRoutesMatchReferenceBFS: what every
-// switch's BGP routes should be on tp with the given links failed, derived
-// with none of the protocol's machinery — a map-based BFS per switch over
-// the topology itself, no sessions, no RIBs, no AS paths. A link leaving
-// switch s toward n is a first hop to origin o when n is one step closer
-// to o than s is; a prefix takes the hops of its nearest origins (all of
-// them on a tie). A switch that originates a prefix installs no BGP route
-// for it.
-func referenceRoutes(tp *topo.Topology, failed map[topo.LinkID]bool) map[topo.NodeID]map[netaddr.Prefix][]fib.NextHop {
-	isSwitch := func(n topo.NodeID) bool { return tp.Node(n).Kind != topo.Host }
-	var switches []topo.NodeID
-	for _, n := range tp.LiveNodes() {
-		if isSwitch(n) {
-			switches = append(switches, n)
-		}
-	}
-	usable := func(n topo.NodeID) []*topo.Link {
-		var out []*topo.Link
-		for _, l := range tp.LinksOf(n) {
-			if other, _ := l.Other(n); isSwitch(other) && !failed[l.ID] {
-				out = append(out, l)
-			}
-		}
-		return out
-	}
-	dist := map[topo.NodeID]map[topo.NodeID]int{} // dist[a][b], absent = unreachable
-	for _, src := range switches {
-		d := map[topo.NodeID]int{src: 0}
-		for queue := []topo.NodeID{src}; len(queue) > 0; queue = queue[1:] {
-			for _, l := range usable(queue[0]) {
-				other, _ := l.Other(queue[0])
-				if _, seen := d[other]; !seen {
-					d[other] = d[queue[0]] + 1
-					queue = append(queue, other)
-				}
-			}
-		}
-		dist[src] = d
-	}
-	origins := map[netaddr.Prefix][]topo.NodeID{}
-	for _, n := range switches {
-		if nd := tp.Node(n); nd.Kind == topo.ToR && !nd.Subnet.IsZero() {
-			origins[nd.Subnet] = append(origins[nd.Subnet], n)
-		}
-	}
-	out := map[topo.NodeID]map[netaddr.Prefix][]fib.NextHop{}
-	for _, s := range switches {
-		out[s] = map[netaddr.Prefix][]fib.NextHop{}
-		for p, os := range origins {
-			best := -1
-			for _, o := range os {
-				if o == s {
-					best = -1
-					break
-				}
-				if d, ok := dist[s][o]; ok && (best < 0 || d < best) {
-					best = d
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			hops := map[fib.NextHop]bool{}
-			for _, o := range os {
-				if d, ok := dist[s][o]; !ok || d != best {
-					continue
-				}
-				for _, l := range usable(s) {
-					n, _ := l.Other(s)
-					if dn, ok := dist[n][o]; ok && dn+1 == best {
-						port, _ := l.PortOf(s)
-						hops[fib.NextHop{Port: port, Via: tp.Node(n).Addr}] = true
-					}
-				}
-			}
-			for h := range hops {
-				out[s][p] = append(out[s][p], h)
-			}
-			sort.Slice(out[s][p], func(a, b int) bool { return fib.HopLess(out[s][p][a], out[s][p][b]) })
-		}
-	}
-	return out
-}
-
 // TestRoutesMatchReferenceBFS drives a seeded sequence of link failures
 // and restores and, at every quiescent point, compares each switch's
-// installed BGP routes with referenceRoutes — an oracle that shares no
+// installed BGP routes with refroute.Routes — an oracle that shares no
 // representation with the protocol, so it holds across any re-layout of
 // the RIBs. Partitions are included: a session that comes back
 // re-advertises the full table, so nothing stale survives a heal.
@@ -141,15 +56,12 @@ func TestRoutesMatchReferenceBFS(t *testing.T) {
 					if err := s.RunUntilIdle(); err != nil {
 						t.Fatal(err)
 					}
-					for n, wantRoutes := range referenceRoutes(tp, failed) {
-						got := map[netaddr.Prefix][]fib.NextHop{}
-						for _, r := range nw.Table(n).SourceRoutes(fib.BGP) {
-							got[r.Prefix] = r.NextHops
-						}
-						if g, w := renderRoutes(got), renderRoutes(wantRoutes); g != w {
-							t.Fatalf("%s: %s routes diverge from the reference\n--- installed ---\n%s--- reference ---\n%s",
-								when, tp.Node(n).Name, g, w)
-						}
+					want := refroute.Routes(tp, failed)
+					for n := range want {
+						delete(want[n], tp.Node(n).Subnet) // a speaker installs no BGP route for its own prefix
+					}
+					if err := refroute.Compare(nw, fib.BGP, want); err != nil {
+						t.Fatalf("%s: %v", when, err)
 					}
 				}
 				check("after bootstrap")
@@ -179,38 +91,6 @@ func TestRoutesMatchReferenceBFS(t *testing.T) {
 	}
 }
 
-// renderRoutes prints a prefix → next hops map in prefix order.
-func renderRoutes(m map[netaddr.Prefix][]fib.NextHop) string {
-	var lines []string
-	for p, hops := range m {
-		lines = append(lines, fmt.Sprintf("%v %v\n", p, hops))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "")
-}
-
-// wideTopology is a hand-built two-tier fabric whose spine has one session
-// per ToR.
-func wideTopology(t *testing.T, tors int) *topo.Topology {
-	t.Helper()
-	tp := topo.NewTopology("wide")
-	spine := tp.AddNode(topo.Node{Name: "spine", Kind: topo.Core, NumPorts: tors, Addr: netaddr.AddrFrom4(10, 0, 0, 1)})
-	for k := 0; k < tors; k++ {
-		subnet, err := netaddr.PrefixFrom(netaddr.AddrFrom4(10, 1, byte(k), 0), 24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tor := tp.AddNode(topo.Node{
-			Name: fmt.Sprintf("tor-%d", k), Kind: topo.ToR, NumPorts: 1,
-			Addr: netaddr.AddrFrom4(10, 1, byte(k), 1), Subnet: subnet,
-		})
-		if _, err := tp.AddLink(spine, tor, topo.SpineLink); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tp
-}
-
 // TestBootstrapRejectsSpeakerWiderThanHopMask pins the width rule of the
 // session-bitmask ECMP set: a switch with more sessions than a mask can
 // name is refused by name at Bootstrap instead of silently losing the
@@ -224,12 +104,12 @@ func TestBootstrapRejectsSpeakerWiderThanHopMask(t *testing.T) {
 		}
 		return nw, NewDomain(nw, Config{})
 	}
-	_, d := newDomain(wideTopology(t, hopMaskSessions+1))
+	_, d := newDomain(refroute.WideFabric(hopMaskSessions + 1))
 	if err := d.Bootstrap(); err == nil || !strings.Contains(err.Error(), "spine") {
 		t.Fatalf("Bootstrap with %d sessions on one switch: err = %v, want one naming \"spine\"", hopMaskSessions+1, err)
 	}
 
-	tp := wideTopology(t, hopMaskSessions)
+	tp := refroute.WideFabric(hopMaskSessions)
 	nw, d := newDomain(tp)
 	if err := d.Bootstrap(); err != nil {
 		t.Fatal(err)

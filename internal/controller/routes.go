@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/fib"
+	"repro/internal/topo"
 )
 
 // batch is one recomputation's routes, by Controller.switches: each
@@ -30,9 +31,11 @@ func (b *batch) install() error {
 }
 
 // computeAll searches from every switch over the believed-live switch graph
-// and emits its routes to every other ToR subnet: a route's hops are its
-// first-hop mask's ports upward (fib.HopLess order), cut from one array.
-// It fills the batch the last install handed back, if there is one.
+// and emits its routes, one per rack subnet: a route's hops are the union
+// of the first-hop masks toward the subnet's nearest origin ToRs other than
+// the switch itself (dual-ToR racks anycast their subnet from both ToRs),
+// ports upward (fib.HopLess order), cut from one array. It fills the batch
+// the last install handed back, if there is one.
 func (c *Controller) computeAll() *batch {
 	c.graph.Build(c.topo, c.view, false)
 	b := c.spare
@@ -44,20 +47,31 @@ func (c *Controller) computeAll() *batch {
 		c.search.Run(c.topo, c.graph.Rows, src, src)
 		total := 0
 		for _, tor := range c.tors {
-			total += bits.OnesCount64(c.search.Mask[tor]) // 0 for src itself
+			total += bits.OnesCount64(c.search.Mask[tor]) // 0 for src itself; bounds every union
 		}
 		if cap(b.hops[k]) < total {
 			b.hops[k] = make([]fib.NextHop, 0, total)
 		}
 		routes, hops := b.routes[k][:0], b.hops[k][:0]
-		for _, tor := range c.tors {
+		for i := 0; i < len(c.tors); { // c.tors groups a subnet's origins
+			subnet := c.topo.Node(c.tors[i]).Subnet
+			best, mask := topo.Unreachable, uint64(0)
+			for ; i < len(c.tors) && c.topo.Node(c.tors[i]).Subnet == subnet; i++ {
+				switch tor, d := c.tors[i], c.search.Dist[c.tors[i]]; {
+				case tor == src:
+				case d < best:
+					best, mask = d, c.search.Mask[tor]
+				case d == best:
+					mask |= c.search.Mask[tor]
+				}
+			}
 			lo := len(hops)
-			for m := c.search.Mask[tor]; m != 0; m &= m - 1 {
+			for m := mask; m != 0; m &= m - 1 {
 				via, _ := c.topo.LinkOnPort(src, bits.TrailingZeros64(m)).Other(src)
 				hops = append(hops, fib.NextHop{Port: bits.TrailingZeros64(m), Via: c.topo.Node(via).Addr})
 			}
 			if len(hops) > lo {
-				routes = append(routes, fib.Route{Prefix: c.topo.Node(tor).Subnet, Source: fib.OSPF, NextHops: hops[lo:len(hops):len(hops)]})
+				routes = append(routes, fib.Route{Prefix: subnet, Source: fib.OSPF, NextHops: hops[lo:len(hops):len(hops)]})
 			}
 		}
 		b.routes[k], b.hops[k] = routes, hops

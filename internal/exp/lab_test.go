@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fib"
+	"repro/internal/refroute"
 )
 
 func TestParseControl(t *testing.T) {
@@ -27,6 +30,37 @@ func TestParseControl(t *testing.T) {
 		got, err := ParseControl(c.name)
 		if (err == nil) != c.ok || got != c.want {
 			t.Errorf("ParseControl(%q) = %v, %v; want %v, ok=%v", c.name, got, err, c.want, c.ok)
+		}
+	}
+}
+
+// TestPlanesMatchReference: right after NewLab, every switch's protocol
+// routes equal refroute.Routes with no links failed, under each control
+// plane, on single- and dual-ToR F²Tree — the §V comparison's premise that
+// OSPF, BGP and the controller converge to the same shortest-path ECMP
+// routes, checked on the labs every driver builds. A BGP speaker installs
+// no route for a prefix it originates, so those leave the reference first.
+func TestPlanesMatchReference(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeF2Tree, SchemeF2TreeDual} {
+		for _, n := range []int{6, 8} {
+			for _, control := range []string{ControlOSPF, ControlBGP, ControlCentralized} {
+				t.Run(fmt.Sprintf("%s/%d/%s", scheme, n, control), func(t *testing.T) {
+					lab, err := NewLab(LabSpec{Scheme: scheme, Ports: n, Control: control})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, src := refroute.Routes(lab.Topo, nil), fib.OSPF
+					if control == ControlBGP {
+						src = fib.BGP
+						for sw := range want {
+							delete(want[sw], lab.Topo.Node(sw).Subnet)
+						}
+					}
+					if err := refroute.Compare(lab.Net, src, want); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
 		}
 	}
 }

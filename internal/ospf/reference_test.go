@@ -3,125 +3,20 @@ package ospf
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fib"
-	"repro/internal/netaddr"
 	"repro/internal/network"
+	"repro/internal/refroute"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
-// referenceRoutes is the oracle of TestRoutesMatchReferenceBFS: what every
-// switch's OSPF routes must be on tp with the given links failed, derived
-// with none of the kernel's machinery — a map-based BFS per switch over the
-// topology itself, no LSAs, no adjacency rows, no hop masks. A link leaving
-// switch s toward n is a first hop to origin o when n is one step closer
-// to o than s is; a prefix takes the hops of its nearest origins (all of
-// them on a tie), never counting s's own advertisement.
-func referenceRoutes(tp *topo.Topology, failed map[topo.LinkID]bool) map[topo.NodeID]map[netaddr.Prefix][]fib.NextHop {
-	isSwitch := func(n topo.NodeID) bool { return tp.Node(n).Kind != topo.Host }
-	var switches []topo.NodeID
-	for _, n := range tp.LiveNodes() {
-		if isSwitch(n) {
-			switches = append(switches, n)
-		}
-	}
-	usable := func(n topo.NodeID) []*topo.Link {
-		var out []*topo.Link
-		for _, l := range tp.LinksOf(n) {
-			if other, _ := l.Other(n); isSwitch(other) && !failed[l.ID] {
-				out = append(out, l)
-			}
-		}
-		return out
-	}
-	dist := map[topo.NodeID]map[topo.NodeID]int{} // dist[a][b], absent = unreachable
-	for _, src := range switches {
-		d := map[topo.NodeID]int{src: 0}
-		for queue := []topo.NodeID{src}; len(queue) > 0; queue = queue[1:] {
-			for _, l := range usable(queue[0]) {
-				other, _ := l.Other(queue[0])
-				if _, seen := d[other]; !seen {
-					d[other] = d[queue[0]] + 1
-					queue = append(queue, other)
-				}
-			}
-		}
-		dist[src] = d
-	}
-	origins := map[netaddr.Prefix][]topo.NodeID{}
-	for _, n := range switches {
-		if nd := tp.Node(n); nd.Kind == topo.ToR && !nd.Subnet.IsZero() {
-			origins[nd.Subnet] = append(origins[nd.Subnet], n)
-		}
-	}
-	out := map[topo.NodeID]map[netaddr.Prefix][]fib.NextHop{}
-	for _, s := range switches {
-		out[s] = map[netaddr.Prefix][]fib.NextHop{}
-		for p, os := range origins {
-			best := -1
-			for _, o := range os {
-				if d, ok := dist[s][o]; ok && o != s && (best < 0 || d < best) {
-					best = d
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			hops := map[fib.NextHop]bool{}
-			for _, o := range os {
-				if d, ok := dist[s][o]; !ok || o == s || d != best {
-					continue
-				}
-				for _, l := range usable(s) {
-					n, _ := l.Other(s)
-					if dn, ok := dist[n][o]; ok && dn+1 == best {
-						port, _ := l.PortOf(s)
-						hops[fib.NextHop{Port: port, Via: tp.Node(n).Addr}] = true
-					}
-				}
-			}
-			for h := range hops {
-				out[s][p] = append(out[s][p], h)
-			}
-			sort.Slice(out[s][p], func(a, b int) bool { return fib.HopLess(out[s][p][a], out[s][p][b]) })
-		}
-	}
-	return out
-}
-
-// switchGraphConnected reports whether the switches of tp form one
-// component once the failed links are gone.
-func switchGraphConnected(tp *topo.Topology, failed map[topo.LinkID]bool) bool {
-	var start topo.NodeID = topo.None
-	total := 0
-	for _, n := range tp.LiveNodes() {
-		if tp.Node(n).Kind != topo.Host {
-			start = n
-			total++
-		}
-	}
-	seen := map[topo.NodeID]bool{start: true}
-	for queue := []topo.NodeID{start}; len(queue) > 0; queue = queue[1:] {
-		for _, l := range tp.LinksOf(queue[0]) {
-			other, _ := l.Other(queue[0])
-			if tp.Node(other).Kind == topo.Host || failed[l.ID] || seen[other] {
-				continue
-			}
-			seen[other] = true
-			queue = append(queue, other)
-		}
-	}
-	return len(seen) == total
-}
-
 // TestRoutesMatchReferenceBFS drives a seeded sequence of link failures
 // and restores through a self-checking domain and, at every quiescent
-// point, compares each switch's installed OSPF routes with referenceRoutes.
+// point, compares each switch's installed OSPF routes with refroute.Routes.
 // Up to six links are down at once, so the sequence covers single-link
 // repairs in both directions, multi-link fallbacks, switches cut off from
 // the fabric and rejoining it, parallel across links (F²Tree) and anycast
@@ -194,7 +89,7 @@ func TestRoutesMatchReferenceBFS(t *testing.T) {
 				}
 				s.After(0, func(sim.Time) { nw.SetLinkState(link, up) })
 				when := fmt.Sprintf("event %d (link %d up=%v, %d down)", ev, link, up, len(failed))
-				connected := switchGraphConnected(tp, failed)
+				connected := refroute.Connected(tp, failed)
 				if wasConnected && connected {
 					check(when)
 				} else if err := s.RunUntilIdle(); err != nil {
@@ -213,25 +108,12 @@ func TestRoutesMatchReferenceBFS(t *testing.T) {
 }
 
 // checkReference fails the test unless every switch's installed OSPF
-// routes equal referenceRoutes with the failed links down.
+// routes equal the reference's with the failed links down.
 func checkReference(t *testing.T, when string, nw *network.Network, failed map[topo.LinkID]bool) {
 	t.Helper()
-	tp := nw.Topology()
-	for n, wantRoutes := range referenceRoutes(tp, failed) {
-		if g, w := renderRoutes(installedRoutes(nw, n)), renderRoutes(wantRoutes); g != w {
-			t.Fatalf("%s: %s routes diverge from the reference\n--- installed ---\n%s--- reference ---\n%s",
-				when, tp.Node(n).Name, g, w)
-		}
+	if err := refroute.Compare(nw, fib.OSPF, refroute.Routes(nw.Topology(), failed)); err != nil {
+		t.Fatalf("%s: %v", when, err)
 	}
-}
-
-// installedRoutes returns a switch's installed OSPF routes by prefix.
-func installedRoutes(nw *network.Network, n topo.NodeID) map[netaddr.Prefix][]fib.NextHop {
-	got := map[netaddr.Prefix][]fib.NextHop{}
-	for _, r := range nw.Table(n).SourceRoutes(fib.OSPF) {
-		got[r.Prefix] = r.NextHops
-	}
-	return got
 }
 
 // TestSPFAheadOfPendingInstall runs SPF 1 ms after its trigger and installs
@@ -277,10 +159,10 @@ func TestSPFAheadOfPendingInstall(t *testing.T) {
 		for _, l := range fabric {
 			down[l] = advertised[l] < 2
 		}
-		want := renderRoutes(referenceRoutes(tp, down)[node])
+		want := refroute.Render(refroute.Routes(tp, down)[node])
 		// Scheduled after the run's install event, for the same instant.
 		s.After(cfg.FIBUpdateDelay, func(at sim.Time) {
-			if got := renderRoutes(installedRoutes(nw, node)); got != want {
+			if got := refroute.Render(refroute.Installed(nw, node, fib.OSPF)); got != want {
 				t.Fatalf("%v: %s installed a list its SPF at %v did not compute\n--- installed ---\n%s--- computed ---\n%s",
 					at, tp.Node(node).Name, now, got, want)
 			}
@@ -293,7 +175,7 @@ func TestSPFAheadOfPendingInstall(t *testing.T) {
 			link := fabric[rng.Intn(len(fabric))]
 			up := failed[link]
 			if !up {
-				if failed[link] = true; len(failed) > maxDown || !switchGraphConnected(tp, failed) {
+				if failed[link] = true; len(failed) > maxDown || !refroute.Connected(tp, failed) {
 					delete(failed, link)
 					continue
 				}
@@ -312,50 +194,18 @@ func TestSPFAheadOfPendingInstall(t *testing.T) {
 	}
 }
 
-// renderRoutes prints a prefix → next hops map in prefix order.
-func renderRoutes(m map[netaddr.Prefix][]fib.NextHop) string {
-	var lines []string
-	for p, hops := range m {
-		lines = append(lines, fmt.Sprintf("%v %v\n", p, hops))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "")
-}
-
-// wideTopology is a hand-built two-tier fabric whose spine has `ports`
-// ports, one per ToR.
-func wideTopology(t *testing.T, ports int) *topo.Topology {
-	t.Helper()
-	tp := topo.NewTopology("wide")
-	spine := tp.AddNode(topo.Node{Name: "spine", Kind: topo.Core, NumPorts: ports, Addr: netaddr.AddrFrom4(10, 0, 0, 1)})
-	for k := 0; k < ports; k++ {
-		subnet, err := netaddr.PrefixFrom(netaddr.AddrFrom4(10, 1, byte(k), 0), 24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tor := tp.AddNode(topo.Node{
-			Name: fmt.Sprintf("tor-%d", k), Kind: topo.ToR, NumPorts: 1,
-			Addr: netaddr.AddrFrom4(10, 1, byte(k), 1), Subnet: subnet,
-		})
-		if _, err := tp.AddLink(spine, tor, topo.SpineLink); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tp
-}
-
 // TestBootstrapRejectsSwitchWiderThanHopSet pins the width rule of the
 // port-bitmask hop set: a switch whose ports a set cannot name is refused
 // by name at Bootstrap instead of silently losing the routes over its high
 // ports, and the widest switch a set can name routes over its last port.
 func TestBootstrapRejectsSwitchWiderThanHopSet(t *testing.T) {
-	tp := wideTopology(t, hopSetPorts+1)
+	tp := refroute.WideFabric(hopSetPorts + 1)
 	err := NewDomain(mustNetwork(t, sim.New(1), tp), Config{}).Bootstrap()
 	if err == nil || !strings.Contains(err.Error(), "spine") {
 		t.Fatalf("Bootstrap with a %d-port switch: err = %v, want one naming \"spine\"", hopSetPorts+1, err)
 	}
 
-	tp = wideTopology(t, hopSetPorts)
+	tp = refroute.WideFabric(hopSetPorts)
 	nw := mustNetwork(t, sim.New(1), tp)
 	if err := NewDomain(nw, Config{}).Bootstrap(); err != nil {
 		t.Fatal(err)
