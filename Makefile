@@ -76,9 +76,9 @@ smoke: campaign-smoke chaos-smoke detect-smoke serve-smoke
 bench:
 	$(GO) test -bench=. -benchmem
 
-# OSPF microbenchmarks. BenchmarkSPF: one domain-wide pass per op on F²Tree
-# N=8/12/16, by the path that serves it (full BFS, single-link repairs,
-# fallback). BenchmarkFlood: one link, or every link of a pod, failed and
+# OSPF microbenchmarks. BenchmarkSPF: one domain-wide SPF pass per op on
+# F²Tree N=8/12/16, over a converged LSDB, one link down, and one link
+# withdrawn by one end only. BenchmarkFlood: one link, or every link of a pod, failed and
 # restored through the simulator, each to quiescence, at N=8/16.
 # BenchmarkDomain: NewDomain + Bootstrap on a fresh network at N=8/12/16.
 bench-ospf:

@@ -349,9 +349,6 @@ func (d *Domain) Instance(node topo.NodeID) *Instance {
 	return d.instances[node]
 }
 
-// Config returns the effective configuration.
-func (d *Domain) Config() Config { return d.cfg }
-
 // UpdatesReceived returns how many UPDATE messages the instance processed
 // after bootstrap (convergence-traffic diagnostic).
 func (i *Instance) UpdatesReceived() int { return i.updatesRx }

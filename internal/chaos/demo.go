@@ -52,7 +52,7 @@ func knownBadCandidate(ports int, seed int64) (*Scenario, error) {
 		EqualPrefixBackup: true,
 		Flows:             []exp.Flow{{Src: "leftmost", Dst: "rightmost"}},
 	}
-	r, err := setup(sc, RunOpts{})
+	r, err := setup(sc)
 	if err != nil {
 		return nil, err
 	}

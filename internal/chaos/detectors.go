@@ -177,7 +177,7 @@ func conditionFaults(sc *Scenario, cell DetectorCell) ([]Fault, error) {
 func tempRun(sc *Scenario) (*run, error) {
 	tmp := *sc
 	tmp.Faults = nil
-	return setup(&tmp, RunOpts{})
+	return setup(&tmp)
 }
 
 // pathConditionLinks computes the Table IV condition's link set relative

@@ -151,19 +151,11 @@ type hashStream struct {
 	sum hash.Hash
 }
 
-// RunOpts adjusts how a scenario executes without altering the scenario
-// itself — the trace hash is still seeded from the scenario JSON alone, so
-// two runs of one scenario under different opts are directly comparable.
+// RunOpts observes how a scenario executes without altering it: the trace
+// hash is seeded from the scenario JSON alone.
 type RunOpts struct {
-	// OSPF overrides the control-plane timer config; zero fields keep the
-	// paper's defaults. FullSPF selects the full-recompute ablation the
-	// incremental control plane is proven equivalent to.
-	OSPF ospf.Config
-	// SelfCheckSPF makes every incremental SPF run and delta FIB install
-	// verify itself against a full recomputation (panics on divergence).
-	SelfCheckSPF bool
 	// OnFinish, if set, observes the quiesced lab before the verdict is
-	// computed — the equivalence suite digests final forwarding state here.
+	// computed: tests and the benchmark read its counters here.
 	OnFinish func(lab *core.Lab)
 }
 
@@ -173,12 +165,12 @@ func RunScenario(sc *Scenario) (*Verdict, error) {
 	return RunScenarioOpts(sc, RunOpts{})
 }
 
-// RunScenarioOpts is RunScenario with execution overrides.
+// RunScenarioOpts is RunScenario with an observer.
 func RunScenarioOpts(sc *Scenario, opts RunOpts) (*Verdict, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	r, err := setup(sc, opts)
+	r, err := setup(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -203,19 +195,16 @@ func RunScenarioOpts(sc *Scenario, opts RunOpts) (*Verdict, error) {
 
 // setup builds the lab, resolves flows and faults, installs the fault
 // filters and wires the observers.
-func setup(sc *Scenario, opts RunOpts) (*run, error) {
+func setup(sc *Scenario) (*run, error) {
 	lab, err := exp.NewLab(exp.LabSpec{
 		Scheme: exp.Scheme(sc.Scheme), Ports: sc.Ports, Control: sc.Control,
-		Seed: sc.Seed, Detector: sc.Detector, GR: sc.GR, OSPF: opts.OSPF,
+		Seed: sc.Seed, Detector: sc.Detector, GR: sc.GR,
 		DisableFastReroute: sc.DisableFastReroute || sc.EqualPrefixBackup,
 	})
 	if err != nil {
 		return nil, err
 	}
 	tp := lab.Topo
-	if opts.SelfCheckSPF && lab.Domain != nil {
-		lab.Domain.EnableSelfCheck()
-	}
 	if sc.EqualPrefixBackup && len(tp.Rings) > 0 {
 		plan, err := core.PlanEqualPrefixBackupRoutes(tp)
 		if err != nil {

@@ -80,6 +80,6 @@ func (t *Table) ReplaceSource(src Source, routes []Route) error {
 }
 
 // SourceRoutes returns every installed route of one source in Routes()
-// order (bits desc, addr). The control plane's self-check compares this
-// against its freshly computed route list.
+// order (bits desc, addr): what refroute.Installed holds a control plane's
+// routes to the reference with.
 func (t *Table) SourceRoutes(src Source) []Route { return t.routes(src, src) }

@@ -162,9 +162,7 @@ func TestFloodOrderPinned(t *testing.T) {
 // closure per hop this read 312.
 //
 // SPFDelay is an hour so that no SPF runs (and allocates its routes) inside
-// the measurement; every instance's timer is armed during warm-up. With no
-// SPF run to empty them the dirty lists grow by one entry per wave, so the
-// warm-up also takes their capacity past what the measured waves append.
+// the measurement; every instance's timer is armed during warm-up.
 func TestFloodAllocBudget(t *testing.T) {
 	const budget = 5 // LSA, Adjacencies grown 1→2→4 for four uplinks, Prefixes
 	tp, err := topo.F2Tree(8)

@@ -45,11 +45,9 @@ type Config struct {
 	// DisableThrottle removes the hold backoff (ablation: every trigger
 	// waits only SPFDelay).
 	DisableThrottle bool
-	// FullSPF forces a full shortest-path recomputation and a full FIB
-	// ReplaceSource on every run — the pre-incremental behaviour, kept as
-	// the ablation baseline the incremental path is proven equivalent to.
-	// The default repairs the cached DAG on single-link changes and
-	// installs only the changed prefixes (ispf.go).
+	// FullSPF is inert: every SPF run is a full search. It is kept only
+	// because bench/kernels.go still sets it; ROADMAP item 1, which
+	// re-records the benchmark, deletes it.
 	FullSPF bool
 }
 
@@ -93,8 +91,7 @@ type Adjacency struct {
 // LSA is a router link-state advertisement. It is immutable once
 // originated: every LSDB it reaches holds the same pointer. Adjacencies are
 // sorted by (Neighbor, Link) at origination, so adjacency rows built from
-// them come out sorted and two rows can be diffed by a merge walk (spf.go,
-// ispf.go).
+// them come out sorted and the two-way check can stop early (adjOK).
 type LSA struct {
 	Origin      topo.NodeID
 	Seq         uint64
@@ -146,10 +143,6 @@ type Domain struct {
 	// floodTail is the last record of the flood FIFO (nil when empty):
 	// only its head is a simulator event (queueFlood, deliverFlood).
 	floodTail *floodRec
-	// selfCheck compares every incremental SPF result and every delta FIB
-	// install against a from-scratch recomputation, panicking on any
-	// divergence. Tests and the chaos equivalence suite enable it.
-	selfCheck bool
 }
 
 // floodRec is the pooled record of the hops of one flood call that share a
@@ -209,8 +202,6 @@ type Instance struct {
 	holdUntil sim.Time
 	curHold   time.Duration
 
-	// Incremental SPF memory (ispf.go).
-	spf spfState
 	// out is the route list SPF runs emit into, reused run to run.
 	// installs holds the lists computed but not yet installed, oldest
 	// first; while it is non-empty a run emits into a fresh list instead,
@@ -258,7 +249,6 @@ func NewDomain(nw *network.Network, cfg Config) *Domain {
 			lsdb:    make([]*LSA, n),
 			curHold: d.cfg.SPFHoldInitial,
 		}
-		inst.spf.init(n)
 		for _, l := range links {
 			other, _ := l.Other(id)
 			if d.topo.Node(other).Kind == topo.Host {
@@ -301,8 +291,6 @@ func (d *Domain) SetNodeDown(now sim.Time, node topo.NodeID, down bool) {
 		return
 	}
 	clear(inst.lsdb)
-	inst.spf.valid = false
-	inst.spf.dirty = inst.spf.dirty[:0]
 	inst.pending = false
 	inst.curHold = d.cfg.SPFHoldInitial
 	inst.holdUntil = 0
@@ -341,20 +329,16 @@ func (d *Domain) Instance(node topo.NodeID) *Instance {
 	return d.instances[node]
 }
 
-// EnableSelfCheck makes every incremental SPF run and delta FIB install
-// verify itself against a full recomputation, panicking on divergence.
-// It is the equivalence gate the chaos corpus and fuzz suites run under.
-func (d *Domain) EnableSelfCheck() { d.selfCheck = true }
-
-// SPFTotals sums the per-instance SPF breakdown across the domain.
+// SPFTotals sums the SPF runs of every instance, bootstrap included. Every
+// run is a full search, so incremental and unchanged are always 0; the
+// three counts are kept for bench/, which reports each.
 func (d *Domain) SPFTotals() (full, incremental, unchanged int) {
 	for _, inst := range d.instances {
 		if inst != nil {
-			f, inc, same := inst.SPFBreakdown()
-			full, incremental, unchanged = full+f, incremental+inc, unchanged+same
+			full += inst.spfRuns
 		}
 	}
-	return full, incremental, unchanged
+	return full, 0, 0
 }
 
 // InstallTotals sums the per-instance FIB install breakdown.
@@ -366,9 +350,6 @@ func (d *Domain) InstallTotals() (full, delta int) {
 	}
 	return full, delta
 }
-
-// Config returns the effective configuration.
-func (d *Domain) Config() Config { return d.cfg }
 
 // Bootstrap fills every LSDB and installs converged routes synchronously at
 // the current simulation time, modeling a network that finished its initial
@@ -398,21 +379,16 @@ func (d *Domain) Bootstrap() error {
 			inst.lsdb[src.ord] = src.lsdb[src.ord]
 		}
 	}
-	// Every LSDB now holds the same LSAs, so the two-way-checked adjacency
-	// rows are checked once and taken over by the rest (as the LSAs' own
-	// rows wherever every adjacency passed, which is everywhere unless a
-	// link is believed up at one end only). Installs are synchronous and
-	// ReplaceSource copies what it keeps, so one route list serves all.
+	// Every LSDB now holds the same LSAs, so one set of two-way-checked
+	// adjacency rows serves every instance's search. Installs are
+	// synchronous and ReplaceSource copies what it keeps, so one route
+	// list serves all.
 	var list routeList
-	for k, inst := range insts {
-		if k == 0 {
-			inst.buildGraph()
-		} else {
-			for o, row := range insts[0].spf.graph {
-				inst.setRow(topo.NodeID(o), row)
-			}
-		}
-		inst.searchFull()
+	if len(insts) > 0 {
+		insts[0].buildGraph()
+	}
+	for _, inst := range insts {
+		inst.search()
 		routes := inst.emitRoutes(&list)
 		if err := d.nw.Table(inst.node).ReplaceSource(fib.OSPF, routes); err != nil {
 			return fmt.Errorf("bootstrap %s: %w", d.topo.Node(inst.node).Name, err)
@@ -457,7 +433,6 @@ func (i *Instance) originateLocked() *LSA {
 		lsa.Prefixes = append(lsa.Prefixes, nd.Subnet)
 	}
 	i.lsdb[i.ord] = lsa
-	i.markDirty(i.ord)
 	return lsa
 }
 
@@ -560,7 +535,6 @@ func (i *Instance) receive(now sim.Time, lsa *LSA, from topo.NodeID) {
 		return // stale or duplicate
 	}
 	i.lsdb[o] = lsa
-	i.markDirty(o)
 	i.flood(now, lsa, from)
 	i.scheduleSPF(now)
 }
@@ -636,6 +610,22 @@ func installPending(at sim.Time, arg any) {
 		return
 	}
 	i.install(routes)
+}
+
+// install lands a computed route set in the forwarding table. It is always
+// a ReplaceSource: the table diffs the list against what it holds and
+// touches only the changed prefixes, so no copy of the last list is kept
+// here. The counters tell two situations apart: full counts an install
+// into a table of unknown contents (the first after a crash or restart,
+// or without a Bootstrap before it), delta the rest.
+func (i *Instance) install(routes []fib.Route) {
+	_ = i.d.nw.Table(i.node).ReplaceSource(fib.OSPF, routes) // emitRoutes lists 1..64 hops per route: nothing to reject
+	if i.installedValid {
+		i.deltaInstalls++
+	} else {
+		i.fullInstalls++
+	}
+	i.installedValid = true
 }
 
 // SPFRuns returns how many SPF computations this instance performed.

@@ -15,12 +15,12 @@ import (
 )
 
 // TestRoutesMatchReferenceBFS drives a seeded sequence of link failures
-// and restores through a self-checking domain and, at every quiescent
-// point, compares each switch's installed OSPF routes with refroute.Routes.
-// Up to six links are down at once, so the sequence covers single-link
-// repairs in both directions, multi-link fallbacks, switches cut off from
-// the fabric and rejoining it, parallel across links (F²Tree) and anycast
-// rack prefixes (dual-ToR: the tie-union branch of emitRoutes).
+// and restores through a domain and, at every quiescent point, compares
+// each switch's installed OSPF routes with refroute.Routes. Up to six links
+// are down at once, so the sequence covers single and multiple failures,
+// switches cut off from the fabric and rejoining it, parallel across links
+// (F²Tree) and anycast rack prefixes (dual-ToR: the tie-union branch of
+// emitRoutes).
 //
 // The model floods only on change, so after a partition heals the two
 // sides hold stale LSAs about each other's interior. The comparison
@@ -49,7 +49,6 @@ func TestRoutesMatchReferenceBFS(t *testing.T) {
 			s := sim.New(7)
 			nw := mustNetwork(t, s, tp)
 			dom := NewDomain(nw, Config{})
-			dom.EnableSelfCheck()
 			if err := dom.Bootstrap(); err != nil {
 				t.Fatal(err)
 			}
@@ -99,10 +98,6 @@ func TestRoutesMatchReferenceBFS(t *testing.T) {
 				s.After(0, func(now sim.Time) { dom.RefreshAll(now) })
 				check(when + ", refreshed")
 			}
-			full, inc, same := dom.SPFTotals()
-			if full == 0 || inc == 0 || same == 0 {
-				t.Fatalf("sequence missed an SPF path: full=%d incremental=%d unchanged=%d", full, inc, same)
-			}
 		})
 	}
 }
@@ -117,14 +112,14 @@ func checkReference(t *testing.T, when string, nw *network.Network, failed map[t
 }
 
 // TestSPFAheadOfPendingInstall runs SPF 1 ms after its trigger and installs
-// 10 ms after the run, with the throttle off, under seeded link churn on a
-// self-checking domain: each step fails or restores two links 3 ms apart,
-// so an instance's second SPF of a step runs while the first one's install
-// is still pending. Every install must land the list its own run computed:
-// right after it lands, the table equals the reference over the links the
-// instance's LSDB held two-way at the run, and at each quiescent point
-// every table equals the reference. The churn never cuts the switches
-// apart, so no LSDB goes stale.
+// 10 ms after the run, with the throttle off, under seeded link churn: each
+// step fails or restores two links 3 ms apart, so an instance's second SPF
+// of a step runs while the first one's install is still pending. Every
+// install must land the list its own run computed: right after it lands,
+// the table equals the reference over the links the instance's LSDB held
+// two-way at the run, and at each quiescent point every table equals the
+// reference. The churn never cuts the switches apart, so no LSDB goes
+// stale.
 func TestSPFAheadOfPendingInstall(t *testing.T) {
 	const steps, maxDown = 60, 6
 	tp, err := topo.F2Tree(6)
@@ -135,7 +130,6 @@ func TestSPFAheadOfPendingInstall(t *testing.T) {
 	nw := mustNetwork(t, s, tp)
 	cfg := Config{DisableThrottle: true, SPFDelay: time.Millisecond, FIBUpdateDelay: 10 * time.Millisecond}
 	dom := NewDomain(nw, cfg)
-	dom.EnableSelfCheck()
 	if err := dom.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,35 @@ import (
 	"repro/internal/topo"
 )
 
-const (
-	inf         = topo.Unreachable // distance of a node the last search did not reach
-	hopSetPorts = topo.MaskPorts   // ports a first-hop set can name; Domain.Bootstrap rejects wider switches
-)
+// hopSetPorts is how many ports a first-hop set can name; Domain.Bootstrap
+// rejects wider switches.
+const hopSetPorts = topo.MaskPorts
+
+// spfScratch is the working memory of an SPF run. The Domain owns it and
+// its instances share it: the simulation is single-threaded, a run reads
+// nothing an earlier run left behind, and nothing but the routes it emits
+// outlives it. Everything per origin is indexed by switch ordinal.
+type spfScratch struct {
+	// graph is the two-way-checked adjacency row of every origin, each
+	// sorted by (To, Link): the LSA's own row, shared by every instance,
+	// unless the check filtered it; then it is cut from rows.
+	graph [][]topo.Edge
+	rows  []topo.Edge // filtered rows checkedRow builds, back to back
+	// search holds the last search's distances (Dist) and first-hop port
+	// sets (Mask), and its frontiers.
+	search topo.Search
+
+	cands    []emitCand             // emitRoutes: one per prefix, first-seen order
+	byPrefix map[netaddr.Prefix]int // prefix → index in cands
+}
+
+// init sizes the scratch for n switches.
+func (sc *spfScratch) init(n int) {
+	sc.graph = make([][]topo.Edge, n)
+	sc.search.Dist = make([]int, n)
+	sc.search.Mask = make([]uint64, n)
+	sc.byPrefix = make(map[netaddr.Prefix]int)
+}
 
 // computeRoutes runs the shortest-path computation over the LSDB and
 // returns the ECMP routes to every advertised prefix, emitted into list.
@@ -21,29 +46,18 @@ const (
 // routers advertise it over the same link (the OSPF two-way check), which
 // keeps half-dead links out of the graph while detections race.
 //
-// The steady state is incremental: a single-link LSA change repairs the
-// cached shortest-path DAG (ispf.go) instead of recomputing it. Full BFS
-// runs on the first computation, on structural changes the repair does not
-// cover, and always under Config.FullSPF (the equivalence baseline).
+// Every run is a full search over rows rebuilt from the LSDB. The SPF
+// timer (200 ms) and the FIB delay (10 ms) are simulated time, so the host
+// time a run takes shows in no result (DESIGN.md §13, "Delta-SPF").
 func (i *Instance) computeRoutes(list *routeList) []fib.Route {
-	switch {
-	case i.d.cfg.FullSPF || !i.spf.valid:
-		i.computeFull()
-	case i.computeIncremental():
-		if i.d.selfCheck {
-			i.verifySPF()
-		}
-	default:
-		i.computeFull()
-	}
+	i.buildGraph()
+	i.search()
 	return i.emitRoutes(list)
 }
 
 // adjOK reports whether edge k of lsa, the LSA of origin from, passes the
 // OSPF two-way check: whether the edge's far end advertises the same link
-// back to from. Edge presence is symmetric in the endpoint LSAs, which is
-// what lets the incremental path treat directed-edge changes as whole-link
-// changes.
+// back to from.
 //
 // The answer is a function of lsa and the far end's LSA alone, and neither
 // changes once originated, so a pass is memoized in lsa.peer[k] under the
@@ -97,74 +111,23 @@ func (i *Instance) checkedRow(o topo.NodeID, buf *[]topo.Edge) []topo.Edge {
 	return edges
 }
 
-// setRow makes row, a checkedRow result, the adjacency row of origin o. A
-// row holding every adjacency of o's LSA is shared as the LSA's own row; a
-// filtered one is copied into storage the instance keeps for o, sized by
-// the largest LSA of o it has filtered (never more than o's links).
-func (i *Instance) setRow(o topo.NodeID, row []topo.Edge) {
-	st := &i.spf
-	var whole []topo.Edge
-	if lsa := i.lsdb[o]; lsa != nil {
-		whole = lsa.row
-	}
-	if len(row) == len(whole) {
-		st.graph[o] = whole
-		return
-	}
-	k := slices.IndexFunc(st.own, func(r ownRow) bool { return r.origin == o })
-	if k < 0 {
-		k = len(st.own)
-		st.own = append(st.own, ownRow{origin: o})
-	}
-	r := &st.own[k]
-	if cap(r.edges) < len(whole) {
-		r.edges = make([]topo.Edge, 0, len(whole))
-	}
-	r.edges = append(r.edges[:0], row...)
-	st.graph[o] = r.edges
-}
-
-// buildGraph rebuilds every adjacency row from the LSDB.
+// buildGraph rebuilds every adjacency row from this router's LSDB. A row
+// cut from the arena stays valid when a later append moves the arena: the
+// old array is not written again in this run.
 func (i *Instance) buildGraph() {
 	sc := &i.d.scratch
-	for o := range i.spf.graph {
-		sc.rows = sc.rows[:0]
-		i.setRow(topo.NodeID(o), i.checkedRow(topo.NodeID(o), &sc.rows))
+	sc.rows = sc.rows[:0]
+	for o := range sc.graph {
+		sc.graph[o] = i.checkedRow(topo.NodeID(o), &sc.rows)
 	}
 }
 
-// search runs the graph kernel from this router over graph into dist and
-// nh: nh[v] is the set of local ports beginning some shortest path to v.
-func (i *Instance) search(graph [][]topo.Edge, dist []int, nh []uint64) {
-	s := &i.d.scratch.search
-	s.Dist, s.Mask = dist, nh
-	s.Run(i.d.topo, graph, i.ord, i.node)
-}
-
-// portSet returns the one-port set of a directly attached link (empty if
-// the link does not touch this router).
-func (i *Instance) portSet(link topo.LinkID) uint64 {
-	port, ok := i.d.topo.Link(link).PortOf(i.node)
-	if !ok {
-		return 0
-	}
-	return 1 << port
-}
-
-// computeFull rebuilds the shortest-path state from scratch.
-func (i *Instance) computeFull() {
-	i.buildGraph()
-	i.searchFull()
-}
-
-// searchFull recomputes distances and first hops over the current adjacency
-// rows and resets the incremental bookkeeping.
-func (i *Instance) searchFull() {
-	st := &i.spf
-	i.search(st.graph, st.dist, st.nh)
-	st.dirty = st.dirty[:0]
-	st.valid = true
-	st.fullRuns++
+// search runs the graph kernel from this router over the adjacency rows:
+// afterwards Dist[v] is v's distance and Mask[v] the set of local ports
+// beginning some shortest path to v.
+func (i *Instance) search() {
+	sc := &i.d.scratch
+	sc.search.Run(i.d.topo, sc.graph, i.ord, i.node)
 }
 
 // emitCand is a prefix's best origin so far: its distance and hop set.
@@ -183,7 +146,7 @@ type routeList struct {
 }
 
 // emitRoutes emits one route per advertised prefix of every other
-// reachable router, from the current shortest-path state, into list, and
+// reachable router, from the last search, into list, and
 // returns the routes. They stay valid until list is emitted into again.
 //
 // A prefix may be advertised by more than one origin (dual-ToR racks
@@ -200,11 +163,11 @@ func (i *Instance) emitRoutes(list *routeList) []fib.Route {
 		if lsa == nil || topo.NodeID(o) == i.ord {
 			continue
 		}
-		set := i.spf.nh[o]
+		set := sc.search.Mask[o]
 		if set == 0 {
 			continue
 		}
-		d := i.spf.dist[o]
+		d := sc.search.Dist[o]
 		for _, p := range lsa.Prefixes {
 			at, seen := sc.byPrefix[p]
 			switch {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/exp"
 	"repro/internal/failure"
-	"repro/internal/ospf"
 	"repro/internal/sim"
 )
 
@@ -67,10 +66,6 @@ type Query struct {
 	// Condition is the recovery query's Table IV condition, "C1".."C7".
 	Condition string `json:"condition,omitempty"`
 	Seed      int64  `json:"seed,omitempty"`
-	// FullSPF ablates the incremental control plane (pre-incremental
-	// baseline), so a client can ask the same question under both and
-	// compare — the two must agree on everything but control-plane cost.
-	FullSPF bool `json:"fullSPF,omitempty"`
 }
 
 // normalized fills defaults and checks the fields, returning the canonical
@@ -240,9 +235,7 @@ func runQuery(q Query) (*Report, error) {
 }
 
 func runWhatIf(q Query) (*Report, error) {
-	v, err := chaos.RunScenarioOpts(q.scenario(), chaos.RunOpts{
-		OSPF: ospf.Config{FullSPF: q.FullSPF},
-	})
+	v, err := chaos.RunScenario(q.scenario())
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +272,6 @@ func runRecovery(q Query) (*Report, error) {
 		Condition: cond,
 		FailAt:    sim.Time(q.FailAtMs) * sim.Millisecond,
 		Seed:      q.Seed,
-		OSPF:      ospf.Config{FullSPF: q.FullSPF},
 	}
 	if q.HorizonMs > 0 {
 		opts.Horizon = sim.Time(q.HorizonMs) * sim.Millisecond
@@ -309,8 +301,5 @@ func (q Query) describe() string {
 		fmt.Fprintf(&b, " %s", q.Condition)
 	}
 	fmt.Fprintf(&b, " @%dms", q.FailAtMs)
-	if q.FullSPF {
-		b.WriteString(" fullspf")
-	}
 	return b.String()
 }

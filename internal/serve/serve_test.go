@@ -246,6 +246,20 @@ func TestQueryValidation(t *testing.T) {
 			t.Errorf("case %d (%+v): invalid query accepted", i, q)
 		}
 	}
+	// A field Query does not have, here the retired fullSPF option, is
+	// refused while decoding on both endpoints.
+	const retired = `{"scheme":"f2tree","ports":6,"link":{"a":"tor-p0-0","b":"agg-p0-0"},"fullSPF":true}`
+	for _, path := range []string{"/query", "/stream"} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(retired+"\n")))
+		var resp Response
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: %v in %q", path, err, rec.Body.String())
+		}
+		if !strings.Contains(resp.Error, `unknown field "fullSPF"`) {
+			t.Errorf("%s answered a query with a fullSPF field: %q", path, rec.Body.String())
+		}
+	}
 	if m := s.Metrics(); m.Misses != 0 {
 		t.Fatalf("invalid queries reached the pool: %+v", m)
 	}
@@ -448,14 +462,12 @@ func TestRecoveryRunsRealSimulation(t *testing.T) {
 }
 
 func TestDescribe(t *testing.T) {
-	q := whatIfQuery(1)
-	q.FullSPF = true
-	nq, err := q.normalized()
+	nq, err := whatIfQuery(1).normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := nq.describe()
-	for _, want := range []string{"whatif", "f2tree/6", "tor-p0-0", "fullspf"} {
+	for _, want := range []string{"whatif", "f2tree/6", "tor-p0-0"} {
 		if !strings.Contains(d, want) {
 			t.Fatalf("describe() = %q, missing %q", d, want)
 		}

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -267,15 +269,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a Query JSON document", http.StatusMethodNotAllowed)
 		return
 	}
-	var q Query
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
+	q, err := decodeQuery(r.Body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, Response{Error: "decoding query: " + err.Error()})
 		return
 	}
 	resp, code := s.respond(q)
 	writeJSON(w, code, resp)
+}
+
+// decodeQuery reads one Query document and refuses any field Query does
+// not have, so a misspelt or retired option fails instead of silently
+// asking the default question.
+func decodeQuery(r io.Reader) (Query, error) {
+	var q Query
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&q)
+	return q, err
 }
 
 // handleStream answers a JSONL stream of queries. Answers run concurrently
@@ -299,10 +310,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if len(line) == 0 {
 				continue
 			}
-			var q Query
 			ch := make(chan Response, 1)
 			results <- ch
-			if err := json.Unmarshal(line, &q); err != nil {
+			q, err := decodeQuery(bytes.NewReader(line))
+			if err != nil {
 				ch <- Response{Error: "decoding query: " + err.Error()}
 				continue
 			}

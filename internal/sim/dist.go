@@ -32,9 +32,6 @@ func (d LogNormal) Sample(rng *rand.Rand) float64 {
 	return math.Exp(d.Mu + d.Sigma*rng.NormFloat64())
 }
 
-// Mean returns the distribution mean exp(mu + sigma^2/2).
-func (d LogNormal) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
-
 // Median returns exp(mu).
 func (d LogNormal) Median() float64 { return math.Exp(d.Mu) }
 

@@ -250,9 +250,6 @@ func (c *Conn) FlowKey() fib.FlowKey {
 	}
 }
 
-// Received returns the total in-order bytes delivered.
-func (c *Conn) Received() int64 { return c.rcvNxt }
-
 // Acked returns the total bytes the peer has acknowledged.
 func (c *Conn) Acked() int64 { return c.sndUna }
 
