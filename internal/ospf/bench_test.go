@@ -15,8 +15,8 @@ import (
 var benchRoutes []fib.Route
 
 // spfBench is a bootstrapped F²Tree domain whose instances are driven
-// directly: an op hands every instance the changed LSAs and runs its SPF,
-// which is the host work of one domain-wide reconvergence without the
+// directly: set hands every instance the changed LSAs and reconverge runs
+// every SPF, the host work of one domain-wide reconvergence without the
 // flooding and timers around it.
 type spfBench struct {
 	insts []*Instance

@@ -146,8 +146,8 @@ type routeList struct {
 }
 
 // emitRoutes emits one route per advertised prefix of every other
-// reachable router, from the last search, into list, and
-// returns the routes. They stay valid until list is emitted into again.
+// reachable router, from the last search, into list, and returns the
+// routes. They stay valid until list is emitted into again.
 //
 // A prefix may be advertised by more than one origin (dual-ToR racks
 // anycast their shared subnet from both ToRs): the route keeps the
