@@ -78,8 +78,9 @@ bench:
 
 # OSPF microbenchmarks. BenchmarkSPF: one domain-wide SPF pass per op on
 # F²Tree N=8/12/16, over a converged LSDB, one link down, and one link
-# withdrawn by one end only. BenchmarkFlood: one link, or every link of a pod, failed and
-# restored through the simulator, each to quiescence, at N=8/16.
+# withdrawn by one end only. BenchmarkFlood: one link, or every link of a
+# pod, failed and restored through the simulator, each to quiescence, at
+# N=8/16.
 # BenchmarkDomain: NewDomain + Bootstrap on a fresh network at N=8/12/16.
 bench-ospf:
 	$(GO) test -run '^$$' -bench 'BenchmarkSPF|BenchmarkFlood|BenchmarkDomain' -benchmem ./internal/ospf
