@@ -78,6 +78,38 @@ func TestSchedulingInPastRunsNow(t *testing.T) {
 	}
 }
 
+// A negative delay means now: After and AfterArg with d < 0 run at the
+// current instant, in scheduling order with At(now) events.
+func TestNegativeDelayRunsNowInFIFOOrder(t *testing.T) {
+	s := New(1)
+	var got []int
+	var at []Time
+	record := func(i int) Event {
+		return func(now Time) { got, at = append(got, i), append(at, now) }
+	}
+	recordArg := func(now Time, arg any) { got, at = append(got, arg.(int)), append(at, now) }
+	s.After(10*time.Millisecond, func(now Time) {
+		s.At(now, record(0))
+		s.After(-3*time.Millisecond, record(1))
+		s.AfterArg(-time.Nanosecond, recordArg, 2)
+		s.At(now, record(3))
+		s.AfterArg(time.Duration(math.MinInt64), recordArg, 4)
+		s.After(-time.Hour, record(5))
+		s.After(0, record(6))
+	})
+	if err := s.RunUntilIdle(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(got) != 7 {
+		t.Fatalf("ran %d events, want 7: %v", len(got), got)
+	}
+	for i := range got {
+		if got[i] != i || at[i] != 10*Millisecond {
+			t.Fatalf("event %d ran as #%d at %v, want #%d at 10ms (order %v)", i, got[i], at[i], i, got)
+		}
+	}
+}
+
 func TestCancelPreventsExecution(t *testing.T) {
 	s := New(1)
 	ran := false
