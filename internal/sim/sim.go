@@ -202,11 +202,9 @@ func (s *Simulator) At(at Time, fn Event) Handle {
 	return s.schedule(at, s.next(), fn, nil, nil)
 }
 
-// After schedules fn to run d after the current time.
+// After schedules fn to run d after the current time (a negative d means
+// now, by schedule's rule for the past).
 func (s *Simulator) After(d time.Duration, fn Event) Handle {
-	if d < 0 {
-		d = 0
-	}
 	return s.schedule(s.now.Add(d), s.next(), fn, nil, nil)
 }
 
@@ -217,11 +215,9 @@ func (s *Simulator) AtArg(at Time, fn ArgEvent, arg any) Handle {
 	return s.schedule(at, s.next(), nil, fn, arg)
 }
 
-// AfterArg schedules fn(now, arg) to run d after the current time.
+// AfterArg schedules fn(now, arg) to run d after the current time (a
+// negative d means now).
 func (s *Simulator) AfterArg(d time.Duration, fn ArgEvent, arg any) Handle {
-	if d < 0 {
-		d = 0
-	}
 	return s.schedule(s.now.Add(d), s.next(), nil, fn, arg)
 }
 
