@@ -215,3 +215,88 @@ func TestBootstrapRejectsSwitchWiderThanHopSet(t *testing.T) {
 	}
 	t.Fatalf("spine has no route to %v", last.Subnet)
 }
+
+// TestRoutesInsideDetectionWindow compares every switch's installed routes
+// with the reference while one end of a failed link still advertises it.
+// The failure detector at that end is suppressed, so its LSA keeps the link
+// while the other end's LSA withdraws it: the two-way check must keep the
+// link out of every SPF until the end's detector fires (RescanPorts), and
+// the domain is compared again once it has, and after the link returns.
+// Each failed link is checked with either end lagging, through fabric,
+// cross and dual-ToR links. Unlike TestRoutesMatchReferenceBFS, whose
+// checks come after both ends have withdrawn, these run the two-way check
+// on an edge one end advertises in every SPF of the window, in LSAs whose
+// memo already holds the pass of the other end's previous LSA.
+func TestRoutesInsideDetectionWindow(t *testing.T) {
+	f2, err := topo.F2Tree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dual, err := topo.F2Tree(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.MakeDualToR(dual); err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range []*topo.Topology{f2, dual} {
+		t.Run(tp.Name, func(t *testing.T) {
+			s := sim.New(7)
+			nw := mustNetwork(t, s, tp)
+			dom := NewDomain(nw, Config{})
+			if err := dom.Bootstrap(); err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				t.Helper()
+				if err := s.RunUntilIdle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fabric := fabricLinksOf(tp, func(*topo.Node) bool { return true })
+			const links = 6
+			for k := 0; k < links; k++ {
+				l := *tp.Link(fabric[(k*len(fabric)+len(fabric)/5)/links])
+				for _, lag := range [2]struct {
+					end, other topo.NodeID
+					port       int
+				}{{l.A, l.B, l.APort}, {l.B, l.A, l.BPort}} {
+					when := fmt.Sprintf("link %d (%s–%s), %s lagging",
+						l.ID, tp.Node(l.A).Name, tp.Node(l.B).Name, tp.Node(lag.end).Name)
+					nw.SetDetectionFilter(func(_ sim.Time, node topo.NodeID, port int, up bool) bool {
+						return node == lag.end && port == lag.port && !up
+					})
+					s.After(0, func(sim.Time) { nw.FailLink(l.ID) })
+					run()
+					if !advertises(dom.Instance(lag.other), lag.end, l.ID) {
+						t.Fatalf("%s: the other end does not hold an LSA of the lagging end advertising the link", when)
+					}
+					down := map[topo.LinkID]bool{l.ID: true}
+					checkReference(t, when+", inside the window", nw, down)
+					nw.SetDetectionFilter(nil)
+					nw.RescanPorts(lag.end)
+					run()
+					checkReference(t, when+", detected", nw, down)
+					s.After(0, func(sim.Time) { nw.RestoreLink(l.ID) })
+					run()
+					checkReference(t, when+", restored", nw, nil)
+				}
+			}
+		})
+	}
+}
+
+// advertises reports whether inst's LSDB holds an LSA of origin that lists
+// the link.
+func advertises(inst *Instance, origin topo.NodeID, link topo.LinkID) bool {
+	lsa := inst.lsdb[inst.d.sw.Ordinal(origin)]
+	if lsa == nil {
+		return false
+	}
+	for _, a := range lsa.Adjacencies {
+		if a.Link == link {
+			return true
+		}
+	}
+	return false
+}
