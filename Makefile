@@ -5,7 +5,8 @@ GO ?= go
 
 .PHONY: build test vet fmt-check race check \
 	campaign-smoke chaos-smoke detect-smoke serve-smoke smoke bench bench-ospf \
-	bench-bgp bench-fib bench-controller bench-transport bench-sim bench-smoke serve
+	bench-bgp bench-fib bench-controller bench-transport bench-sim bench-recovery \
+	bench-smoke serve
 
 build:
 	$(GO) build ./...
@@ -122,15 +123,23 @@ bench-sim:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sim
 	$(GO) test -run '^$$' -bench BenchmarkForwardPacket -benchmem ./internal/network
 
+# Fig 4's recovery matrix on one campaign worker: 12 cells, each a UDP run
+# and a TCP run that go at once. At -cpu 1 the two runs share one processor
+# and nothing is gained; the speedup shows only at -cpu 2 (DESIGN.md §14).
+bench-recovery:
+	$(GO) test -run '^$$' -bench BenchmarkFig4Conditions -cpu 1,2 -benchtime 3x .
+
 # One iteration of every N=8 control-plane and FIB microbenchmark (the
 # pattern is matched per name level) and of the transport, event-core and
-# forwarding ones, so the families keep compiling and running; -benchmem
-# puts B/op and allocs/op in the log next to ns/op.
+# forwarding ones and of the Fig 4 recovery matrix, so the families keep
+# compiling and running; -benchmem puts B/op and allocs/op in the log next
+# to ns/op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '././N=8$$' -benchtime 1x -benchmem ./internal/ospf ./internal/bgp ./internal/fib \
 		./internal/controller
 	$(GO) test -run '^$$' -bench 'BenchmarkTCPTransfer|BenchmarkUDPProbe' -benchtime 1x -benchmem ./internal/transport
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/sim ./internal/network
+	$(GO) test -run '^$$' -bench BenchmarkFig4Conditions -benchtime 1x -benchmem .
 
 # Run the what-if query service on localhost (see DESIGN.md §13).
 serve:

@@ -161,20 +161,48 @@ type RecoveryResult struct {
 
 // RunRecovery executes the experiment: one UDP run and one TCP run over
 // fresh identical networks, injecting the failure condition on the flow's
-// own current path, exactly as the paper's testbed does.
+// own current path, exactly as the paper's testbed does. The two runs share
+// nothing but the options and write disjoint fields of the result, so they
+// run at once, each single-threaded (DESIGN.md §14); the result is the same
+// whichever finishes first.
 func RunRecovery(opts RecoveryOptions) (*RecoveryResult, error) {
 	o := opts.withDefaults()
 	res := &RecoveryResult{
 		Scheme: o.Scheme, Condition: o.Condition,
 		FailAt: o.FailAt, BinWidth: o.BinWidth,
 	}
-	if err := runRecoveryUDP(o, res); err != nil {
-		return nil, fmt.Errorf("udp run: %w", err)
+	udpErr, tcpErr := both(
+		func() error { return runRecoveryUDP(o, res) },
+		func() error { return runRecoveryTCP(o, res) })
+	if udpErr != nil {
+		return nil, fmt.Errorf("udp run: %w", udpErr)
 	}
-	if err := runRecoveryTCP(o, res); err != nil {
-		return nil, fmt.Errorf("tcp run: %w", err)
+	if tcpErr != nil {
+		return nil, fmt.Errorf("tcp run: %w", tcpErr)
 	}
 	return res, nil
+}
+
+// both runs a on a new goroutine and b on the caller's, and returns their
+// errors once both have finished. A panic in a is re-raised on the caller's
+// goroutine after the wait, taking precedence over one in b, so a recover
+// up the caller's stack (campaign's worker) sees it.
+func both(a, b func() error) (errA, errB error) {
+	done := make(chan struct{})
+	var panicA any
+	go func() {
+		defer close(done)
+		defer func() { panicA = recover() }()
+		errA = a()
+	}()
+	defer func() {
+		<-done
+		if panicA != nil {
+			panic(panicA)
+		}
+	}()
+	errB = b()
+	return
 }
 
 // LabSpec is everything a driver says to get a converged lab: the fields

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -160,5 +162,84 @@ func TestRecoveryAllocBudget(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
 		t.Errorf("RunRecovery on fat-tree C1 at N=8 allocates %.1f MiB in %d objects, ceiling %.1f MiB",
 			float64(got)/(1<<20), after.Mallocs-before.Mallocs, float64(ceiling)/(1<<20))
+	}
+}
+
+// TestRecoveryHalvesMatchSerial holds RunRecovery, whose UDP and TCP runs
+// go at once, to the two runs made one after the other on one goroutine
+// into a fresh result.
+func TestRecoveryHalvesMatchSerial(t *testing.T) {
+	for _, c := range []struct {
+		scheme Scheme
+		cond   failure.Condition
+	}{
+		{SchemeFatTree, failure.C1},
+		{SchemeF2Tree, failure.C1},
+		{SchemeF2Tree, failure.C7},
+	} {
+		opts := RecoveryOptions{Scheme: c.scheme, Ports: 8, Condition: c.cond}
+		got, err := RunRecovery(opts)
+		if err != nil {
+			t.Fatalf("%s %v: %v", c.scheme, c.cond, err)
+		}
+		o := opts.withDefaults()
+		want := &RecoveryResult{Scheme: o.Scheme, Condition: o.Condition, FailAt: o.FailAt, BinWidth: o.BinWidth}
+		if err := runRecoveryUDP(o, want); err != nil {
+			t.Fatalf("%s %v: udp run: %v", c.scheme, c.cond, err)
+		}
+		if err := runRecoveryTCP(o, want); err != nil {
+			t.Fatalf("%s %v: tcp run: %v", c.scheme, c.cond, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %v: RunRecovery differs from its halves run in series (digest %s, want %s)",
+				c.scheme, c.cond, jsonDigest(t, got), jsonDigest(t, want))
+		}
+	}
+}
+
+// TestBothForwardsPanic pins what both returns and raises: each error comes
+// back in its own position, and a panic in either function reaches the
+// caller with its value only after the other function has finished; when
+// both panic, the spawned function's value wins.
+func TestBothForwardsPanic(t *testing.T) {
+	errA, errB := errors.New("a failed"), errors.New("b failed")
+	if a, b := both(func() error { return errA }, func() error { return errB }); a != errA || b != errB {
+		t.Fatalf("both returned (%v, %v), want (%v, %v)", a, b, errA, errB)
+	}
+	for _, tc := range []struct {
+		name         string
+		panicA, panB bool
+		want         any
+	}{
+		{"spawned", true, false, "a exploded"},
+		{"caller's", false, true, "b exploded"},
+		{"both", true, true, "a exploded"},
+	} {
+		var aDone, bDone bool
+		a := func() error {
+			if tc.panicA {
+				panic("a exploded")
+			}
+			aDone = true
+			return nil
+		}
+		b := func() error {
+			if tc.panB {
+				panic("b exploded")
+			}
+			bDone = true
+			return nil
+		}
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			both(a, b)
+			return nil
+		}()
+		if got != tc.want {
+			t.Errorf("%s panics: recovered %v, want %v", tc.name, got, tc.want)
+		}
+		if aDone == tc.panicA || bDone == tc.panB {
+			t.Errorf("%s panics: a finished %v, b finished %v; each should unless it panicked", tc.name, aDone, bDone)
+		}
 	}
 }
