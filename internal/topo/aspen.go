@@ -12,15 +12,14 @@ import "fmt"
 //     (full bipartite, exactly a fat tree pod);
 //   - n/2 core groups of n/(2(f+1)) cores; aggregation switch j connects
 //     to every core of group j with f+1 parallel links;
-//   - hosts = n³/(4(f+1)), switches = 5n²/(4(f+1)) − n²/4·(f/(f+1))…
-//     the paper's Table I headline: ¼·5n²/(f+1) with the pod layers
-//     scaled down.
+//   - hosts = n³/(4(f+1)) and switches = 5n²/(4(f+1)), Table I's row:
+//     the fat tree's counts divided by f+1.
 //
 // A core↔aggregation link failure is absorbed instantly by ECMP over the
 // parallel links (Aspen's fault-tolerant layer); ToR↔aggregation failures
 // still wait for the control plane — the asymmetry the paper criticizes.
 //
-// n must be even and divisible by 2(f+1), with at least 2 pods.
+// n must be even and divisible by 2(f+1), which leaves at least 2 pods.
 func AspenTree(n, f int) (*Topology, error) {
 	if n < 4 || n%2 != 0 {
 		return nil, fmt.Errorf("topo: aspen needs even n ≥ 4, got %d", n)
@@ -32,98 +31,7 @@ func AspenTree(n, f int) (*Topology, error) {
 	if n%(2*dup) != 0 {
 		return nil, fmt.Errorf("topo: aspen needs n divisible by 2(f+1)=%d, got %d", 2*dup, n)
 	}
-	pods := n / dup
-	if pods < 2 {
-		return nil, fmt.Errorf("topo: aspen ⟨%d,0⟩ at n=%d has %d pods, need ≥ 2", f, n, pods)
-	}
-	half := n / 2
-	coresPerGroup := n / (2 * dup)
-
-	t := NewTopology(fmt.Sprintf("aspen-%d-f%d", n, f))
-	ap, err := newAddrPlanner()
-	if err != nil {
-		return nil, err
-	}
-	t.Plan = ap.plan
-
-	tors := make([][]NodeID, pods)
-	aggs := make([][]NodeID, pods)
-	for p := 0; p < pods; p++ {
-		tors[p] = make([]NodeID, half)
-		aggs[p] = make([]NodeID, half)
-		for i := 0; i < half; i++ {
-			subnet, addr, err := ap.tor()
-			if err != nil {
-				return nil, err
-			}
-			tors[p][i] = t.AddNode(Node{
-				Name: fmt.Sprintf("tor-p%d-%d", p, i), Kind: ToR, NumPorts: n,
-				Addr: addr, Subnet: subnet, Pod: p, Index: i,
-			})
-		}
-		for i := 0; i < half; i++ {
-			addr, err := ap.agg()
-			if err != nil {
-				return nil, err
-			}
-			aggs[p][i] = t.AddNode(Node{
-				Name: fmt.Sprintf("agg-p%d-%d", p, i), Kind: Agg, NumPorts: n,
-				Addr: addr, Pod: p, Index: i,
-			})
-		}
-	}
-	cores := make([][]NodeID, half)
-	for g := 0; g < half; g++ {
-		cores[g] = make([]NodeID, coresPerGroup)
-		for i := 0; i < coresPerGroup; i++ {
-			addr, err := ap.core()
-			if err != nil {
-				return nil, err
-			}
-			cores[g][i] = t.AddNode(Node{
-				Name: fmt.Sprintf("core-g%d-%d", g, i), Kind: Core, NumPorts: n,
-				Addr: addr, Pod: g, Index: i,
-			})
-		}
-	}
-
-	for p := 0; p < pods; p++ {
-		for i := 0; i < half; i++ {
-			tor := tors[p][i]
-			subnet := t.Node(tor).Subnet
-			for h := 0; h < half; h++ {
-				haddr, err := hostAddr(subnet, h)
-				if err != nil {
-					return nil, err
-				}
-				hid := t.AddNode(Node{
-					Name: fmt.Sprintf("host-p%d-t%d-%d", p, i, h), Kind: Host,
-					NumPorts: 1, Addr: haddr, Pod: p, Index: h,
-				})
-				if _, err := t.AddLink(hid, tor, HostLink); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for i := 0; i < half; i++ {
-			for j := 0; j < half; j++ {
-				if _, err := t.AddLink(tors[p][i], aggs[p][j], EdgeLink); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	// The fault-tolerant level: f+1 parallel links per (agg, core) pair.
-	for p := 0; p < pods; p++ {
-		for j := 0; j < half; j++ {
-			for c := 0; c < coresPerGroup; c++ {
-				for d := 0; d < dup; d++ {
-					if _, err := t.AddLink(aggs[p][j], cores[j][c], SpineLink); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-	return t, nil
+	t, _, err := buildTree(fmt.Sprintf("aspen-%d-f%d", n, f), n,
+		treeShape{pods: n / dup, torsPerPod: n / 2, coresPerGroup: n / (2 * dup), parallel: dup})
+	return t, err
 }

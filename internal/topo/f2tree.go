@@ -18,7 +18,7 @@ import "fmt"
 // cannot form rings; use RewireFatTreePrototype for the paper's 4-port
 // testbed shape).
 func F2Tree(n int) (*Topology, error) {
-	return f2TreeRingWidth(n, 2)
+	return F2TreeWide(n, 2)
 }
 
 // F2TreeWide builds an F²Tree whose rings use `width` across links per
@@ -27,21 +27,16 @@ func F2Tree(n int) (*Topology, error) {
 // across ports costs one more down and one more up port per aggregation
 // and core switch, shrinking pods and ToR counts accordingly.
 func F2TreeWide(n, width int) (*Topology, error) {
-	return f2TreeRingWidth(n, width)
-}
-
-func f2TreeRingWidth(n, width int) (*Topology, error) {
 	if n < 6 || n%2 != 0 {
 		return nil, fmt.Errorf("topo: F²Tree needs even n ≥ 6, got %d", n)
 	}
 	if width < 2 || width%2 != 0 {
 		return nil, fmt.Errorf("topo: ring width must be even ≥ 2, got %d", width)
 	}
-	reach := width / 2 // across neighbors reached on each side
-	half := n / 2
-	down := half - reach // down ports per agg; also ToRs per pod
-	up := half - reach   // up ports per agg; also cores per group
-	pods := n - width    // down ports per core = pods
+	reach := width / 2  // across neighbors reached on each side
+	down := n/2 - reach // down ports per agg; also ToRs per pod
+	up := n/2 - reach   // up ports per agg; also cores per group
+	pods := n - width   // down ports per core = pods
 	if down < 1 || up < 2 || pods < 3 {
 		return nil, fmt.Errorf("topo: n=%d too small for ring width %d", n, width)
 	}
@@ -52,110 +47,13 @@ func f2TreeRingWidth(n, width int) (*Topology, error) {
 	if up < reach {
 		return nil, fmt.Errorf("topo: core ring of %d cannot support width %d", up, width)
 	}
-
 	name := fmt.Sprintf("f2tree-%d", n)
 	if width != 2 {
 		name = fmt.Sprintf("f2tree-%d-w%d", n, width)
 	}
-	t := NewTopology(name)
-	ap, err := newAddrPlanner()
-	if err != nil {
-		return nil, err
-	}
-	t.Plan = ap.plan
-
-	tors := make([][]NodeID, pods)
-	aggs := make([][]NodeID, pods)
-	for p := 0; p < pods; p++ {
-		tors[p] = make([]NodeID, down)
-		aggs[p] = make([]NodeID, half)
-		for i := 0; i < down; i++ {
-			subnet, addr, err := ap.tor()
-			if err != nil {
-				return nil, err
-			}
-			tors[p][i] = t.AddNode(Node{
-				Name: fmt.Sprintf("tor-p%d-%d", p, i), Kind: ToR, NumPorts: n,
-				Addr: addr, Subnet: subnet, Pod: p, Index: i,
-			})
-		}
-		for i := 0; i < half; i++ {
-			addr, err := ap.agg()
-			if err != nil {
-				return nil, err
-			}
-			aggs[p][i] = t.AddNode(Node{
-				Name: fmt.Sprintf("agg-p%d-%d", p, i), Kind: Agg, NumPorts: n,
-				Addr: addr, Pod: p, Index: i,
-			})
-		}
-	}
-	cores := make([][]NodeID, half)
-	for g := 0; g < half; g++ {
-		cores[g] = make([]NodeID, up)
-		for i := 0; i < up; i++ {
-			addr, err := ap.core()
-			if err != nil {
-				return nil, err
-			}
-			cores[g][i] = t.AddNode(Node{
-				Name: fmt.Sprintf("core-g%d-%d", g, i), Kind: Core, NumPorts: n,
-				Addr: addr, Pod: g, Index: i,
-			})
-		}
-	}
-
-	for p := 0; p < pods; p++ {
-		// Hosts: ToRs keep n/2 hosts each.
-		for i := 0; i < down; i++ {
-			tor := tors[p][i]
-			subnet := t.Node(tor).Subnet
-			for h := 0; h < half; h++ {
-				haddr, err := hostAddr(subnet, h)
-				if err != nil {
-					return nil, err
-				}
-				hid := t.AddNode(Node{
-					Name: fmt.Sprintf("host-p%d-t%d-%d", p, i, h), Kind: Host,
-					NumPorts: 1, Addr: haddr, Pod: p, Index: h,
-				})
-				if _, err := t.AddLink(hid, tor, HostLink); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// ToR ↔ aggregation full bipartite: every ToR to every agg.
-		for i := 0; i < down; i++ {
-			for j := 0; j < half; j++ {
-				if _, err := t.AddLink(tors[p][i], aggs[p][j], EdgeLink); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	// Aggregation ↔ core.
-	for p := 0; p < pods; p++ {
-		for j := 0; j < half; j++ {
-			for c := 0; c < up; c++ {
-				if _, err := t.AddLink(aggs[p][j], cores[j][c], SpineLink); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	// Aggregation rings.
-	for p := 0; p < pods; p++ {
-		if err := t.addRing(Agg, p, aggs[p], reach); err != nil {
-			return nil, err
-		}
-	}
-	// Core rings.
-	for g := 0; g < half; g++ {
-		if err := t.addRing(Core, g, cores[g], reach); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	t, _, err := buildTree(name, n,
+		treeShape{pods: pods, torsPerPod: down, coresPerGroup: up, parallel: 1, reach: reach})
+	return t, err
 }
 
 // addRing wires members into a ring with `reach` across links per side and
@@ -200,47 +98,20 @@ func (t *Topology) addRing(layer Kind, pod int, members []NodeID, reach int) err
 // leftmost host of pod 0 and the rightmost host of the last pod — the S and
 // D of the paper's experiments — both survive.
 func RewireFatTreePrototype(n int) (*Topology, error) {
-	t, err := FatTree(n)
+	t, l, err := fatTree(n)
 	if err != nil {
 		return nil, err
 	}
 	t.Name = fmt.Sprintf("f2tree-proto-%d", n)
 	half := n / 2
-
-	// Collect layer structure back out of the built tree.
-	tors := make([][]NodeID, n)
-	aggs := make([][]NodeID, n)
-	for _, id := range t.NodesOfKind(ToR) {
-		nd := t.Node(id)
-		if tors[nd.Pod] == nil {
-			tors[nd.Pod] = make([]NodeID, half)
-		}
-		tors[nd.Pod][nd.Index] = id
-	}
-	for _, id := range t.NodesOfKind(Agg) {
-		nd := t.Node(id)
-		if aggs[nd.Pod] == nil {
-			aggs[nd.Pod] = make([]NodeID, half)
-		}
-		aggs[nd.Pod][nd.Index] = id
-	}
-	cores := make([][]NodeID, half)
-	for _, id := range t.NodesOfKind(Core) {
-		nd := t.Node(id)
-		if cores[nd.Pod] == nil {
-			cores[nd.Pod] = make([]NodeID, half)
-		}
-		cores[nd.Pod][nd.Index] = id
-	}
-
 	for p := 0; p < n; p++ {
 		sacrifice := 0
 		if p == 0 {
 			sacrifice = half - 1
 		}
-		victim := tors[p][sacrifice]
+		victim := l.tors[p][sacrifice]
 		for j := 0; j < half; j++ {
-			a := aggs[p][j]
+			a := l.aggs[p][j]
 			// Free one down port: drop the link to the sacrificed ToR.
 			ls := t.LinksBetween(a, victim)
 			if len(ls) != 1 {
@@ -252,7 +123,7 @@ func RewireFatTreePrototype(n int) (*Topology, error) {
 			}
 			// Free one up port: drop the link to core (j+1) mod half of
 			// group j.
-			dropCore := cores[j][(j+1)%half]
+			dropCore := l.cores[j][(j+1)%half]
 			ls = t.LinksBetween(a, dropCore)
 			if len(ls) != 1 {
 				return nil, fmt.Errorf("topo: expected 1 link %s–%s, got %d",
@@ -262,7 +133,7 @@ func RewireFatTreePrototype(n int) (*Topology, error) {
 				return nil, err
 			}
 		}
-		if err := t.addRing(Agg, p, aggs[p], 1); err != nil {
+		if err := t.addRing(Agg, p, l.aggs[p], 1); err != nil {
 			return nil, err
 		}
 		// The sacrificed ToR has lost every uplink; prune it and its hosts.
@@ -275,13 +146,10 @@ func RewireFatTreePrototype(n int) (*Topology, error) {
 			return nil, err
 		}
 	}
-	// Cores that lost every link (core (j+1) mod half of each group j) are
-	// pruned too.
-	for _, id := range t.NodesOfKind(Core) {
-		if len(t.LinksOf(id)) == 0 {
-			if err := t.PruneNode(id); err != nil {
-				return nil, err
-			}
+	// Core (j+1) mod half of each group j has lost every link; prune it.
+	for j, group := range l.cores {
+		if err := t.PruneNode(group[(j+1)%half]); err != nil {
+			return nil, err
 		}
 	}
 	return t, nil

@@ -30,49 +30,25 @@ func leafSpine(n int, f2 bool) (*Topology, error) {
 		leaves = n - 2 // two spine ports per spine go to the ring
 		name = fmt.Sprintf("f2leafspine-%d", n)
 	}
-	t := NewTopology(name)
-	ap, err := newAddrPlanner()
+	t, ap, err := newPlanned(name)
 	if err != nil {
 		return nil, err
 	}
-	t.Plan = ap.plan
-
 	leafIDs := make([]NodeID, leaves)
-	for i := 0; i < leaves; i++ {
-		subnet, addr, err := ap.tor()
-		if err != nil {
+	for i := range leafIDs {
+		if leafIDs[i], err = ap.addSwitch(t, ToR, fmt.Sprintf("leaf-%d", i), n, 0, i); err != nil {
 			return nil, err
 		}
-		leafIDs[i] = t.AddNode(Node{
-			Name: fmt.Sprintf("leaf-%d", i), Kind: ToR, NumPorts: n,
-			Addr: addr, Subnet: subnet, Pod: 0, Index: i,
-		})
 	}
 	spineIDs := make([]NodeID, spines)
-	for i := 0; i < spines; i++ {
-		addr, err := ap.core()
-		if err != nil {
+	for i := range spineIDs {
+		if spineIDs[i], err = ap.addSwitch(t, Core, fmt.Sprintf("spine-%d", i), n, 0, i); err != nil {
 			return nil, err
 		}
-		spineIDs[i] = t.AddNode(Node{
-			Name: fmt.Sprintf("spine-%d", i), Kind: Core, NumPorts: n,
-			Addr: addr, Pod: 0, Index: i,
-		})
 	}
 	for i, leaf := range leafIDs {
-		subnet := t.Node(leaf).Subnet
-		for h := 0; h < n/2; h++ {
-			haddr, err := hostAddr(subnet, h)
-			if err != nil {
-				return nil, err
-			}
-			hid := t.AddNode(Node{
-				Name: fmt.Sprintf("host-l%d-%d", i, h), Kind: Host,
-				NumPorts: 1, Addr: haddr, Pod: 0, Index: h,
-			})
-			if _, err := t.AddLink(hid, leaf, HostLink); err != nil {
-				return nil, err
-			}
+		if err := t.addHosts(leaf, n/2, 0, fmt.Sprintf("host-l%d", i)); err != nil {
+			return nil, err
 		}
 		for _, spine := range spineIDs {
 			if _, err := t.AddLink(leaf, spine, EdgeLink); err != nil {

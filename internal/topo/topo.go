@@ -1,8 +1,10 @@
 // Package topo models data center topologies as pure graphs of nodes,
 // ports and links, and provides builders for the topologies the paper
-// studies: 3-layer fat tree, F²Tree (the canonical construction matching
-// Table I), the paper's 4-port prototype rewiring (Fig 1(b)), two-layer
-// Leaf-Spine and VL2 with their F²Tree variants (§V, Fig 7).
+// studies: the three-tier trees — fat tree, F²Tree (the canonical
+// construction matching Table I), Aspen ⟨f,0⟩, all one shape built by
+// buildTree, and the paper's 4-port prototype rewiring (Fig 1(b)) of a fat
+// tree — and two-layer Leaf-Spine and VL2 with their F²Tree variants (§V,
+// Fig 7).
 package topo
 
 import (

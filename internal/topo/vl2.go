@@ -48,34 +48,21 @@ func vl2(n int, f2 bool) (*Topology, error) {
 		}
 	}
 
-	t := NewTopology(name)
-	ap, err := newAddrPlanner()
+	t, ap, err := newPlanned(name)
 	if err != nil {
 		return nil, err
 	}
-	t.Plan = ap.plan
-
 	intIDs := make([]NodeID, ints)
-	for i := 0; i < ints; i++ {
-		addr, err := ap.core()
-		if err != nil {
+	for i := range intIDs {
+		if intIDs[i], err = ap.addSwitch(t, Core, fmt.Sprintf("int-%d", i), aggsN, 0, i); err != nil {
 			return nil, err
 		}
-		intIDs[i] = t.AddNode(Node{
-			Name: fmt.Sprintf("int-%d", i), Kind: Core, NumPorts: aggsN,
-			Addr: addr, Pod: 0, Index: i,
-		})
 	}
 	aggIDs := make([]NodeID, aggsN)
-	for i := 0; i < aggsN; i++ {
-		addr, err := ap.agg()
-		if err != nil {
+	for i := range aggIDs {
+		if aggIDs[i], err = ap.addSwitch(t, Agg, fmt.Sprintf("agg-%d", i), n, i/2, i%2); err != nil {
 			return nil, err
 		}
-		aggIDs[i] = t.AddNode(Node{
-			Name: fmt.Sprintf("agg-%d", i), Kind: Agg, NumPorts: n,
-			Addr: addr, Pod: i / 2, Index: i % 2,
-		})
 	}
 	// Aggregation ↔ intermediate. In the F² variant agg 2i skips the two
 	// intermediates (2i and 2i+1 mod ints)… spread the skipped pairs so the
@@ -104,32 +91,18 @@ func vl2(n int, f2 bool) (*Topology, error) {
 	for p := 0; p < pairs; p++ {
 		a0, a1 := aggIDs[2*p], aggIDs[2*p+1]
 		for ti := 0; ti < torsPerPair; ti++ {
-			subnet, addr, err := ap.tor()
+			tor, err := ap.addSwitch(t, ToR, fmt.Sprintf("tor-v%d-%d", p, ti), n, p, ti)
 			if err != nil {
 				return nil, err
 			}
-			tor := t.AddNode(Node{
-				Name: fmt.Sprintf("tor-v%d-%d", p, ti), Kind: ToR, NumPorts: n,
-				Addr: addr, Subnet: subnet, Pod: p, Index: ti,
-			})
 			if _, err := t.AddLink(tor, a0, EdgeLink); err != nil {
 				return nil, err
 			}
 			if _, err := t.AddLink(tor, a1, EdgeLink); err != nil {
 				return nil, err
 			}
-			for h := 0; h < n/2; h++ {
-				haddr, err := hostAddr(subnet, h)
-				if err != nil {
-					return nil, err
-				}
-				hid := t.AddNode(Node{
-					Name: fmt.Sprintf("host-v%d-t%d-%d", p, ti, h), Kind: Host,
-					NumPorts: 1, Addr: haddr, Pod: p, Index: h,
-				})
-				if _, err := t.AddLink(hid, tor, HostLink); err != nil {
-					return nil, err
-				}
+			if err := t.addHosts(tor, n/2, p, fmt.Sprintf("host-v%d-t%d", p, ti)); err != nil {
+				return nil, err
 			}
 		}
 		if f2 {
