@@ -30,6 +30,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/exp"
 	"repro/internal/failure"
+	"repro/internal/topo"
 )
 
 // Kind selects the experiment family a spec runs.
@@ -204,8 +205,8 @@ type Matrix struct {
 	DurationMS   int
 	NoBackground bool
 	// SkipInapplicable drops (scheme, condition) cells the topology cannot
-	// express (Table IV's C6/C7 need F²Tree's across links) instead of
-	// recording them as failed runs.
+	// express (Table IV's C6/C7 need across links: failure.AppliesTo)
+	// instead of recording them as failed runs.
 	SkipInapplicable bool
 }
 
@@ -278,8 +279,14 @@ func (m Matrix) Expand() []Spec {
 					}
 				}
 			default:
+				// A scheme that does not build keeps every cell, so its
+				// runs record why.
+				var tp *topo.Topology
+				if m.SkipInapplicable {
+					tp, _ = exp.BuildTopology(scheme, ports)
+				}
 				for _, cond := range m.Conditions {
-					if m.SkipInapplicable && !conditionApplies(scheme, cond) {
+					if tp != nil && !cond.AppliesTo(tp) {
 						continue
 					}
 					for _, control := range controls {
@@ -300,21 +307,6 @@ func containsString(list []string, s string) bool {
 		if v == s {
 			return true
 		}
-	}
-	return false
-}
-
-// conditionApplies reports whether the scheme's topology can express the
-// condition: C6/C7 reference the across links only F²Tree-rewired fabrics
-// have.
-func conditionApplies(s exp.Scheme, c failure.Condition) bool {
-	if c.FatTreeApplicable() {
-		return true
-	}
-	switch s {
-	case exp.SchemeF2Tree, exp.SchemeF2Proto, exp.SchemeF2Wide,
-		exp.SchemeF2LeafSpine, exp.SchemeF2VL2:
-		return true
 	}
 	return false
 }

@@ -95,6 +95,37 @@ func TestMatrixExpandFig4(t *testing.T) {
 	}
 }
 
+// TestMatrixExpandRingConditions: C6/C7 fail an across link, so expansion
+// keeps them on exactly the schemes whose topology has rings — f2tree-dual
+// included — and a scheme that does not build keeps every cell.
+func TestMatrixExpandRingConditions(t *testing.T) {
+	for _, tc := range []struct {
+		scheme exp.Scheme
+		ports  int
+		want   int
+	}{
+		{exp.SchemeFatTree, 8, 5},
+		{exp.SchemeAspen, 8, 5},
+		{exp.SchemeLeafSpine, 8, 5},
+		{exp.SchemeVL2, 8, 5},
+		{exp.SchemeF2Tree, 8, 7},
+		{exp.SchemeF2TreeDual, 8, 7},
+		{exp.SchemeF2Proto, 4, 7},
+		{exp.SchemeF2Wide, 10, 7},
+		{exp.SchemeF2LeafSpine, 8, 7},
+		{exp.SchemeF2VL2, 8, 7},
+		{"bogus", 8, 7},
+	} {
+		m := Matrix{
+			Kind: KindRecovery, Schemes: []exp.Scheme{tc.scheme}, Ports: []int{tc.ports},
+			Conditions: failure.AllConditions(), SkipInapplicable: true,
+		}
+		if got := len(m.Expand()); got != tc.want {
+			t.Errorf("%s at %d ports expands to %d conditions, want %d", tc.scheme, tc.ports, got, tc.want)
+		}
+	}
+}
+
 func TestMatrixExpandRepsAndChannels(t *testing.T) {
 	m := Matrix{
 		Kind:     KindPA,

@@ -96,6 +96,12 @@ func ParseCondition(label string) (Condition, error) {
 // tree (C6/C7 involve across links and are F²Tree-specific, §IV-A).
 func (c Condition) FatTreeApplicable() bool { return c <= C5 }
 
+// AppliesTo reports whether t can express the condition: C6/C7 fail an
+// across link, so they need a topology with rings.
+func (c Condition) AppliesTo(t *topo.Topology) bool {
+	return c.FatTreeApplicable() || len(t.Rings) > 0
+}
+
 // rightNeighbor returns the switch "to the right" of a (ring order if a
 // ring exists, same-layer pod index order otherwise) and, when reached via
 // a ring, the across link to it.
