@@ -22,6 +22,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/bgp"
@@ -186,24 +187,42 @@ func RunRecovery(opts RecoveryOptions) (*RecoveryResult, error) {
 // both runs a on a new goroutine and b on the caller's, and returns their
 // errors once both have finished. A panic in a is re-raised on the caller's
 // goroutine after the wait, taking precedence over one in b, so a recover
-// up the caller's stack (campaign's worker) sees it.
+// up the caller's stack (campaign's worker) sees it. It is re-raised as a
+// halfPanic carrying the stack a panicked on, which the re-raise site no
+// longer shows.
 func both(a, b func() error) (errA, errB error) {
 	done := make(chan struct{})
-	var panicA any
+	var panicA *halfPanic
 	go func() {
 		defer close(done)
-		defer func() { panicA = recover() }()
+		defer func() {
+			if v := recover(); v != nil {
+				panicA = &halfPanic{value: v, stack: string(debug.Stack())}
+			}
+		}()
 		errA = a()
 	}()
 	defer func() {
 		<-done
 		if panicA != nil {
-			panic(panicA)
+			panic(*panicA)
 		}
 	}()
 	errB = b()
 	return
 }
+
+// halfPanic is a panic both re-raised from its spawned goroutine. It
+// prints as the original value; PanicStack is the stack it was raised on.
+type halfPanic struct {
+	value any
+	stack string
+}
+
+func (p halfPanic) String() string { return fmt.Sprint(p.value) }
+
+// PanicStack returns the stack of the goroutine the panic was raised on.
+func (p halfPanic) PanicStack() string { return p.stack }
 
 // LabSpec is everything a driver says to get a converged lab: the fields
 // every run description (RecoveryOptions, chaos.Scenario, scenario.Scenario,

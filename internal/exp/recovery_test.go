@@ -7,6 +7,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/failure"
@@ -200,7 +201,8 @@ func TestRecoveryHalvesMatchSerial(t *testing.T) {
 // TestBothForwardsPanic pins what both returns and raises: each error comes
 // back in its own position, and a panic in either function reaches the
 // caller with its value only after the other function has finished; when
-// both panic, the spawned function's value wins.
+// both panic, the spawned function's value wins, wrapped in a halfPanic with
+// the stack it was raised on.
 func TestBothForwardsPanic(t *testing.T) {
 	errA, errB := errors.New("a failed"), errors.New("b failed")
 	if a, b := both(func() error { return errA }, func() error { return errB }); a != errA || b != errB {
@@ -235,6 +237,12 @@ func TestBothForwardsPanic(t *testing.T) {
 			both(a, b)
 			return nil
 		}()
+		if hp, ok := got.(halfPanic); ok {
+			if !tc.panicA || !strings.Contains(hp.PanicStack(), "TestBothForwardsPanic.func") {
+				t.Errorf("%s panics: halfPanic stack does not show the spawned function:\n%s", tc.name, hp.PanicStack())
+			}
+			got = hp.value
+		}
 		if got != tc.want {
 			t.Errorf("%s panics: recovered %v, want %v", tc.name, got, tc.want)
 		}
