@@ -9,11 +9,10 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/failure"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/topo"
 	"repro/internal/transport"
 )
 
@@ -25,14 +24,11 @@ func main() {
 
 func run() error {
 	// 1. Build the rewired topology and a fully converged lab on top.
-	tp, err := topo.F2Tree(8)
+	lab, err := exp.NewLab(exp.LabSpec{Scheme: exp.SchemeF2Tree, Ports: 8, Seed: 1})
 	if err != nil {
 		return err
 	}
-	lab, err := core.NewLab(core.LabConfig{Topology: tp, Seed: 1})
-	if err != nil {
-		return err
-	}
+	tp := lab.Topo
 	fmt.Printf("built %s: %d switches, %d hosts, %d backup routes installed\n",
 		tp.Name, tp.SwitchCount(), tp.HostCount(), len(lab.Plan.Routes))
 

@@ -114,11 +114,12 @@ func TestResolveHost(t *testing.T) {
 }
 
 // TestOnlyExpBuildsLabs keeps run assembly in one place: core.NewLab cannot
-// be unexported while bench/ and the quickstart example use it, so this walk
-// is what stops a sixth driver from assembling its own lab.
+// be unexported while bench/ uses it, so this walk over the commands,
+// packages and examples is what stops another driver from assembling its
+// own lab.
 func TestOnlyExpBuildsLabs(t *testing.T) {
 	root := filepath.Join("..", "..")
-	for _, dir := range []string{"internal", "cmd"} {
+	for _, dir := range []string{"internal", "cmd", "examples"} {
 		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
