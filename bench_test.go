@@ -216,14 +216,11 @@ func BenchmarkAblationWideRingC7(b *testing.B) {
 func BenchmarkAblationEqualPrefixLoops(b *testing.B) {
 	var loops float64
 	for i := 0; i < b.N; i++ {
-		tp, err := topo.F2Tree(8)
+		lab, err := exp.NewLab(exp.LabSpec{Scheme: exp.SchemeF2Tree, Ports: 8, Seed: 5, DisableFastReroute: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		lab, err := core.NewLab(core.LabConfig{Topology: tp, Seed: 5, DisableFastReroute: true})
-		if err != nil {
-			b.Fatal(err)
-		}
+		tp := lab.Topo
 		plan, err := core.PlanEqualPrefixBackupRoutes(tp)
 		if err != nil {
 			b.Fatal(err)
@@ -495,17 +492,13 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	var events uint64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		tp, err := topo.F2Tree(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lab, err := core.NewLab(core.LabConfig{Topology: tp, Seed: int64(i + 1)})
+		lab, err := exp.NewLab(exp.LabSpec{Scheme: exp.SchemeF2Tree, Ports: 8, Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
 		src, dst := lab.LeftmostHost(), lab.RightmostHost()
 		flow := fib.FlowKey{
-			Src: tp.Node(src).Addr, Dst: tp.Node(dst).Addr,
+			Src: lab.Topo.Node(src).Addr, Dst: lab.Topo.Node(dst).Addr,
 			Proto: network.ProtoUDP, SrcPort: 40000, DstPort: 9,
 		}
 		stop := lab.Sim.Ticker(100*time.Microsecond, func(sim.Time) {

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -26,10 +27,10 @@ func benchNetwork(tb testing.TB, tp *topo.Topology) (*sim.Simulator, *network.Ne
 	return s, nw
 }
 
-func newBGPBench(tb testing.TB, tp *topo.Topology) *bgpBench {
+func newBGPBench(tb testing.TB, tp *topo.Topology, cfg Config) *bgpBench {
 	tb.Helper()
 	s, nw := benchNetwork(tb, tp)
-	dom := NewDomain(nw, Config{})
+	dom := NewDomain(nw, cfg)
 	if err := dom.Bootstrap(); err != nil {
 		tb.Fatal(err)
 	}
@@ -61,13 +62,28 @@ func (bb *bgpBench) cycleLink(tb testing.TB, link topo.LinkID) {
 	bb.settle(tb)
 }
 
-// BenchmarkBGP measures the host cost of the three things a BGP lab does
+// crashRestart crashes the ToR speaker under graceful restart, restarts it
+// one second into the two-second restart window and runs to quiescence:
+// its peers retain its routes, resync, and the GR timers armed at the
+// crash expire on the resynced sessions and go back to the domain's pool.
+func (bb *bgpBench) crashRestart(tb testing.TB, tor topo.NodeID) {
+	bb.dom.SetNodeDown(bb.s.Now(), tor, true)
+	if err := bb.s.Run(bb.s.Now().Add(time.Second)); err != nil {
+		tb.Fatal(err)
+	}
+	bb.dom.SetNodeDown(bb.s.Now(), tor, false)
+	bb.settle(tb)
+}
+
+// BenchmarkBGP measures the host cost of the four things a BGP lab does
 // on an F²Tree(N): converge from nothing (NewDomain + Bootstrap on a ready
 // network), reconverge around one ToR–agg link failing and coming back,
-// and absorb the withdraw storm of a ToR speaker crashing and restarting
-// without graceful restart. Each op runs the simulator to quiescence, so
-// ns/op includes the event core and FIB installs the protocol causes.
-// Bootstrap runs at N = 8…22, the others at N ≤ 16.
+// absorb the withdraw storm of a ToR speaker crashing and restarting
+// without graceful restart, and ride out the same crash and restart with
+// it (gr-restart, the one kind that arms GR timers). Each op runs the
+// simulator to quiescence, so ns/op includes the event core and FIB
+// installs the protocol causes. Bootstrap runs at N = 8…22, the others at
+// N ≤ 16.
 func BenchmarkBGP(b *testing.B) {
 	kinds := []struct {
 		name string
@@ -84,7 +100,7 @@ func BenchmarkBGP(b *testing.B) {
 			}
 		}},
 		{"linkdown", func(b *testing.B, tp *topo.Topology) {
-			bb := newBGPBench(b, tp)
+			bb := newBGPBench(b, tp, Config{})
 			link := torUplink(tp)
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
@@ -92,7 +108,7 @@ func BenchmarkBGP(b *testing.B) {
 			}
 		}},
 		{"withdraw-storm", func(b *testing.B, tp *topo.Topology) {
-			bb := newBGPBench(b, tp)
+			bb := newBGPBench(b, tp, Config{})
 			tor := tp.NodesOfKind(topo.ToR)[0]
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
@@ -100,6 +116,14 @@ func BenchmarkBGP(b *testing.B) {
 				bb.settle(b)
 				bb.dom.SetNodeDown(bb.s.Now(), tor, false)
 				bb.settle(b)
+			}
+		}},
+		{"gr-restart", func(b *testing.B, tp *topo.Topology) {
+			bb := newBGPBench(b, tp, Config{GracefulRestart: true})
+			tor := tp.NodesOfKind(topo.ToR)[0]
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				bb.crashRestart(b, tor)
 			}
 		}},
 	}
@@ -142,7 +166,7 @@ func TestBGPAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := testing.AllocsPerRun(2, func() { newBGPBench(t, tp) }); got > float64(c.budget) {
+		if got := testing.AllocsPerRun(2, func() { newBGPBench(t, tp, Config{}) }); got > float64(c.budget) {
 			t.Errorf("F2Tree(%d) network + Bootstrap: %.0f allocs, budget %d", c.n, got, c.budget)
 		}
 	}
@@ -151,7 +175,7 @@ func TestBGPAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := newBGPBench(t, tp)
+	bb := newBGPBench(t, tp, Config{})
 	inst := bb.dom.Instance(tp.FindNode("agg-p0-0").ID)
 	p := bb.dom.ordinals[tp.FindNode("tor-p3-0").Subnet] // remote pod: learned over several sessions
 	var up *session
@@ -201,7 +225,7 @@ func TestUpdateDeliveryAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := newBGPBench(t, tp)
+	bb := newBGPBench(t, tp, Config{})
 	inst := bb.dom.Instance(tp.FindNode("agg-p0-0").ID)
 	s := &inst.sessions[0]
 	p := bb.dom.ordinals[tp.FindNode("tor-p3-0").Subnet]
@@ -234,10 +258,29 @@ func TestLinkCycleAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb := newBGPBench(t, tp)
+	bb := newBGPBench(t, tp, Config{})
 	link := torUplink(tp)
 	bb.cycleLink(t, link) // warm the pools and the domain's rendering buffers
 	if got := testing.AllocsPerRun(5, func() { bb.cycleLink(t, link) }); got > budget {
 		t.Errorf("link fail and restore: %.0f allocs, budget %d", got, budget)
+	}
+}
+
+// TestGRRestartAllocBudget caps a warmed ToR crash and restart under
+// graceful restart on F²Tree N=8, run to quiescence (BenchmarkBGP's
+// gr-restart op; four helpers each arm a GR timer): the timer records come
+// from the domain's pool like the UPDATE records (69 allocations measured;
+// fresh timer records would make it 73).
+func TestGRRestartAllocBudget(t *testing.T) {
+	const budget = 72
+	tp, err := topo.F2Tree(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb := newBGPBench(t, tp, Config{GracefulRestart: true})
+	tor := tp.NodesOfKind(topo.ToR)[0]
+	bb.crashRestart(t, tor) // warm the pools and the domain's rendering buffers
+	if got := testing.AllocsPerRun(5, func() { bb.crashRestart(t, tor) }); got > budget {
+		t.Errorf("GR crash and restart: %.0f allocs, budget %d", got, budget)
 	}
 }

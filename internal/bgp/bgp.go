@@ -143,7 +143,7 @@ type advert struct {
 }
 
 // update is one UPDATE in flight from a speaker over session s. Records
-// come from Domain.freeUpdates and return there when the peer's receive
+// come from Domain.updates and return there when the peer's receive
 // returns (or at once if the wire died): receive copies the path pointers
 // it keeps and never retains routes.
 type update struct {
@@ -155,7 +155,7 @@ type update struct {
 
 // grTimer is a session's GR or LLGR expiry: the epoch it was armed in,
 // which any later down/up cycle invalidates. Records come from
-// Domain.freeTimers and return there when the timer ends.
+// Domain.timers and return there when the timer ends.
 type grTimer struct {
 	s     *session
 	epoch int
@@ -268,11 +268,12 @@ type Domain struct {
 
 	// Pools and the FIB rendering every speaker writes into: routes()
 	// returns routeBuf cut from hopBuf, valid until its next call
-	// (fib.Table.ReplaceSource copies what it keeps).
-	freeUpdates []*update
-	freeTimers  []*grTimer
-	routeBuf    []fib.Route
-	hopBuf      []fib.NextHop
+	// (fib.Table.ReplaceSource copies what it keeps). updates needs no
+	// poison: deliverUpdate leaves a released record's pointers nil.
+	updates  sim.FreeList[update]
+	timers   sim.FreeList[grTimer]
+	routeBuf []fib.Route
+	hopBuf   []fib.NextHop
 }
 
 // announcement is a queued bootstrap best-path change: speaker from (a
@@ -292,6 +293,7 @@ func NewDomain(nw *network.Network, cfg Config) *Domain {
 		cfg:       cfg.withDefaults(),
 		instances: make([]*Instance, len(nw.Topology().Nodes)),
 		ordinals:  make(map[netaddr.Prefix]int32),
+		timers:    sim.NewFreeList(poisonGRTimer),
 	}
 	live := d.topo.LiveNodes()
 	for _, id := range live {
@@ -506,12 +508,7 @@ func (i *Instance) retainStale(now sim.Time, s *session) {
 			s.stale.add(int32(p))
 		}
 	}
-	var t *grTimer
-	if n := len(d.freeTimers); n > 0 {
-		t, d.freeTimers = d.freeTimers[n-1], d.freeTimers[:n-1]
-	} else {
-		t = new(grTimer)
-	}
+	t := d.timers.Get()
 	t.s, t.epoch = s, s.grEpoch
 	d.sim.AtArg(now.Add(d.cfg.RestartTime), grExpire, t)
 }
@@ -522,11 +519,8 @@ func (t *grTimer) live() bool {
 	return t.s.grEpoch == t.epoch && t.s.retained && !t.s.speaker().down
 }
 
-// releaseTimer returns a timer record to the pool.
-func (d *Domain) releaseTimer(t *grTimer) {
-	t.s = nil
-	d.freeTimers = append(d.freeTimers, t)
-}
+// poisonGRTimer marks a released timer with an epoch no session reaches.
+func poisonGRTimer(t *grTimer) { t.s, t.epoch = nil, -1 }
 
 // grExpire is the sim.ArgEvent of the RestartTime expiry: flush the stale
 // routes or, under LLGR, depreference them and arm the LLGR expiry.
@@ -536,9 +530,9 @@ func grExpire(now sim.Time, arg any) {
 	i := s.speaker()
 	switch {
 	case !t.live():
-		i.d.releaseTimer(t)
+		i.d.timers.Put(t)
 	case !i.d.cfg.LongLived:
-		i.d.releaseTimer(t)
+		i.d.timers.Put(t)
 		i.flushStale(now, s)
 	default:
 		// LLGR: keep the stale routes as a last resort.
@@ -554,7 +548,7 @@ func llgrExpire(now sim.Time, arg any) {
 	t := arg.(*grTimer)
 	s, live := t.s, t.live()
 	i := s.speaker()
-	i.d.releaseTimer(t)
+	i.d.timers.Put(t)
 	if live {
 		i.flushStale(now, s)
 	}
@@ -749,12 +743,7 @@ func (i *Instance) flush(now sim.Time, s *session) {
 	d := i.d
 	d.ords = s.pending.appendTo(d.ords[:0])
 	clear(s.pending)
-	var u *update
-	if n := len(d.freeUpdates); n > 0 {
-		u, d.freeUpdates = d.freeUpdates[n-1], d.freeUpdates[:n-1]
-	} else {
-		u = new(update)
-	}
+	u := d.updates.Get()
 	u.from, u.s = i, s
 	u.routes = slices.Grow(u.routes, len(d.ords))
 	for _, p := range d.ords {
@@ -785,7 +774,7 @@ func deliverUpdate(at sim.Time, arg any) {
 	}
 	clear(u.routes) // the pool must not pin paths nobody offers any more
 	u.from, u.s, u.routes = nil, nil, u.routes[:0]
-	i.d.freeUpdates = append(i.d.freeUpdates, u)
+	i.d.updates.Put(u)
 }
 
 // scheduleFIB coalesces FIB rewrites.

@@ -13,6 +13,8 @@ import (
 	"repro/internal/detect"
 	"repro/internal/exp"
 	"repro/internal/fib"
+	"repro/internal/network"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -314,5 +316,53 @@ func TestRestartKeepsRackPeerRouteUnderEqualPrefix(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("%s lost its static route for rack subnet %v after restart", tp.Node(tor).Name, rack.Subnet)
+	}
+}
+
+// TestDropsChargedToTheirFlow checks the flow each dropped packet is
+// attributed to. A second drop observer, registered after the run's own,
+// counts each drop under the flow key it reads while the packet is live;
+// every flow's Dropped must equal its key's count, and every drop must
+// belong to a scenario flow. An attribution that read a recycled packet
+// would charge a poisoned flow key that no scenario flow has.
+func TestDropsChargedToTheirFlow(t *testing.T) {
+	// Injected loss on every uplink of both probe hosts' ToRs, whichever
+	// aggregation switch a flow hashes to, plus a flapping uplink.
+	sc := &Scenario{Scheme: "f2tree", Ports: 8, Seed: 21}
+	for _, tor := range []struct{ name, pod string }{{"tor-p0-0", "p0"}, {"tor-p5-2", "p5"}} {
+		for k := 0; k < 4; k++ {
+			sc.Faults = append(sc.Faults, Fault{Kind: FaultGray, AtMs: 300, EndMs: 600,
+				A: tor.name, B: "agg-" + tor.pod + "-" + strconv.Itoa(k), Prob: 0.3})
+		}
+	}
+	sc.Faults = append(sc.Faults, Fault{Kind: FaultFlap, AtMs: 400, EndMs: 1000, A: "tor-p0-0", B: "agg-p0-0", PeriodMs: 60})
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := setup(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[fib.FlowKey]uint64)
+	r.lab.Net.OnDrop(func(_ sim.Time, _ topo.NodeID, pkt *network.Packet, _ network.DropCause) {
+		seen[pkt.Flow]++
+	})
+	v, err := r.execute(RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var charged uint64
+	for i, fr := range r.flows {
+		key := fr.Source.FlowKey()
+		if got, want := v.Flows[i].Dropped, seen[key]; got != want {
+			t.Errorf("flow %d (%s→%s): %d drops charged, %d dropped", i, v.Flows[i].Src, v.Flows[i].Dst, got, want)
+		}
+		if seen[key] == 0 {
+			t.Errorf("flow %d (%s→%s) lost nothing: the faults miss it", i, v.Flows[i].Src, v.Flows[i].Dst)
+		}
+		charged += seen[key]
+	}
+	if charged != v.Drops {
+		t.Errorf("%d of %d drops belong to no scenario flow", v.Drops-charged, v.Drops)
 	}
 }

@@ -174,6 +174,11 @@ func RunScenarioOpts(sc *Scenario, opts RunOpts) (*Verdict, error) {
 	if err != nil {
 		return nil, err
 	}
+	return r.execute(opts)
+}
+
+// execute runs a set-up scenario to quiescence and computes its verdict.
+func (r *run) execute(opts RunOpts) (*Verdict, error) {
 	r.schedule()
 	if err := r.lab.Sim.Run(r.horizon); err != nil {
 		return nil, err

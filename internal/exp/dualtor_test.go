@@ -10,14 +10,10 @@ import (
 )
 
 // dualLab builds a converged f2tree-dual lab under the given control plane.
-func dualLab(t *testing.T, control core.ControlPlane, disableFRR bool) *core.Lab {
+func dualLab(t *testing.T, control string, disableFRR bool) *core.Lab {
 	t.Helper()
-	tp, err := BuildTopology(SchemeF2TreeDual, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab, err := core.NewLab(core.LabConfig{
-		Topology: tp, ControlPlane: control, Seed: 7,
+	lab, err := NewLab(LabSpec{
+		Scheme: SchemeF2TreeDual, Ports: 6, Control: control, Seed: 7,
 		DisableFastReroute: disableFRR,
 	})
 	if err != nil {
@@ -50,11 +46,11 @@ func tracePath(t *testing.T, lab *core.Lab, src, dst topo.NodeID) []topo.LinkID 
 func TestDualToRReachability(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		control core.ControlPlane
+		control string
 		frrOff  bool
 	}{
-		{"ospf", core.ControlOSPF, false},
-		{"bgp", core.ControlBGP, true},
+		{"ospf", ControlOSPF, false},
+		{"bgp", ControlBGP, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lab := dualLab(t, tc.control, tc.frrOff)
@@ -90,7 +86,7 @@ func TestDualToRReachability(t *testing.T) {
 // TestDualToRPeerRouteBackup: traffic arriving at the "wrong" ToR (direct
 // host link dead) crosses the rack peer link instead of blackholing.
 func TestDualToRPeerRouteBackup(t *testing.T) {
-	lab := dualLab(t, core.ControlOSPF, false)
+	lab := dualLab(t, ControlOSPF, false)
 	_, dst := crossRackPair(t, lab)
 	rack := lab.Topo.RackOf(dst)
 	if rack == nil {

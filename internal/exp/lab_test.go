@@ -2,8 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -114,38 +116,44 @@ func TestResolveHost(t *testing.T) {
 }
 
 // TestOnlyExpBuildsLabs keeps run assembly in one place: core.NewLab cannot
-// be unexported while bench/ uses it, so this walk over the commands,
-// packages and examples is what stops another driver from assembling its
-// own lab.
+// be unexported while bench/ uses it, so this walk over the module (the
+// root package, commands, packages and examples, tests included) is what
+// stops another driver or test from assembling its own lab. exp.NewLab
+// itself, internal/core and bench/ are exempt.
 func TestOnlyExpBuildsLabs(t *testing.T) {
 	root := filepath.Join("..", "..")
-	for _, dir := range []string{"internal", "cmd", "examples"} {
-		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			rel, _ := filepath.Rel(root, path)
-			rel = filepath.ToSlash(rel)
-			if d.IsDir() {
-				if d.Name() == "testdata" || rel == "internal/exp" || rel == "internal/core" {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
-				return nil
-			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			if strings.Contains(string(src), "core.NewLab(") {
-				t.Errorf("%s calls core.NewLab; build labs through exp.NewLab", rel)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if (rel != "." && strings.HasPrefix(d.Name(), ".")) || d.Name() == "testdata" ||
+				rel == "bench" || rel == "internal/core" {
+				return filepath.SkipDir
 			}
 			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		if !strings.HasSuffix(rel, ".go") || rel == "internal/exp/exp.go" {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewLab" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "core" {
+					t.Errorf("%s: calls core.NewLab; build labs through exp.NewLab", fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,11 +11,13 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"repro/internal/detect"
 	"repro/internal/fib"
+	"repro/internal/netaddr"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -147,8 +149,8 @@ type Network struct {
 	// Hot-path free lists: packets (NewPacket) and in-flight hop records
 	// (one per scheduled arrival/forward event) are recycled for the life
 	// of the network instead of allocated per hop.
-	freePkts   []*Packet
-	freeEvents []*netEvent
+	pkts   sim.FreeList[Packet]
+	events sim.FreeList[netEvent]
 
 	stats Stats
 }
@@ -189,71 +191,52 @@ func runNetEvent(now sim.Time, arg any) {
 	if !ok {
 		return
 	}
-	n := ev.n
-	pkt := ev.pkt
-	switch ev.kind {
-	case evArrive:
+	n, pkt, node, from, kind := ev.n, ev.pkt, ev.node, ev.from, ev.kind
+	up := true
+	if kind == evArrive {
 		d := &n.links[ev.link].dirs[ev.dir]
 		if nx := ev.next; nx != nil {
-			ev.next = nil
 			n.sim.AtArgSeq(nx.at, nx.seq, runNetEvent, nx)
 		} else {
 			d.tail = nil
 		}
-		if !d.up {
-			// The direction died while the packet was in queue or flight.
-			n.putEvent(ev)
-			n.drop(now, ev.from, pkt, DropLinkDown)
-			return
-		}
-		node := ev.node
-		n.putEvent(ev)
-		n.arrive(now, node, pkt)
-	case evForward:
-		node := ev.node
-		n.putEvent(ev)
+		up = d.up
+	}
+	n.events.Put(ev)
+	switch {
+	case kind == evForward:
 		n.forward(now, node, pkt)
+	case !up:
+		// The direction died while the packet was in queue or flight.
+		n.drop(now, from, pkt, DropLinkDown)
+	default:
+		n.arrive(now, node, pkt)
 	}
 }
 
-// getEvent returns a fresh or recycled in-flight record.
-func (n *Network) getEvent() *netEvent {
-	if ln := len(n.freeEvents); ln > 0 {
-		ev := n.freeEvents[ln-1]
-		n.freeEvents[ln-1] = nil
-		n.freeEvents = n.freeEvents[:ln-1]
-		return ev
-	}
-	return &netEvent{n: n}
-}
-
-// putEvent recycles an in-flight record.
-func (n *Network) putEvent(ev *netEvent) {
-	ev.pkt = nil
-	n.freeEvents = append(n.freeEvents, ev)
+// poisonNetEvent marks a released in-flight record: it carries no network
+// or packet, names no node, link or direction, and its time and sequence
+// number fit no FIFO.
+func poisonNetEvent(ev *netEvent) {
+	ev.n, ev.pkt, ev.next, ev.kind = nil, nil, nil, 0
+	ev.node, ev.from, ev.link, ev.dir, ev.at, ev.seq = topo.None, topo.None, topo.None, -1, -1, math.MaxUint64
 }
 
 // NewPacket returns a zeroed packet from the network's free list. Packets
 // obtained here are recycled automatically when they die (delivered or
 // dropped); see the retention contract on Packet.
 func (n *Network) NewPacket() *Packet {
-	if ln := len(n.freePkts); ln > 0 {
-		p := n.freePkts[ln-1]
-		n.freePkts[ln-1] = nil
-		n.freePkts = n.freePkts[:ln-1]
-		return p
-	}
-	return &Packet{pooled: true}
+	p := n.pkts.Get()
+	*p = Packet{pooled: true}
+	return p
 }
 
-// releasePacket recycles a pool-owned packet; direct &Packet{} values are
-// left alone.
-func (n *Network) releasePacket(p *Packet) {
-	if !p.pooled {
-		return
-	}
-	*p = Packet{pooled: true}
-	n.freePkts = append(n.freePkts, p)
+// poisonPacket marks a released packet: a flow key no host or transport
+// uses (the all-ones addresses, protocol 255) and negative size, TTL, send
+// time and hop count.
+func poisonPacket(p *Packet) {
+	p.Flow = fib.FlowKey{Src: ^netaddr.Addr(0), Dst: ^netaddr.Addr(0), Proto: 255}
+	p.Size, p.TTL, p.SentAt, p.Hops, p.Payload = -1, -1, -1, -1, nil
 }
 
 // LossFunc lets tests and fault injectors drop individual packets at a
@@ -274,11 +257,13 @@ type DetectionFilter func(now sim.Time, node topo.NodeID, port int, observed boo
 // has a default route to its ToR).
 func New(s *sim.Simulator, t *topo.Topology, cfg Config) (*Network, error) {
 	n := &Network{
-		sim:   s,
-		topo:  t,
-		cfg:   cfg.withDefaults(),
-		nodes: make([]nodeState, len(t.Nodes)),
-		links: make([]linkState, len(t.Links)),
+		sim:    s,
+		topo:   t,
+		cfg:    cfg.withDefaults(),
+		nodes:  make([]nodeState, len(t.Nodes)),
+		links:  make([]linkState, len(t.Links)),
+		pkts:   sim.NewFreeList(poisonPacket),
+		events: sim.NewFreeList(poisonNetEvent),
 	}
 	for i := range t.Nodes {
 		nd := &t.Nodes[i]
@@ -587,7 +572,9 @@ func (n *Network) drop(now sim.Time, at topo.NodeID, pkt *Packet, cause DropCaus
 	for _, fn := range n.onDrop {
 		fn(now, at, pkt, cause)
 	}
-	n.releasePacket(pkt)
+	if pkt.pooled {
+		n.pkts.Put(pkt)
+	}
 }
 
 // forward routes pkt out of node (host or switch) at time now.
@@ -648,13 +635,15 @@ func (n *Network) transmit(now sim.Time, node topo.NodeID, port int, pkt *Packet
 	d.nextFree = start.Add(txTime)
 	other, _ := l.Other(node)
 	arrive := d.nextFree.Add(n.cfg.PropDelay)
-	ev := n.getEvent()
-	// ev owns pkt until runNetEvent releases it.
-	ev.kind, ev.pkt, ev.node, ev.from, ev.link, ev.dir = evArrive, pkt, other, node, l.ID, int8(dir)
+	ev := n.events.Get()
+	// ev owns pkt until runNetEvent releases it. Field by field, as a
+	// composite literal is built on the stack and copied.
+	ev.n, ev.pkt, ev.next, ev.kind = n, pkt, nil, evArrive
+	ev.node, ev.from, ev.link, ev.dir, ev.at, ev.seq = other, node, l.ID, int8(dir), arrive, 0
 	if d.tail != nil {
 		// An earlier arrival is in flight: queue behind it under the
 		// sequence number AtArg would have taken now.
-		ev.at, ev.seq = arrive, n.sim.ReserveSeq()
+		ev.seq = n.sim.ReserveSeq()
 		d.tail.next = ev
 	} else {
 		n.sim.AtArg(arrive, runNetEvent, ev)
@@ -674,7 +663,9 @@ func (n *Network) arrive(now sim.Time, node topo.NodeID, pkt *Packet) {
 		if st := &n.nodes[node]; st.recv != nil {
 			st.recv(now, pkt)
 		}
-		n.releasePacket(pkt)
+		if pkt.pooled {
+			n.pkts.Put(pkt)
+		}
 		return
 	}
 	// Switch hop.
@@ -684,8 +675,9 @@ func (n *Network) arrive(now sim.Time, node topo.NodeID, pkt *Packet) {
 		n.drop(now, node, pkt, DropTTLExpired)
 		return
 	}
-	ev := n.getEvent()
+	ev := n.events.Get()
 	// ev owns pkt until runNetEvent releases it.
-	ev.kind, ev.pkt, ev.node = evForward, pkt, node
+	ev.n, ev.pkt, ev.next, ev.kind = n, pkt, nil, evForward
+	ev.node, ev.from, ev.link, ev.dir, ev.at, ev.seq = node, topo.None, topo.None, 0, 0, 0
 	n.sim.AfterArg(n.cfg.ProcDelay, runNetEvent, ev)
 }

@@ -16,6 +16,7 @@ package ospf
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -139,7 +140,7 @@ type Domain struct {
 	scratch     spfScratch
 	onSPF       func(now sim.Time, node topo.NodeID)
 	floodFilter FloodFilter
-	freeFloods  []*floodRec // recycled flood records
+	floods      sim.FreeList[floodRec]
 	// floodTail is the last record of the flood FIFO (nil when empty):
 	// only its head is a simulator event (queueFlood, deliverFlood).
 	floodTail *floodRec
@@ -231,6 +232,7 @@ func NewDomain(nw *network.Network, cfg Config) *Domain {
 		cfg:       cfg.withDefaults(),
 		instances: make([]*Instance, len(nw.Topology().Nodes)),
 		sw:        topo.NewSwitchIndex(nw.Topology()),
+		floods:    sim.NewFreeList(poisonFloodRec),
 	}
 	n := d.sw.Len()
 	d.scratch.init(n)
@@ -471,12 +473,8 @@ func (i *Instance) flood(now sim.Time, lsa *LSA, from topo.NodeID) {
 			}
 		}
 		if rec == nil {
-			if n := len(d.freeFloods); n > 0 {
-				rec, d.freeFloods = d.freeFloods[n-1], d.freeFloods[:n-1]
-			} else {
-				rec = &floodRec{}
-			}
-			rec.inst, rec.lsa, rec.delay = i, lsa, delay
+			rec = d.floods.Get()
+			rec.inst, rec.lsa, rec.delay, rec.hops, rec.next, rec.seq = i, lsa, delay, rec.hops[:0], nil, 0
 			open = append(open, rec)
 			d.queueFlood(rec)
 		}
@@ -520,8 +518,14 @@ func deliverFlood(at sim.Time, arg any) {
 			ni.receive(at, rec.lsa, i.node)
 		}
 	}
-	rec.inst, rec.lsa, rec.hops, rec.next = nil, nil, rec.hops[:0], nil
-	d.freeFloods = append(d.freeFloods, rec)
+	d.floods.Put(rec)
+}
+
+// poisonFloodRec marks a released flood record: it has no sender or LSA,
+// and its delay, time and sequence number fit no FIFO. hops keeps its
+// storage for the next flood.
+func poisonFloodRec(rec *floodRec) {
+	rec.inst, rec.lsa, rec.next, rec.delay, rec.at, rec.seq = nil, nil, nil, -1, -1, math.MaxUint64
 }
 
 // receive processes a flooded LSA.

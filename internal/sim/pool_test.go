@@ -73,7 +73,7 @@ func TestItemPoolSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(s.free); got > 4 {
+	if got := len(s.items.recs); got > 4 {
 		t.Fatalf("free list grew to %d items for a serial workload", got)
 	}
 }
@@ -179,5 +179,28 @@ func TestScheduleCancelNoAlloc(t *testing.T) {
 	churn() // warm the item pool
 	if allocs := testing.AllocsPerRun(100, churn); allocs > 0 {
 		t.Fatalf("schedule-then-Cancel allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// TestFreeListPoisonsReleasedRecords: in a test binary Put runs the type's
+// poison before it keeps the record, Get hands the same record back, and
+// the zero FreeList (the simulator's own item list) never poisons.
+func TestFreeListPoisonsReleasedRecords(t *testing.T) {
+	type rec struct{ hops int }
+	l := NewFreeList(func(r *rec) { r.hops = -1 })
+	r := l.Get()
+	r.hops = 7
+	l.Put(r)
+	if r.hops != -1 {
+		t.Fatalf("released record reads %d hops, want the poison −1", r.hops)
+	}
+	if got := l.Get(); got != r {
+		t.Fatal("Get allocated instead of reusing the released record")
+	}
+	var plain FreeList[rec]
+	r.hops = 7
+	plain.Put(r)
+	if r.hops != 7 {
+		t.Fatalf("the zero FreeList changed a released record to %d hops", r.hops)
 	}
 }

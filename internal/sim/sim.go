@@ -115,7 +115,7 @@ type Simulator struct {
 	near    eventHeap
 	far     eventHeap
 	split   Time
-	free    []*item // recycled items
+	items   FreeList[item] // unpoisoned: gen is the items' own safety net
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -149,33 +149,13 @@ func (s *Simulator) Pending() int { return len(s.near) + len(s.far) }
 // Pending between phases cannot see.
 func (s *Simulator) PeakPending() int { return s.peak }
 
-// get returns a fresh or recycled item.
-func (s *Simulator) get() *item {
-	if n := len(s.free); n > 0 {
-		it := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return it
-	}
-	return &item{}
-}
-
-// put releases an item to the free list. The generation bump here is what
-// deactivates every Handle issued for the item's previous life.
-func (s *Simulator) put(it *item) {
-	it.gen++
-	it.fn, it.argFn, it.arg = nil, nil, nil
-	it.index = -1
-	s.free = append(s.free, it)
-}
-
 // schedule enqueues one event under sequence number seq. Scheduling in the
 // past is treated as "now" (the event runs before time advances further).
 func (s *Simulator) schedule(at Time, seq uint64, fn Event, argFn ArgEvent, arg any) Handle {
 	if at < s.now {
 		at = s.now
 	}
-	it := s.get()
+	it := s.items.Get()
 	it.at, it.seq = at, seq
 	it.fn, it.argFn, it.arg = fn, argFn, arg
 	it.far = at > s.split
@@ -249,7 +229,8 @@ func (s *Simulator) Cancel(h Handle) bool {
 	} else {
 		s.near.removeAt(int(h.it.index))
 	}
-	s.put(h.it)
+	h.it.gen++ // deactivates every Handle issued for this life
+	s.items.Put(h.it)
 	return true
 }
 
@@ -295,9 +276,11 @@ func (s *Simulator) Run(horizon Time) error {
 		s.now = it.at
 		s.ran++
 		fn, argFn, arg := it.fn, it.argFn, it.arg
-		// Release before running: the handle is already dead (generation
-		// bumped), and the callback may immediately schedule into the slot.
-		s.put(it)
+		// Release before running: the generation bump kills the handle,
+		// and the callback may immediately schedule into the slot. The
+		// item keeps its callback until schedule reuses it.
+		it.gen++
+		s.items.Put(it)
 		if argFn != nil {
 			argFn(s.now, arg)
 		} else if fn != nil {
@@ -371,7 +354,7 @@ func (h eventHeap) siftDown(i int) {
 }
 
 // removeAt detaches the item at index i, preserving the heap order of the
-// rest, and returns it with index −1. The caller releases it via put.
+// rest, and returns it with index −1, ready for the free list.
 func (h *eventHeap) removeAt(i int) *item {
 	old := *h
 	n := len(old) - 1

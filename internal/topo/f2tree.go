@@ -40,11 +40,11 @@ func F2TreeWide(n, width int) (*Topology, error) {
 	if down < 1 || up < 2 || pods < 3 {
 		return nil, fmt.Errorf("topo: n=%d too small for ring width %d", n, width)
 	}
-	// A ring of k members with `reach` distinct neighbors per side needs
-	// k ≥ 2·reach unless parallel links make up the difference; we require
-	// the simple condition k ≥ 2 and, for reach > 1, k > reach so left and
-	// right neighbor sets do not alias the same port pairs ambiguously.
-	if up < reach {
+	// addRing links each member of a ring of k to its 1st..reach-th
+	// successor, and the reach-th successor of a member is itself when
+	// k = reach: the core ring needs k > reach members. Where k < 2·reach
+	// the chords of the two directions coincide and become parallel links.
+	if up <= reach {
 		return nil, fmt.Errorf("topo: core ring of %d cannot support width %d", up, width)
 	}
 	name := fmt.Sprintf("f2tree-%d", n)

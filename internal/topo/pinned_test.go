@@ -169,6 +169,7 @@ func TestBuildersPinned(t *testing.T) {
 		{"f2leafspine", F2LeafSpine, 8, "32a3bb020182"},
 		{"vl2", VL2, 6, "0336cab52c23"},
 		{"vl2", VL2, 8, "1da869c1b54a"},
+		{"f2vl2", F2VL2, 6, "38d2f4967db1"},
 		{"f2vl2", F2VL2, 8, "3add3926fd33"},
 		{"f2vl2", F2VL2, 12, "db3dfc8a5696"},
 		{"f2tree-dual", dual(F2Tree), 6, "3ca4f218f1b2"},
@@ -202,6 +203,8 @@ func TestBuilderErrorsPinned(t *testing.T) {
 		{"f2tree odd width", func() error { _, err := F2TreeWide(12, 3); return err }, "topo: ring width must be even ≥ 2, got 3"},
 		{"f2tree zero width", func() error { _, err := F2TreeWide(12, 0); return err }, "topo: ring width must be even ≥ 2, got 0"},
 		{"f2tree too wide", func() error { _, err := F2TreeWide(6, 4); return err }, "topo: n=6 too small for ring width 4"},
+		{"f2tree w4 ring of 2", func() error { _, err := F2TreeWide(8, 4); return err }, "topo: core ring of 2 cannot support width 4"},
+		{"f2tree w6 ring of 3", func() error { _, err := F2TreeWide(12, 6); return err }, "topo: core ring of 3 cannot support width 6"},
 		{"prototype odd", func() error { _, err := RewireFatTreePrototype(7); return err }, "topo: fat tree needs even n ≥ 4, got 7"},
 		{"aspen odd", func() error { _, err := AspenTree(7, 1); return err }, "topo: aspen needs even n ≥ 4, got 7"},
 		{"aspen f0", func() error { _, err := AspenTree(8, 0); return err }, "topo: aspen needs f ≥ 1, got 0"},

@@ -23,9 +23,9 @@ func VL2(n int) (*Topology, error) {
 // F2VL2 builds the F²Tree variant of VL2 (paper §V, Fig 7(b)): each
 // aggregation pair gains a double across link (its members act as each
 // other's left and right across neighbors), paid for with two upward ports
-// per aggregation switch. The intermediate layer keeps enough density that
-// upward ECMP still has n/2−2 choices, while aggregation→ToR downward
-// failures become locally reroutable.
+// per aggregation switch. Upward ECMP keeps n/2−2 choices, so at n = 6 an
+// aggregation switch has one uplink and no upward ECMP at all, while
+// aggregation→ToR downward failures become locally reroutable.
 func F2VL2(n int) (*Topology, error) {
 	return vl2(n, true)
 }
@@ -43,9 +43,6 @@ func vl2(n int, f2 bool) (*Topology, error) {
 	if f2 {
 		name = fmt.Sprintf("f2vl2-%d", n)
 		upPerAgg = ints - 2 // two upward ports fund the across links
-		if upPerAgg < 1 {
-			return nil, fmt.Errorf("topo: F²VL2 needs n ≥ 8 for upward ECMP")
-		}
 	}
 
 	t, ap, err := newPlanned(name)

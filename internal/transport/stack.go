@@ -7,6 +7,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -62,8 +63,8 @@ type Stack struct {
 	// Payload free lists: a segment or datagram returns here, to its
 	// sender, once the receiving stack has handled it. Data and ACKs
 	// flow in opposite directions, so a connection's two pools balance.
-	freeSegs []*Segment
-	freeDgs  []*Datagram
+	segs sim.FreeList[Segment]
+	dgs  sim.FreeList[Datagram]
 }
 
 // NewStack attaches a stack to host.
@@ -81,6 +82,8 @@ func NewStack(nw *network.Network, host topo.NodeID) (*Stack, error) {
 		listeners:     make(map[uint16]AcceptFunc),
 		conns:         make(map[fourTuple]*Conn),
 		nextEphemeral: 33000,
+		segs:          sim.NewFreeList(poisonSegment),
+		dgs:           sim.NewFreeList(poisonDatagram),
 	}
 	nw.SetHostReceiver(host, st.receive)
 	return st, nil
@@ -113,13 +116,7 @@ func (st *Stack) BindUDP(port uint16, h UDPHandler) error {
 
 // SendUDP transmits one datagram of `size` payload bytes.
 func (st *Stack) SendUDP(dst netaddr.Addr, srcPort, dstPort uint16, size int, dg Datagram) {
-	var dp *Datagram
-	if n := len(st.freeDgs); n > 0 {
-		dp = st.freeDgs[n-1]
-		st.freeDgs = st.freeDgs[:n-1]
-	} else {
-		dp = new(Datagram)
-	}
+	dp := st.dgs.Get()
 	dg.owner = st
 	*dp = dg
 	pkt := st.nw.NewPacket()
@@ -132,29 +129,11 @@ func (st *Stack) SendUDP(dst netaddr.Addr, srcPort, dstPort uint16, size int, dg
 	st.nw.SendFromHost(st.host, pkt)
 }
 
-// newSegment returns a segment from the stack's free list, holding s.
-func (st *Stack) newSegment(s Segment) *Segment {
-	var seg *Segment
-	if n := len(st.freeSegs); n > 0 {
-		seg = st.freeSegs[n-1]
-		st.freeSegs = st.freeSegs[:n-1]
-	} else {
-		seg = new(Segment)
-	}
-	s.owner = st
-	*seg = s
-	return seg
-}
+// poisonSegment and poisonDatagram mark a released payload with no owner
+// and offsets, a length and a sequence number no flow can reach.
+func poisonSegment(seg *Segment) { seg.owner, seg.Seq, seg.AckNo, seg.Len = nil, -1, -1, -1 }
 
-// recycleSegment returns a handled segment to its sender's free list.
-func recycleSegment(seg *Segment) {
-	seg.owner.freeSegs = append(seg.owner.freeSegs, seg)
-}
-
-// recycleDatagram returns a handled datagram to its sender's free list.
-func recycleDatagram(dg *Datagram) {
-	dg.owner.freeDgs = append(dg.owner.freeDgs, dg)
-}
+func poisonDatagram(dg *Datagram) { dg.owner, dg.Seq = nil, math.MaxUint64 }
 
 // receive demuxes an arriving packet. Its payload is recycled when this
 // returns, so nothing below may keep the *Segment or *Datagram.
@@ -168,14 +147,14 @@ func (st *Stack) receive(now sim.Time, pkt *network.Packet) {
 		if h := st.udpHandlers[pkt.Flow.DstPort]; h != nil {
 			h(now, pkt.Flow.Src, pkt.Flow.SrcPort, pkt.Size-HeaderBytes, *dg, pkt.SentAt)
 		}
-		recycleDatagram(dg)
+		dg.owner.dgs.Put(dg)
 	case network.ProtoTCP:
 		seg, ok := pkt.Payload.(*Segment)
 		if !ok {
 			return
 		}
 		st.receiveTCP(now, pkt, seg)
-		recycleSegment(seg)
+		seg.owner.segs.Put(seg)
 	}
 }
 

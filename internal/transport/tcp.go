@@ -264,7 +264,9 @@ func (c *Conn) RTO() time.Duration { return c.rto }
 
 // sendSegment transmits s on the wire in a pooled segment.
 func (c *Conn) sendSegment(s Segment) {
-	seg := c.stack.newSegment(s)
+	seg := c.stack.segs.Get()
+	s.owner = c.stack
+	*seg = s
 	size := seg.Len + HeaderBytes
 	pkt := c.stack.nw.NewPacket()
 	pkt.Flow = fib.FlowKey{
