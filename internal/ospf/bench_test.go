@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/fib"
@@ -153,17 +154,38 @@ func BenchmarkSPF(b *testing.B) {
 
 // TestSPFAllocBudget pins what an SPF run may allocate once its LSAs have
 // been seen: nothing, in every LSDB state. Rows are the LSAs' own or cut
-// from the domain's arena, and distances, hop sets, frontiers, the route
-// list and the array its next hops are cut from all reuse storage. The
-// last case drives a whole cycle through the simulator: the throttled
-// timer, the run, the delayed event and an unchanged FIB install (F²Tree
-// N=8: 54 switches).
+// from the domain's arena, the prefix table refills its storage, and
+// distances, hop sets, frontiers, the route list and the array its next
+// hops are cut from all reuse storage. The wave case runs every instance
+// once with a link's LSAs landing in every LSDB half way through, so the
+// snapshot is rebuilt twice (the wave's first run, the first run after the
+// landing) and reused by every other run. The last case drives a whole
+// cycle through the simulator: the throttled timer, the run, the delayed
+// event and an unchanged FIB install (F²Tree N=8: 54 switches).
 func TestSPFAllocBudget(t *testing.T) {
 	sb := newSPFBench(t, 8)
 	l := sb.link(topo.Agg, 0)
 	down, half := sb.lsas(false, l), sb.halfDown(l)
+	all := sb.insts
 	inst := sb.insts[0].d.instances[l.A] // an endpoint: the link is one of its first hops
 	sb.insts = []*Instance{inst}
+	rebuilds := 0
+	wave := func() {
+		one := sb.insts
+		sb.insts, rebuilds = all, 0
+		sb.set(nil)
+		for k, i := range all {
+			if k == len(all)/2 {
+				sb.set(down)
+			}
+			if !slices.Equal(i.lsdb, i.d.scratch.lsdb) {
+				rebuilds++
+			}
+			benchRoutes = i.computeRoutes(&i.out)
+		}
+		sb.set(nil)
+		sb.insts = one
+	}
 	for _, tc := range []struct {
 		name string
 		f    func()
@@ -179,6 +201,7 @@ func TestSPFAllocBudget(t *testing.T) {
 			sb.set(half)
 			sb.reconverge()
 		}},
+		{"wave", wave},
 		{"runSPF+install", func() {
 			runs := inst.SPFRuns()
 			inst.scheduleSPF(inst.d.sim.Now())
@@ -194,6 +217,9 @@ func TestSPFAllocBudget(t *testing.T) {
 		if got := testing.AllocsPerRun(10, tc.f); got > 0 {
 			t.Errorf("%s: %.0f allocs per call, budget 0", tc.name, got)
 		}
+	}
+	if rebuilds != 2 {
+		t.Errorf("a wave rebuilt the snapshot %d times, want 2", rebuilds)
 	}
 }
 

@@ -381,17 +381,11 @@ func (d *Domain) Bootstrap() error {
 			inst.lsdb[src.ord] = src.lsdb[src.ord]
 		}
 	}
-	// Every LSDB now holds the same LSAs, so one set of two-way-checked
-	// adjacency rows serves every instance's search. Installs are
-	// synchronous and ReplaceSource copies what it keeps, so one route
-	// list serves all.
+	// Installs are synchronous and ReplaceSource copies what it keeps, so
+	// one route list serves all.
 	var list routeList
-	if len(insts) > 0 {
-		insts[0].buildGraph()
-	}
 	for _, inst := range insts {
-		inst.search()
-		routes := inst.emitRoutes(&list)
+		routes := inst.computeRoutes(&list)
 		if err := d.nw.Table(inst.node).ReplaceSource(fib.OSPF, routes); err != nil {
 			return fmt.Errorf("bootstrap %s: %w", d.topo.Node(inst.node).Name, err)
 		}

@@ -14,29 +14,52 @@ import (
 const hopSetPorts = topo.MaskPorts
 
 // spfScratch is the working memory of an SPF run. The Domain owns it and
-// its instances share it: the simulation is single-threaded, a run reads
-// nothing an earlier run left behind, and nothing but the routes it emits
-// outlives it. Everything per origin is indexed by switch ordinal.
+// its instances share it: the simulation is single-threaded, and nothing
+// but the routes a run emits outlives it. Everything per origin is indexed
+// by switch ordinal.
+//
+// The adjacency rows and the prefix table are a pure function of the LSDB
+// they were built from: LSAs never change once originated, and the two-way
+// check reads nothing but them. The scratch keeps that LSDB as a snapshot,
+// and a run whose LSDB holds the same LSA pointers reuses both.
 type spfScratch struct {
+	// lsdb is the snapshot: the LSA pointers graph and the prefix table
+	// were built from (all nil, with empty rows and table, before the
+	// first build).
+	lsdb []*LSA
 	// graph is the two-way-checked adjacency row of every origin, each
 	// sorted by (To, Link): the LSA's own row, shared by every instance,
 	// unless the check filtered it; then it is cut from rows.
 	graph [][]topo.Edge
 	rows  []topo.Edge // filtered rows checkedRow builds, back to back
+
+	// The prefix table: prefixes holds the snapshot's distinct prefixes in
+	// first-advertised order (ascending origin, then the LSA's order), and
+	// prefixIDs[o] origin o's prefixes as indices into it, cut from ids.
+	prefixes  []netaddr.Prefix
+	prefixIDs [][]int32
+	ids       []int32
+	byPrefix  map[netaddr.Prefix]int32 // prefix → id, while the table is built
+
 	// search holds the last search's distances (Dist) and first-hop port
 	// sets (Mask), and its frontiers.
 	search topo.Search
 
-	cands    []emitCand             // emitRoutes: one per prefix, first-seen order
-	byPrefix map[netaddr.Prefix]int // prefix → index in cands
+	// emitRoutes' state: one candidate per reached prefix, in first-seen
+	// order, and per prefix id its index in cands plus one (0: not seen in
+	// this run; emitRoutes zeroes what it set before it returns).
+	cands []emitCand
+	slot  []int32
 }
 
 // init sizes the scratch for n switches.
 func (sc *spfScratch) init(n int) {
+	sc.lsdb = make([]*LSA, n)
 	sc.graph = make([][]topo.Edge, n)
+	sc.prefixIDs = make([][]int32, n)
 	sc.search.Dist = make([]int, n)
 	sc.search.Mask = make([]uint64, n)
-	sc.byPrefix = make(map[netaddr.Prefix]int)
+	sc.byPrefix = make(map[netaddr.Prefix]int32)
 }
 
 // computeRoutes runs the shortest-path computation over the LSDB and
@@ -46,11 +69,16 @@ func (sc *spfScratch) init(n int) {
 // routers advertise it over the same link (the OSPF two-way check), which
 // keeps half-dead links out of the graph while detections race.
 //
-// Every run is a full search over rows rebuilt from the LSDB. The SPF
-// timer (200 ms) and the FIB delay (10 ms) are simulated time, so the host
-// time a run takes shows in no result (DESIGN.md §13, "Delta-SPF").
+// Every run is a full search. Its rows and prefix table are rebuilt only
+// when this router's LSDB holds other LSAs than the snapshot they were
+// built from; most runs find the LSDB the previous run of some other
+// router saw (DESIGN.md §13, "One graph per LSDB snapshot"). The SPF timer
+// (200 ms) and the FIB delay (10 ms) are simulated time, so the host time
+// a run takes shows in no result (DESIGN.md §13, "Delta-SPF").
 func (i *Instance) computeRoutes(list *routeList) []fib.Route {
-	i.buildGraph()
+	if !slices.Equal(i.lsdb, i.d.scratch.lsdb) {
+		i.buildGraph()
+	}
 	i.search()
 	return i.emitRoutes(list)
 }
@@ -111,15 +139,35 @@ func (i *Instance) checkedRow(o topo.NodeID, buf *[]topo.Edge) []topo.Edge {
 	return edges
 }
 
-// buildGraph rebuilds every adjacency row from this router's LSDB. A row
-// cut from the arena stays valid when a later append moves the arena: the
-// old array is not written again in this run.
+// buildGraph makes this router's LSDB the snapshot: it copies the LSA
+// pointers and rebuilds every adjacency row and the prefix table from
+// them. A row or id list cut from an arena stays valid when a later append
+// moves the arena: the old array is not written again in this build.
 func (i *Instance) buildGraph() {
 	sc := &i.d.scratch
+	copy(sc.lsdb, i.lsdb)
 	sc.rows = sc.rows[:0]
 	for o := range sc.graph {
 		sc.graph[o] = i.checkedRow(topo.NodeID(o), &sc.rows)
 	}
+	clear(sc.byPrefix)
+	sc.prefixes, sc.ids = sc.prefixes[:0], sc.ids[:0]
+	for o, lsa := range i.lsdb {
+		lo := len(sc.ids)
+		if lsa != nil {
+			for _, p := range lsa.Prefixes {
+				id, seen := sc.byPrefix[p]
+				if !seen {
+					id = int32(len(sc.prefixes))
+					sc.byPrefix[p] = id
+					sc.prefixes = append(sc.prefixes, p)
+				}
+				sc.ids = append(sc.ids, id)
+			}
+		}
+		sc.prefixIDs[o] = sc.ids[lo:len(sc.ids):len(sc.ids)]
+	}
+	sc.slot = slices.Grow(sc.slot[:0], len(sc.prefixes))[:len(sc.prefixes)] // all 0: emitRoutes zeroes what it sets
 }
 
 // search runs the graph kernel from this router over the adjacency rows:
@@ -132,9 +180,9 @@ func (i *Instance) search() {
 
 // emitCand is a prefix's best origin so far: its distance and hop set.
 type emitCand struct {
-	prefix netaddr.Prefix
-	dist   int
-	hops   uint64
+	id   int32 // index into the prefix table
+	dist int
+	hops uint64
 }
 
 // routeList is a route list and the array its routes' next hops are cut
@@ -153,14 +201,14 @@ type routeList struct {
 // anycast their shared subnet from both ToRs): the route keeps the
 // minimum-distance origin's next hops, unioning hop sets when origins tie,
 // so traffic prefers the nearer rack ToR and load-shares at equal cost.
-// With single-origin prefixes the emission is exactly the historical
-// per-origin list.
+// Routes come in the order their prefixes are first seen walking the
+// reached origins upward; with single-origin prefixes that is exactly the
+// historical per-origin list.
 func (i *Instance) emitRoutes(list *routeList) []fib.Route {
 	sc := &i.d.scratch
 	cands := sc.cands[:0]
-	clear(sc.byPrefix)
-	for o, lsa := range i.lsdb {
-		if lsa == nil || topo.NodeID(o) == i.ord {
+	for o, ids := range sc.prefixIDs {
+		if len(ids) == 0 || topo.NodeID(o) == i.ord {
 			continue
 		}
 		set := sc.search.Mask[o]
@@ -168,12 +216,12 @@ func (i *Instance) emitRoutes(list *routeList) []fib.Route {
 			continue
 		}
 		d := sc.search.Dist[o]
-		for _, p := range lsa.Prefixes {
-			at, seen := sc.byPrefix[p]
+		for _, id := range ids {
+			at := sc.slot[id] - 1
 			switch {
-			case !seen:
-				sc.byPrefix[p] = len(cands)
-				cands = append(cands, emitCand{prefix: p, dist: d, hops: set})
+			case at < 0:
+				sc.slot[id] = int32(len(cands)) + 1
+				cands = append(cands, emitCand{id: id, dist: d, hops: set})
 			case d < cands[at].dist:
 				cands[at].dist, cands[at].hops = d, set
 			case d == cands[at].dist:
@@ -184,6 +232,7 @@ func (i *Instance) emitRoutes(list *routeList) []fib.Route {
 	sc.cands = cands
 	total := 0
 	for _, c := range cands {
+		sc.slot[c.id] = 0
 		total += bits.OnesCount64(c.hops)
 	}
 	hops := slices.Grow(list.hops[:0], total) // every route's hops fit: no append below moves it
@@ -193,7 +242,7 @@ func (i *Instance) emitRoutes(list *routeList) []fib.Route {
 		for set := c.hops; set != 0; set &= set - 1 {
 			hops = append(hops, i.hops[bits.TrailingZeros64(set)])
 		}
-		routes = append(routes, fib.Route{Prefix: c.prefix, Source: fib.OSPF, NextHops: hops[lo:len(hops):len(hops)]})
+		routes = append(routes, fib.Route{Prefix: sc.prefixes[c.id], Source: fib.OSPF, NextHops: hops[lo:len(hops):len(hops)]})
 	}
 	list.routes, list.hops = routes, hops
 	return routes

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fib"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -144,4 +145,161 @@ func TestTwoWayMemoMatchesScan(t *testing.T) {
 			t.Logf("%d checks, %d filtered rows", checks, filtered)
 		})
 	}
+}
+
+// TestSharedSPFMatchesFresh holds the rows and prefix table a domain's
+// instances share to a build from scratch: at every check, each live
+// instance's computeRoutes must give the routes, in content and order, that
+// a build, search and emission on a fresh spfScratch give for its LSDB.
+// The states: converged (after Bootstrap and after a refresh), where every
+// run after the first reuses the snapshot; mid-flood, checked every
+// simulated millisecond while a failed link's LSAs are still crossing the
+// domain, so LSDBs differ and runs must rebuild; half-down, one end's
+// detector held back so its LSA keeps advertising the dead link and the
+// two-way check filters its row; and a ToR crashed and restarted with a
+// cleared LSDB, straight after the restart and once its own floods are
+// done. F²Tree(8) and dual-ToR F²Tree(6), whose racks anycast one subnet
+// from two ToRs.
+func TestSharedSPFMatchesFresh(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		dual bool
+	}{{"f2tree8", 8, false}, {"dualtor6", 6, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tp, err := topo.F2Tree(tc.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.dual {
+				if err := topo.MakeDualToR(tp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := sim.New(7)
+			nw := mustNetwork(t, s, tp)
+			dom := NewDomain(nw, Config{})
+			if err := dom.Bootstrap(); err != nil {
+				t.Fatal(err)
+			}
+			var shared, fresh routeList
+			counts := map[string]int{}
+			check := func(state string) {
+				t.Helper()
+				for _, inst := range dom.instances {
+					if inst == nil || inst.down {
+						continue
+					}
+					if slices.Equal(inst.lsdb, dom.scratch.lsdb) {
+						counts["hit"]++
+					} else {
+						counts[state+" miss"]++
+					}
+					got := inst.computeRoutes(&shared)
+					sc := &dom.scratch
+					for o, lsa := range inst.lsdb {
+						if lsa != nil && len(sc.graph[o]) < len(lsa.Adjacencies) {
+							counts[state+" filtered"]++
+						}
+					}
+					if len(sc.ids) > len(sc.prefixes) {
+						counts["multi-origin"]++
+					}
+					kept := dom.scratch
+					dom.scratch = spfScratch{}
+					dom.scratch.init(dom.sw.Len())
+					inst.buildGraph()
+					inst.search()
+					want := inst.emitRoutes(&fresh)
+					dom.scratch = kept
+					for k := range max(len(got), len(want)) {
+						if k >= len(got) || k >= len(want) || !sameRoute(got[k], want[k]) {
+							t.Fatalf("%s at %v: %s's shared run gives %d routes, a fresh one %d; they part at route %d",
+								state, s.Now(), tp.Node(inst.node).Name, len(got), len(want), k)
+						}
+					}
+				}
+			}
+			agree := func() bool {
+				var first []*LSA
+				for _, inst := range dom.instances {
+					if inst == nil || inst.down {
+						continue
+					}
+					if first == nil {
+						first = inst.lsdb
+					} else if !slices.Equal(first, inst.lsdb) {
+						return false
+					}
+				}
+				return true
+			}
+			// settle runs the simulator to quiescence a millisecond at a
+			// time, checking every step that flooded an LSA and left the
+			// LSDBs disagreeing.
+			flooded := false
+			dom.SetFloodFilter(func(sim.Time, topo.NodeID, topo.NodeID, *LSA) (bool, time.Duration) {
+				flooded = true
+				return false, 0
+			})
+			settle := func() {
+				t.Helper()
+				for s.Pending() > 0 {
+					flooded = false
+					if err := s.Run(s.Now().Add(time.Millisecond)); err != nil {
+						t.Fatal(err)
+					}
+					if flooded && !agree() {
+						check("mid-flood")
+					}
+				}
+			}
+
+			check("converged")
+			fabric := fabricLinksOf(tp, func(*topo.Node) bool { return true })
+			for k := 0; k < 3; k++ {
+				l := *tp.Link(fabric[(k*len(fabric)+len(fabric)/5)/3])
+				nw.SetDetectionFilter(func(_ sim.Time, node topo.NodeID, port int, up bool) bool {
+					return node == l.A && port == l.APort && !up
+				})
+				s.After(0, func(sim.Time) { nw.FailLink(l.ID) })
+				settle()
+				check("half-down")
+				nw.SetDetectionFilter(nil)
+				nw.RescanPorts(l.A)
+				settle()
+				s.After(0, func(sim.Time) { nw.RestoreLink(l.ID) })
+				settle()
+				check("converged")
+			}
+
+			tor := tp.NodesOfKind(topo.ToR)[1]
+			dom.SetNodeDown(s.Now(), tor, true)
+			check("crashed")
+			dom.SetNodeDown(s.Now(), tor, false)
+			if n := dom.Instance(tor).LSDBSize(); n != 1 {
+				t.Fatalf("the restarted ToR holds %d LSAs, want its own only", n)
+			}
+			check("restarted")
+			settle()
+			check("restarted")
+			s.After(0, dom.RefreshAll)
+			settle()
+			check("converged")
+
+			t.Logf("%v", counts)
+			for _, c := range []string{"hit", "mid-flood miss", "half-down filtered", "restarted miss"} {
+				if counts[c] == 0 {
+					t.Errorf("no check counted %q", c)
+				}
+			}
+			if tc.dual && counts["multi-origin"] == 0 {
+				t.Error("no snapshot held a prefix advertised by two origins")
+			}
+		})
+	}
+}
+
+func sameRoute(a, b fib.Route) bool {
+	return a.Prefix == b.Prefix && a.Source == b.Source && slices.Equal(a.NextHops, b.NextHops)
 }

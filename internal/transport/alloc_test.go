@@ -26,15 +26,19 @@ func bulkConn(tb testing.TB) (*rig, *Conn) {
 }
 
 // transfer sends n full segments on c and runs the simulator until every
-// byte is acknowledged and the retransmission timer is cancelled.
+// byte is acknowledged and the retransmission timer is cancelled. It runs
+// to a horizon, a second plus a millisecond per segment (a segment takes
+// 12 µs on the rig's 1 Gb/s links), so a connection that never gets through,
+// and would retransmit forever, fails the test instead of hanging it.
 func transfer(tb testing.TB, r *rig, c *Conn, n int) {
 	want := c.Acked() + int64(n)*MSS
 	c.Send(n * MSS)
-	if err := r.sim.RunUntilIdle(); err != nil {
+	horizon := r.sim.Now().Add(time.Second + time.Duration(n)*time.Millisecond)
+	if err := r.sim.Run(horizon); err != nil {
 		tb.Fatal(err)
 	}
-	if c.Acked() != want {
-		tb.Fatalf("acked %d, want %d", c.Acked(), want)
+	if c.Acked() != want || r.sim.Pending() != 0 {
+		tb.Fatalf("by %v: acked %d, want %d; %d events still pending", horizon, c.Acked(), want, r.sim.Pending())
 	}
 }
 
